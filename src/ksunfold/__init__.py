@@ -82,6 +82,7 @@ from .reduction import (
     radial_setup,
     reduce_calogero,
     unfold_kepler,
+    unfold_sweep,
 )
 
 __version__ = "0.1.0"

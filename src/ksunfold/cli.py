@@ -29,7 +29,7 @@ from .reduction import (
     check_equivariance,
     radial_setup,
     reduce_calogero,
-    unfold_kepler,
+    unfold_sweep,
 )
 from .symplectic import SUITES, run_suite
 from .systems import (
@@ -92,10 +92,14 @@ def _as_float(cfg, key, default=None):
     if val is None:
         raise ConfigError(f"missing required option --{key.replace('_', '-')}")
     try:
-        return float(val)
+        out = float(val)
     except (TypeError, ValueError):
         raise ConfigError(f"--{key.replace('_', '-')} expects a number, "
                           f"got {val!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"--{key.replace('_', '-')} must be finite, "
+                          f"got {val!r}")
+    return out
 
 
 def _as_int(cfg, key, default=None):
@@ -109,6 +113,14 @@ def _as_int(cfg, key, default=None):
                           f"got {val!r}") from None
 
 
+def _as_count(cfg, key, default):
+    n = _as_int(cfg, key, default)
+    if n <= 0:
+        raise ConfigError(f"--{key.replace('_', '-')} must be a positive "
+                          f"integer, got {n}")
+    return n
+
+
 def _as_vec(cfg, key, n):
     raw = _require(cfg, key)
     try:
@@ -118,6 +130,8 @@ def _as_vec(cfg, key, n):
                           f"got {raw!r}") from None
     if vec.size != n:
         raise ConfigError(f"--{key}: expected {n} components, got {vec.size}")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"--{key}: components must be finite, got {raw!r}")
     return vec
 
 
@@ -130,13 +144,21 @@ def _parse_gauge(raw) -> list:
             raise ConfigError(f"--lambda sweep needs a count: {raw!r}")
         a, _, b = span.partition("..")
         try:
-            return list(np.linspace(float(a), float(b), int(count)))
+            lo, hi, n = float(a), float(b), int(count)
         except ValueError:
             raise ConfigError(f"bad --lambda sweep {raw!r}") from None
-    try:
-        return [float(text)]
-    except ValueError:
-        raise ConfigError(f"bad --lambda value {raw!r}") from None
+        if n <= 0:
+            raise ConfigError(f"--lambda sweep count must be a positive "
+                              f"integer, got {raw!r}")
+        gauges = list(np.linspace(lo, hi, n))
+    else:
+        try:
+            gauges = [float(text)]
+        except ValueError:
+            raise ConfigError(f"bad --lambda value {raw!r}") from None
+    if not np.all(np.isfinite(gauges)):
+        raise ConfigError(f"--lambda must be finite, got {raw!r}")
+    return gauges
 
 
 def _out_dir(cfg) -> str:
@@ -149,7 +171,7 @@ def _integrator_config(cfg) -> IntegratorConfig:
     return IntegratorConfig(
         rel_tol=_as_float(cfg, "rel_tol", 1e-10),
         abs_tol=_as_float(cfg, "abs_tol", 1e-12),
-        max_steps=_as_int(cfg, "max_steps", 10_000_000),
+        max_steps=_as_count(cfg, "max_steps", 10_000_000),
     )
 
 
@@ -257,15 +279,15 @@ def cmd_unfold(cfg: dict) -> int:
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", "unfold")
     icfg = _integrator_config(cfg)
-    n_samples = _as_int(cfg, "samples", 512)
+    n_samples = _as_count(cfg, "samples", 512)
 
     results = []
-    for i, lam in enumerate(gauges):
-        start = time.perf_counter()
-        res = unfold_kepler(
-            np.concatenate([x, v]), tau_end, scaling=scaling, gauge=lam,
-            config=icfg, k=k, n_samples=n_samples,
-        )
+    sweep = unfold_sweep(
+        np.concatenate([x, v]), tau_end, gauges, scaling=scaling,
+        config=icfg, k=k, n_samples=n_samples,
+    )
+    start = time.perf_counter()
+    for i, (lam, res) in enumerate(zip(gauges, sweep)):
         wall = time.perf_counter() - start
         stem = prefix if len(gauges) == 1 else f"{prefix}_lam{i}"
         csv_path = os.path.join(out, f"{stem}.csv")
@@ -277,6 +299,7 @@ def cmd_unfold(cfg: dict) -> int:
         _write_json(os.path.join(out, f"{stem}.json"), summary)
         results.append(res)
         print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
+        start = time.perf_counter()
 
     if len(results) > 1:
         cross = 0.0
@@ -303,7 +326,7 @@ def cmd_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     report = run_suite(
         suite,
-        samples=_as_int(cfg, "samples", 100),
+        samples=_as_count(cfg, "samples", 100),
         seed=_as_int(cfg, "seed", 0),
     )
     report["config"] = _echo(cfg)

@@ -61,6 +61,23 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0
 
+# Trajectory.invert: largest last step in time, and an iteration cap that
+# bisection alone would take far below it (2^-64 of a step)
+_INVERT_TOL = 1e-14
+_INVERT_MAX_ITER = 64
+
+
+def _locate(nodes, x):
+    """For each x, the index i of the interval [nodes[i], nodes[i+1]] of the
+    nondecreasing array `nodes` holding it, the position theta in [0, 1]
+    inside it, and its length (x beyond either end: first or last
+    interval, theta clipped)."""
+    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                  0, len(nodes) - 2)
+    h = nodes[idx + 1] - nodes[idx]
+    theta = np.clip((x - nodes[idx]) / h, 0.0, 1.0)
+    return idx, theta, h
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -107,10 +124,7 @@ class Trajectory:
         t = np.asarray(t, dtype=float)
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
             raise ValueError("time outside trajectory span")
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                      0, len(self.times) - 2)
-        h = self.times[idx + 1] - self.times[idx]
-        theta = np.clip((t - self.times[idx]) / h, 0.0, 1.0)
+        idx, theta, _ = _locate(self.times, t)
         powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
         return self.states[idx] + np.einsum("...dm,...m->...d",
                                             self.dense[idx], powers)
@@ -119,14 +133,44 @@ class Trajectory:
         """Time derivative of the interpolant at times t."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                      0, len(self.times) - 2)
-        h = self.times[idx + 1] - self.times[idx]
-        theta = np.clip((t - self.times[idx]) / h, 0.0, 1.0)
+        idx, theta, h = _locate(self.times, np.asarray(t, dtype=float))
         dpow = np.stack([np.ones_like(theta), 2 * theta, 3 * theta**2,
                          4 * theta**3], axis=-1)
         return np.einsum("...dm,...m->...d", self.dense[idx], dpow) / h[..., None]
+
+    def invert(self, component: int, values):
+        """Times at which `component` of the interpolant takes `values`.
+
+        The component must be nondecreasing over the span.  Values outside
+        its range clamp to the first or last time.  Each value is located
+        between two accepted nodes, then the step's quartic is solved for
+        theta by Newton's method safeguarded by bisection, on all values at
+        once, until every Newton or bisection step moves the time by at
+        most 1e-14.
+        """
+        if self.dense is None:
+            raise ValueError("trajectory has no dense output")
+        nodes = self.states[:, component]
+        target = np.clip(np.asarray(values, dtype=float), nodes[0], nodes[-1])
+        # the secant guess: where the target sits between the step's nodes
+        idx, theta, _ = _locate(nodes, target)
+        h = self.times[idx + 1] - self.times[idx]
+        c1, c2, c3, c4 = np.moveaxis(self.dense[idx, component], -1, 0)
+        f0 = nodes[idx] - target  # <= 0: the root lies in theta in [0, 1]
+        lo, hi = np.zeros_like(theta), np.ones_like(theta)
+        for _ in range(_INVERT_MAX_ITER):
+            f = f0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+            df = c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4))
+            lo = np.where(f <= 0.0, theta, lo)
+            hi = np.where(f >= 0.0, theta, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = theta - f / df
+            inside = (newton > lo) & (newton < hi)
+            step = np.where(inside, newton, 0.5 * (lo + hi)) - theta
+            theta = theta + step
+            if not np.any(np.abs(step) * h > _INVERT_TOL):
+                break
+        return self.times[idx] + theta * h
 
     def to_csv(self, path):
         """State and monitor columns at accepted steps, 17 significant digits."""
@@ -184,9 +228,13 @@ def integrate(
     """Integrate ds/dt = rhs(s) from t0 to t_end with the DP5(4) pair."""
     cfg = config or IntegratorConfig()
     t_end = float(t_end)
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     y = np.array(s0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"initial state must be finite, got {y}")
     f = system.rhs
     t = t0
     k0 = f(y)  # a bad initial state surfaces immediately

@@ -1,4 +1,4 @@
-"""Kustaanheimo-Stiefel geometry.
+r"""Kustaanheimo-Stiefel geometry.
 
 The KS map sends a point y of R^4 \ {0} to a point x of R^3 \ {0} and squares
 the radius: |x| = |y|^2.  Component order throughout is (y1, y2, y3, y0) —

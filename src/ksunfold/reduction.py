@@ -7,11 +7,14 @@ Kepler unfolding into the oscillator family).
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+# unused here since tau_of inverts the time map itself; still bound because
+# the benchmark's tracer (bench/tracing.py) patches `reduction.brentq` by name
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import DegenerateStructureError, DomainError, IntegrationError
 from .integrate import IntegratorConfig, Trajectory, integrate
@@ -45,6 +48,7 @@ __all__ = [
     "check_equivariance",
     "UnfoldResult",
     "unfold_kepler",
+    "unfold_sweep",
     "kepler_period_from_unfold",
     "reduce_calogero",
     "project_constants",
@@ -186,24 +190,9 @@ class UnfoldResult:
         return np.asarray(self.upstairs.eval(tau))[..., 8]
 
     def tau_of(self, t):
-        """Invert the time map on the integrated span (scalar or array)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        t_nodes = self.upstairs.states[:, 8]
-        tau_nodes = self.upstairs.times
-        out = np.empty_like(t_arr)
-        for i, tv in enumerate(t_arr):
-            j = int(np.clip(np.searchsorted(t_nodes, tv), 1, len(t_nodes) - 1))
-            lo, hi = tau_nodes[j - 1], tau_nodes[j]
-            if tv <= t_nodes[0]:
-                out[i] = tau_nodes[0]
-            elif tv >= t_nodes[-1]:
-                out[i] = tau_nodes[-1]
-            else:
-                out[i] = brentq(
-                    lambda tau: float(self.upstairs.eval(tau)[8]) - tv,
-                    lo, hi, xtol=1e-13,
-                )
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        """Invert the time map on the integrated span (scalar or array);
+        times outside it clamp to the first or last tau."""
+        return self.upstairs.invert(8, t)
 
     def to_csv(self, path):
         cols = (
@@ -268,6 +257,14 @@ def _augmented_oscillator(E: float, g: float) -> DynamicalSystem:
     )
 
 
+def _split_state(p0):
+    """(x, v) from a State3, an (x, v) pair or a 6-vector."""
+    if hasattr(p0, "x") and hasattr(p0, "v"):
+        return np.asarray(p0.x, float), np.asarray(p0.v, float)
+    arr = np.asarray(p0, dtype=float).reshape(-1)
+    return arr[:3], arr[3:6]
+
+
 def unfold_kepler(
     p0,
     tau_end: float,
@@ -287,14 +284,16 @@ def unfold_kepler(
     `compare` is set, holds the divergence against direct Kepler integration
     on a shared physical-time grid (truncated to wherever direct integration
     survives; radial collisions downstairs set the `collision` flag while
-    the upstairs trajectory continues through Y = 0).
+    the upstairs trajectory continues through Y = 0).  With `compare` set
+    this is the one-gauge case of `unfold_sweep`.
     """
+    if compare:
+        return next(unfold_sweep(
+            p0, tau_end, [gauge], scaling=scaling, config=config, k=k,
+            n_samples=n_samples, compare_points=compare_points,
+        ))
     cfg = config or IntegratorConfig()
-    if hasattr(p0, "x") and hasattr(p0, "v"):
-        x0, v0 = np.asarray(p0.x, float), np.asarray(p0.v, float)
-    else:
-        arr = np.asarray(p0, dtype=float).reshape(-1)
-        x0, v0 = arr[:3], arr[3:6]
+    x0, v0 = _split_state(p0)
     y0, u0 = ks_lift(x0, v0, gauge)
     Y0, U0 = to_oscillator_chart(y0, u0)
     E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
@@ -315,7 +314,7 @@ def unfold_kepler(
         u_nat = chart[:, 4:8] / (2.0 * r2)[:, None]
         vs = ks_tangent_velocity(chart[:, :4], u_nat)
 
-    result = UnfoldResult(
+    return UnfoldResult(
         E=E,
         gauge=float(gauge),
         scaling=scaling.name,
@@ -330,39 +329,69 @@ def unfold_kepler(
         collision=False,
         config=cfg,
     )
-    if not compare:
-        return result
-
-    divergence, collision = _compare_downstairs(
-        result, x0, v0, k, cfg, compare_points
-    )
-    return UnfoldResult(
-        **{**result.__dict__, "divergence": divergence, "collision": collision}
-    )
 
 
-def _compare_downstairs(result, x0, v0, k, cfg, compare_points):
-    """Integrate Kepler directly and measure divergence from the projected
-    unfold on a shared physical-time grid."""
-    t_total = float(result.ts[-1])
+def unfold_sweep(
+    p0,
+    tau_end: float,
+    gauges: Iterable[float],
+    scaling: Optional[EnergyScaling] = None,
+    config: Optional[IntegratorConfig] = None,
+    k: float = 1.0,
+    n_samples: int = 512,
+    compare_points: int = 512,
+) -> Iterator[UnfoldResult]:
+    """Unfold `p0` at each gauge angle in turn and yield each result, with
+    its comparison against direct Kepler integration, as soon as it is done.
+
+    The direct leg does not depend on the gauge: it is integrated once,
+    with the first gauge, over that gauge's physical-time span, and every
+    gauge is compared against it on the grid up to the shorter of its own
+    span and the leg's.
+    """
+    cfg = config or IntegratorConfig()
+    x0, v0 = _split_state(p0)
+    leg = None
+    for gauge in gauges:
+        result = unfold_kepler(
+            p0, tau_end, scaling=scaling, gauge=gauge, config=cfg, k=k,
+            n_samples=n_samples, compare=False,
+        )
+        if leg is None:
+            leg = _direct_leg(x0, v0, float(result.ts[-1]), k, cfg)
+        divergence, collision = _compare_downstairs(result, leg, compare_points)
+        yield dataclasses.replace(result, divergence=divergence,
+                                  collision=collision)
+
+
+def _direct_leg(x0, v0, t_total, k, cfg):
+    """Integrate Kepler directly over [0, t_total]; on a collision retry up
+    to 95% of the time reached.  Returns (trajectory or None, time reached,
+    whether a collision cut the leg short)."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
     collision = False
     t_cmp = t_total
-    direct = None
     for _ in range(8):
         if t_cmp <= 0.0:
             break
         try:
-            direct = integrate(kepler, s0, t_cmp, config=cfg)
-            break
+            return integrate(kepler, s0, t_cmp, config=cfg), t_cmp, collision
         except IntegrationError as exc:
             collision = True
             reached = exc.t if exc.t is not None else 0.0
             t_cmp = 0.95 * reached
+    return None, 0.0, True
+
+
+def _compare_downstairs(result, leg, compare_points):
+    """Measure the divergence of the projected unfold from the direct leg
+    on a shared physical-time grid."""
+    direct, t_leg, collision = leg
     if direct is None:
         return {"compared": False, "collision": True, "t_compared": 0.0}, True
 
+    t_cmp = min(float(result.ts[-1]), t_leg)
     grid = np.linspace(0.0, t_cmp, int(compare_points) + 1)
     taus = result.tau_of(grid)
     states = result.upstairs.eval(taus)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ksunfold.cli import main, read_config_file
 
@@ -228,3 +229,67 @@ def test_config_file_lambda_alias(tmp_path):
     assert code == 0
     summary = json.load(open(tmp_path / "unfold.json"))
     assert summary["gauge_lambda"] == 1.5
+
+
+# --- bad input rejected at the boundary ---------------------------------------
+
+_KEPLER = ["simulate", "--system", "kepler", "--x", "1,0,0", "--v", "0,1,0"]
+_UNFOLD = ["unfold", "--x", "1,0,0", "--v", "0,1,0"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--system", "kepler", "--x", "1,0,0", "--v", "inf,1,0",
+      "--t-end", "1"], "--v"),
+    (_KEPLER + ["--t-end", "inf"], "--t-end"),
+    (_KEPLER + ["--t-end", "nan"], "--t-end"),
+    (["simulate", "--system", "oscillator", "--energy", "nan",
+      "--Y", "1,0,0,0", "--U", "0,1,0,0", "--t-end", "1"], "--energy"),
+    (["simulate", "--system", "oscillator", "--energy", "-0.5",
+      "--Y", "1,0,0,0", "--U", "0,-inf,0,0", "--t-end", "1"], "--U"),
+    (["simulate", "--system", "radial", "--r", "inf", "--vr", "0",
+      "--energy", "0.5", "--t-end", "1"], "--r"),
+    (["simulate", "--system", "calogero", "--q", "0,nan", "--qd", "0,0",
+      "--l", "1", "--t-end", "1"], "--q"),
+    (["unfold", "--x", "nan,0,0", "--v", "0,1,0"], "--x"),
+    (_UNFOLD + ["--tau-end", "inf"], "--tau-end"),
+    (_UNFOLD + ["--rel-tol", "nan"], "--rel-tol"),
+    (_UNFOLD + ["--lambda", "nan"], "--lambda"),
+])
+def test_non_finite_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    code = run(argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"] and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_UNFOLD + ["--samples", "0"], "--samples"),
+    (_UNFOLD + ["--lambda", "0..1:0"], "--lambda"),
+    (_UNFOLD + ["--lambda", "0..1:-2"], "--lambda"),
+    (_UNFOLD + ["--max-steps", "0"], "--max-steps"),
+    (_KEPLER + ["--t-end", "1", "--max-steps=-5"], "--max-steps"),
+    (["verify", "--suite", "kepler-algebra", "--samples", "0"], "--samples"),
+])
+def test_non_positive_count_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    code = run(argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"] and "positive" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_unfold_sweep_reports_every_gauge_as_it_finishes(tmp_path, capsys):
+    code = run(["unfold", "--x", "1,0,0", "--v=-0.5,0,0", "--tau-end", "6",
+                "--lambda", "0..3:3", "--samples", "32",
+                "--out-dir", str(tmp_path), "--prefix", "sw"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[1] for ln in lines[:3]] == [
+        str(tmp_path / f"sw_lam{i}.csv") for i in range(3)]
+    for i in range(3):
+        side = json.loads((tmp_path / f"sw_lam{i}.json").read_text())
+        assert side["collision_regularized"]
+        assert side["divergence"]["max_position_divergence"] < 1e-8
+        assert side["wall_time_s"] > 0.0

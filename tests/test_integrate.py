@@ -165,6 +165,17 @@ def test_config_validation():
         integrate(free3d_field(), np.zeros(6), 0.0)
 
 
+@pytest.mark.parametrize("s0, t_end", [
+    ([1.0, 0.0, 0.0, np.inf, 1.0, 0.0], 1.0),
+    ([np.nan, 0.0, 0.0, 0.0, 1.0, 0.0], 1.0),
+    ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], np.inf),
+    ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], np.nan),
+])
+def test_non_finite_start_or_horizon_raises(s0, t_end):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(kepler_field(), np.array(s0), t_end)
+
+
 def test_max_step_is_respected():
     osc = completed_oscillator_field(E=-0.5)
     traj = integrate(osc, np.ones(8), 2.0,

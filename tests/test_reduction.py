@@ -3,7 +3,9 @@ and descent of constants through the gauge quotient."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import ksunfold.reduction as reduction
 from ksunfold import (
     DegenerateStructureError,
     DomainError,
@@ -18,6 +20,7 @@ from ksunfold import (
     radial_setup,
     reduce_calogero,
     unfold_kepler,
+    unfold_sweep,
 )
 from ksunfold.integrate import integrate
 from ksunfold.symplectic import quadratic_observable
@@ -125,6 +128,102 @@ def test_unfold_time_map_is_monotone_and_invertible():
         assert abs(float(res.tau_of(t)) - tau) < 1e-10
     # circular orbit at r = 1: dt/dtau = 2 R^2 = 2, so t(tau) = 2 tau
     assert np.max(np.abs(res.ts - 2.0 * res.taus)) < 1e-9
+
+
+def _tau_of_brentq(res, t):
+    """Oracle for UnfoldResult.tau_of: one scalar brentq solve per point on
+    the dense output, bracketed by the accepted nodes."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_nodes = res.upstairs.states[:, 8]
+    tau_nodes = res.upstairs.times
+    out = np.empty_like(t_arr)
+    for i, tv in enumerate(t_arr):
+        j = int(np.clip(np.searchsorted(t_nodes, tv), 1, len(t_nodes) - 1))
+        if tv <= t_nodes[0]:
+            out[i] = tau_nodes[0]
+        elif tv >= t_nodes[-1]:
+            out[i] = tau_nodes[-1]
+        else:
+            out[i] = brentq(
+                lambda tau: float(res.upstairs.eval(tau)[8]) - tv,
+                tau_nodes[j - 1], tau_nodes[j], xtol=1e-13,
+            )
+    return out
+
+
+# circular, e = 0.6 (one upstairs period each) and radial collision
+_ORBITS = {
+    "circular": ([1.0, 0, 0, 0, 1.0, 0], 2 * np.pi),
+    "e0.6": ([1.0, 0, 0, 0, np.sqrt(0.4), 0], 2 * np.pi / np.sqrt(1.6)),
+    "collision": ([1.0, 0, 0, -0.5, 0, 0], 6.0),
+}
+
+
+@pytest.mark.parametrize("orbit", sorted(_ORBITS))
+def test_tau_of_matches_brentq_oracle(orbit):
+    p0, tau_end = _ORBITS[orbit]
+    res = unfold_kepler(np.array(p0), tau_end, compare=False)
+    t_nodes = res.upstairs.states[:, 8]
+    t_end = float(res.ts[-1])
+    inside = np.concatenate([np.linspace(0.0, t_end, 513), t_nodes])
+    outside = np.array([-1.0, -1e-9, t_end + 1e-9, t_end + 1.0])
+    t = np.concatenate([inside, outside])
+    tau = res.tau_of(t)
+    assert np.max(np.abs(tau - _tau_of_brentq(res, t))) <= 1e-12
+    resid = np.abs(res.t_of(tau[:len(inside)]) - inside)
+    assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(inside)))
+    # outside the span tau clamps to the ends
+    ends = np.array([0.0, 0.0, tau_end, tau_end])
+    assert np.max(np.abs(tau[len(inside):] - ends)) <= 1e-12
+
+
+def test_tau_of_keeps_scalar_and_array_shapes():
+    res = unfold_kepler(np.array([1.0, 0, 0, 0, 1.0, 0]), 2 * np.pi,
+                        compare=False)
+    for t in (3.0, np.float64(3.0), np.array(3.0)):
+        out = res.tau_of(t)
+        assert np.ndim(out) == 0
+        assert abs(float(out) - 1.5) < 1e-9
+    assert res.tau_of([3.0]).shape == (1,)
+    assert res.tau_of(np.array([1.0, 3.0, 5.0])).shape == (3,)
+    assert res.tau_of(np.zeros((2, 3))).shape == (2, 3)
+
+
+def _count_direct_legs(monkeypatch):
+    calls = []
+
+    def counting(system, *args, **kwargs):
+        if system.name == "kepler":
+            calls.append(system.name)
+        return integrate(system, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "integrate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("orbit, legs", [("e0.6", 1), ("collision", 2)])
+def test_sweep_integrates_the_direct_leg_once(monkeypatch, orbit, legs):
+    # a collision costs one failed attempt and one retry, for all gauges
+    p0, tau_end = _ORBITS[orbit]
+    calls = _count_direct_legs(monkeypatch)
+    results = list(unfold_sweep(np.array(p0), tau_end, [0.0, 1.0, 2.0]))
+    assert len(results) == 3
+    assert len(calls) == legs
+    assert all(r.collision is (orbit == "collision") for r in results)
+
+
+@pytest.mark.parametrize("orbit", sorted(_ORBITS))
+def test_sweep_divergence_matches_single_gauge_unfold(orbit):
+    p0, tau_end = _ORBITS[orbit]
+    gauges = [0.0, 1.3, 4.4]
+    for lam, res in zip(gauges, unfold_sweep(np.array(p0), tau_end, gauges)):
+        one = unfold_kepler(np.array(p0), tau_end, gauge=lam)
+        assert res.gauge == lam
+        assert res.collision == one.collision
+        assert res.divergence["compared"] and one.divergence["compared"]
+        for key in ("max_position_divergence", "max_velocity_divergence"):
+            assert abs(res.divergence[key] - one.divergence[key]) <= 1e-12
+        assert np.array_equal(res.chart, one.chart)
 
 
 def test_unfold_monitors_hold_invariant_and_gauge_level():
