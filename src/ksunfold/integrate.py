@@ -61,12 +61,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0
 
-# Trajectory.invert: largest last step in time, and an iteration cap that
-# bisection alone would take far below it (2^-64 of a step)
-_INVERT_TOL = 1e-14
-_INVERT_MAX_ITER = 64
-
-
 def _locate(nodes, x):
     """For each x, the index i of the interval [nodes[i], nodes[i+1]] of the
     nondecreasing array `nodes` holding it, the position theta in [0, 1]
@@ -137,40 +131,6 @@ class Trajectory:
         dpow = np.stack([np.ones_like(theta), 2 * theta, 3 * theta**2,
                          4 * theta**3], axis=-1)
         return np.einsum("...dm,...m->...d", self.dense[idx], dpow) / h[..., None]
-
-    def invert(self, component: int, values):
-        """Times at which `component` of the interpolant takes `values`.
-
-        The component must be nondecreasing over the span.  Values outside
-        its range clamp to the first or last time.  Each value is located
-        between two accepted nodes, then the step's quartic is solved for
-        theta by Newton's method safeguarded by bisection, on all values at
-        once, until every Newton or bisection step moves the time by at
-        most 1e-14.
-        """
-        if self.dense is None:
-            raise ValueError("trajectory has no dense output")
-        nodes = self.states[:, component]
-        target = np.clip(np.asarray(values, dtype=float), nodes[0], nodes[-1])
-        # the secant guess: where the target sits between the step's nodes
-        idx, theta, _ = _locate(nodes, target)
-        h = self.times[idx + 1] - self.times[idx]
-        c1, c2, c3, c4 = np.moveaxis(self.dense[idx, component], -1, 0)
-        f0 = nodes[idx] - target  # <= 0: the root lies in theta in [0, 1]
-        lo, hi = np.zeros_like(theta), np.ones_like(theta)
-        for _ in range(_INVERT_MAX_ITER):
-            f = f0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
-            df = c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4))
-            lo = np.where(f <= 0.0, theta, lo)
-            hi = np.where(f >= 0.0, theta, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = theta - f / df
-            inside = (newton > lo) & (newton < hi)
-            step = np.where(inside, newton, 0.5 * (lo + hi)) - theta
-            theta = theta + step
-            if not np.any(np.abs(step) * h > _INVERT_TOL):
-                break
-        return self.times[idx] + theta * h
 
     def to_csv(self, path):
         """State and monitor columns at accepted steps, 17 significant digits."""
@@ -345,21 +305,21 @@ def integrate_fixed(
 
 
 def find_return_time(
-    traj: Trajectory,
+    traj,
     reference,
     tol: float,
     components: Optional[Sequence[int]] = None,
 ) -> float:
-    """First t > t0 at which the dense trajectory returns within `tol` of
+    """First t > t0 at which the trajectory returns within `tol` of
     `reference` (optionally comparing only the listed state components).
 
+    `traj` is a dense `Trajectory` or any flow with the same `times`,
+    `states`, `eval` and `deriv` (such as the closed-form unfold flow).
     Detection: the trajectory must first leave a neighbourhood of the
     reference; afterwards, crossings of the hyperplane through the reference
-    normal to the flow direction there are bracketed on the accepted grid
-    and refined with a scalar root solve on the dense output.
+    normal to the flow direction there are bracketed on the node grid
+    and refined with a scalar root solve on `eval`.
     """
-    if traj.dense is None:
-        raise ValueError("find_return_time needs dense output")
     ref = np.asarray(reference, dtype=float).reshape(-1)
     comp = np.arange(ref.size) if components is None else np.asarray(components)
     refc = ref[comp]

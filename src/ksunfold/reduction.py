@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401
 
 from .errors import DegenerateStructureError, DomainError, IntegrationError
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import IntegratorConfig, integrate
 from .phase_geometry import (
     fiber_act,
     ks_lift,
@@ -32,6 +33,7 @@ from .systems import (
     EnergyScaling,
     Observable,
     OBSERVABLES,
+    _chart_energy,
     calogero_moser_field,
     conformal_kepler_field,
     free3d_field,
@@ -46,6 +48,7 @@ __all__ = [
     "radial_setup",
     "kepler_setup",
     "check_equivariance",
+    "OscillatorFlow",
     "UnfoldResult",
     "unfold_kepler",
     "unfold_sweep",
@@ -165,11 +168,117 @@ def check_equivariance(
 # Kepler unfolding
 # ---------------------------------------------------------------------------
 
+# Stumpff series c_m(z) = sum_n (-z)^n / (2n + m)!, m = 2, 3, highest n first;
+# used for |z| < 1, where the closed forms cancel (relative error < 1e-18)
+_STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
+                            for n in reversed(range(9))])
+
+# tau_of: largest last Newton or bisection step, relative to max(1, |tau|)
+_TAU_TOL = 1e-14
+_TAU_MAX_ITER = 64
+
+
+def _stumpff(z):
+    """Stumpff functions (c2(z), c3(z)): (1 - cos w)/w^2 and (w - sin w)/w^3
+    with w = sqrt(z) for z > 0, their cosh/sinh forms for z < 0, and the
+    power series near z = 0, where all three meet."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)[..., None]
+    series = _STUMPFF_SERIES[0]
+    for coeff in _STUMPFF_SERIES[1:]:
+        series = coeff - zs * series
+    w = np.sqrt(np.abs(np.where(small, 1.0, z)))
+    # each branch sees 0 where the other applies, so cosh cannot overflow
+    ell = z > 0.0
+    wc, wh = np.where(ell, w, 0.0), np.where(ell, 0.0, w)
+    # products, not **: NumPy rounds array and scalar powers differently,
+    # and eval at a node must reproduce the sampled state bit for bit
+    c2 = np.where(ell, 1.0 - np.cos(wc), np.cosh(wh) - 1.0) / (w * w)
+    c3 = np.where(ell, wc - np.sin(wc), np.sinh(wh) - wh) / (w * w * w)
+    return (np.where(small, series[..., 0], c2),
+            np.where(small, series[..., 1], c3))
+
+
+@dataclass(frozen=True)
+class OscillatorFlow:
+    """Exact flow of dY/dtau = g U, dU/dtau = 2 g E Y and the clock
+    dt/dtau = 2 g |Y|^2 from (Y0, U0) and t = 0 at tau = 0, in Stiefel and
+    Scheifele's universal variables: with alpha = -2 g^2 E and z = alpha tau^2,
+    Y = c Y0 + g s U0 and U = c U0 + 2 g E s Y0, where c = 1 - z c2(z) and
+    s = tau (1 - z c3(z)), for every sign of E and regular through Y = 0.  The
+    clock is Kepler's equation t = 2 g [A (tau - alpha S) + B s^2 + C S] with
+    S = 2 tau^3 c3(4z), A = |Y0|^2, B = g Y0.U0 and C = g^2 |U0|^2.
+
+    `times` and `states` (Y, U, t) sample the flow at n_samples + 1 uniform
+    nodes over [0, tau_end]; `monitors` holds the oscillator invariant (== k),
+    the gauge momentum h and the chart energy at force constant k there.
+    """
+
+    Y0: np.ndarray
+    U0: np.ndarray
+    E: float
+    g: float
+    tau_end: float
+    k: float = 1.0
+    n_samples: int = 512
+    times: np.ndarray = dataclasses.field(init=False)
+    states: np.ndarray = dataclasses.field(init=False)
+    monitors: dict = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        start = np.concatenate([self.Y0, self.U0, [self.E, self.g]])
+        if not (np.all(np.isfinite(start)) and 0.0 < self.tau_end < np.inf):
+            raise ValueError(f"the unfold needs finite (Y0, U0, E, g) and "
+                             f"0 < tau_end < inf, got {start}, {self.tau_end}")
+        times = np.linspace(0.0, float(self.tau_end), int(self.n_samples) + 1)
+        states = self.eval(times)
+        chart = states[:, :8]
+        # the chart energy is 0/0 at Y = 0 itself, finite everywhere else
+        with np.errstate(divide="ignore", invalid="ignore"):
+            monitors = {
+                obs.name: obs.fn(chart)
+                for obs in (oscillator_invariant(self.E, self.k),
+                            OBSERVABLES["h"], _chart_energy(self.k))
+            }
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "monitors", monitors)
+
+    def eval(self, tau):
+        """States (Y, U, t), shape (..., 9), at tau (scalar or array)."""
+        tau = np.asarray(tau, dtype=float)
+        g, E = self.g, self.E
+        alpha = -2.0 * g * g * E
+        z = alpha * tau * tau
+        c2, c3 = _stumpff(z)
+        c = 1.0 - z * c2
+        s = tau * (1.0 - z * c3)
+        # 2 tau^3 c3(4z), by the double-angle identity 4 c3(4z) = c2 + c3 - z c2 c3
+        S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
+        A = float(self.Y0 @ self.Y0)
+        B = g * float(self.Y0 @ self.U0)
+        C = g * g * float(self.U0 @ self.U0)
+        t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
+        c, s = c[..., None], s[..., None]
+        return np.concatenate([c * self.Y0 + (g * s) * self.U0,
+                               c * self.U0 + (2.0 * g * E * s) * self.Y0,
+                               t[..., None]], axis=-1)
+
+    def deriv(self, tau):
+        """d(Y, U, t)/dtau at tau, from the vector field itself."""
+        state = self.eval(tau)
+        Y, U = state[..., :4], state[..., 4:8]
+        r2 = np.sum(Y * Y, axis=-1, keepdims=True)
+        return np.concatenate([self.g * U, (2.0 * self.g * self.E) * Y,
+                               2.0 * self.g * r2], axis=-1)
+
+
 @dataclass(frozen=True)
 class UnfoldResult:
-    """A Kepler initial condition lifted, integrated upstairs in the
-    oscillator parameter, and projected back with the accumulated physical
-    time.  Sampled columns live on a uniform tau grid."""
+    """A Kepler initial condition lifted, flowed upstairs in the oscillator
+    parameter, and projected back with the accumulated physical time.
+    Sampled columns live on a uniform tau grid."""
 
     E: float
     gauge: float
@@ -180,19 +289,44 @@ class UnfoldResult:
     chart: np.ndarray                 # (n, 8) chart states on the grid
     xs: np.ndarray                    # (n, 3)
     vs: np.ndarray                    # (n, 3)
-    upstairs: Trajectory              # augmented 9-dim trajectory
+    upstairs: OscillatorFlow          # closed-form (Y, U, t) flow
     divergence: dict
     collision: bool
-    config: IntegratorConfig
+    config: IntegratorConfig          # of the direct comparison leg
 
     def t_of(self, tau):
-        """Physical time at oscillator parameter tau (dense output)."""
+        """Physical time at oscillator parameter tau."""
         return np.asarray(self.upstairs.eval(tau))[..., 8]
 
     def tau_of(self, t):
-        """Invert the time map on the integrated span (scalar or array);
-        times outside it clamp to the first or last tau."""
-        return self.upstairs.invert(8, t)
+        """Invert the time map on the sampled span (scalar or array); times
+        outside it clamp to the first or last tau.
+
+        Each time is bracketed between two sample nodes and the closed-form
+        clock is solved there by Newton's method (dt/dtau = 2 g |Y|^2),
+        safeguarded by bisection where Y = 0 flattens it, on all times at
+        once, until every last step is at most 1e-14 max(1, |tau|).
+        """
+        up = self.upstairs
+        nodes = up.states[:, 8]
+        target = np.clip(np.asarray(t, dtype=float), nodes[0], nodes[-1])
+        j = np.clip(np.searchsorted(nodes, target), 1, len(nodes) - 1)
+        lo, hi = up.times[j - 1], up.times[j]
+        tau = np.interp(target, nodes, up.times)
+        for _ in range(_TAU_MAX_ITER):
+            state = up.eval(tau)
+            f = state[..., 8] - target
+            df = 2.0 * up.g * np.sum(state[..., :4] ** 2, axis=-1)
+            lo = np.where(f <= 0.0, tau, lo)
+            hi = np.where(f >= 0.0, tau, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = tau - f / df
+            inside = (newton >= lo) & (newton <= hi)
+            step = np.where(inside, newton, 0.5 * (lo + hi)) - tau
+            tau = tau + step
+            if not np.any(np.abs(step) > _TAU_TOL * np.maximum(1.0, np.abs(tau))):
+                break
+        return tau
 
     def to_csv(self, path):
         cols = (
@@ -223,40 +357,6 @@ class UnfoldResult:
         }
 
 
-def _augmented_oscillator(E: float, g: float) -> DynamicalSystem:
-    """(Y, U, t) with dY/dtau = g U, dU/dtau = 2 g E Y, dt/dtau = 2 g R^2.
-    Linear in (Y, U), complete through Y = 0."""
-    E, g = float(E), float(g)
-
-    def rhs(s):
-        s = np.asarray(s, dtype=float)
-        Y, U = s[..., :4], s[..., 4:8]
-        dt = 2.0 * g * np.sum(Y * Y, axis=-1)
-        return np.concatenate(
-            [g * U, (2.0 * g * E) * Y, dt[..., None]], axis=-1
-        )
-
-    inv = oscillator_invariant(E)
-    mon = (
-        Observable("oscillator_invariant", 9, lambda s: inv.fn(s[..., :8])),
-        Observable("h", 9, lambda s: OBSERVABLES["h"].fn(s[..., :8])),
-        # the energy read off the chart; 0/0 at Y = 0 itself but finite (and
-        # conserved) everywhere the integrator actually lands
-        Observable(
-            "chart_energy", 9,
-            lambda s: OBSERVABLES["chart_energy"].fn(s[..., :8]),
-        ),
-    )
-    return DynamicalSystem(
-        name="unfold",
-        dim=9,
-        rhs=rhs,
-        energy=None,
-        monitors=mon,
-        state_names=("Y1", "Y2", "Y3", "Y0", "U1", "U2", "U3", "U0", "t"),
-    )
-
-
 def _split_state(p0):
     """(x, v) from a State3, an (x, v) pair or a 6-vector."""
     if hasattr(p0, "x") and hasattr(p0, "v"):
@@ -276,8 +376,9 @@ def unfold_kepler(
     compare: bool = True,
     compare_points: int = 512,
 ) -> UnfoldResult:
-    """Lift a Kepler state, flow the completed oscillator field in tau with
-    the accumulated time quadrature, and project back downstairs.
+    """Lift a Kepler state, flow the completed oscillator field and its
+    physical-time clock in tau in closed form (`OscillatorFlow`), and project
+    back downstairs.  `config` sets only the direct comparison leg.
 
     `p0` is a State3 or a (x, v) pair / 6-vector.  The returned result
     samples everything on a uniform tau grid of n_samples+1 points and, when
@@ -300,14 +401,10 @@ def unfold_kepler(
     scaling = scaling or scaling_preset("unit")
     g = float(scaling(E))
 
-    system = _augmented_oscillator(E, g)
-    s0 = np.concatenate([Y0, U0, [0.0]])
-    up = integrate(system, s0, float(tau_end), config=cfg)
-
-    taus = np.linspace(0.0, float(tau_end), int(n_samples) + 1)
-    samples = up.eval(taus)
-    chart = samples[:, :8]
-    ts = samples[:, 8]
+    up = OscillatorFlow(Y0, U0, E, g, float(tau_end), k, int(n_samples))
+    taus = up.times
+    chart = up.states[:, :8]
+    ts = up.states[:, 8]
     xs = ks_project(chart[:, :4])
     r2 = np.sum(chart[:, :4] ** 2, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -12,17 +12,27 @@ def run(argv):
     return main(argv)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _first_line(path):
+    with open(path) as fh:
+        return fh.readline()
+
+
 def test_simulate_kepler_writes_csv_and_json(tmp_path):
     code = run(["simulate", "--system", "kepler", "--x", "1,0,0",
                 "--v", "0,1,0", "--t-end", "6.2832",
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "kepler.json"))
+    summary = _read_json(tmp_path / "kepler.json")
     assert summary["system"] == "kepler"
     assert summary["energy_drift"] is not None
     assert summary["energy_drift"] < 1e-9
     assert summary["accepted_steps"] > 10
-    header = open(tmp_path / "kepler.csv").readline()
+    header = _first_line(tmp_path / "kepler.csv")
     assert header.startswith("t,x1,x2,x3,v1,v2,v3")
 
 
@@ -33,7 +43,7 @@ def test_simulate_kepler_ten_periods_energy_drift(tmp_path):
                 "--rel-tol", "1e-11",
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "kepler.json"))
+    summary = _read_json(tmp_path / "kepler.json")
     assert summary["energy_drift"] < 1e-9
 
 
@@ -43,7 +53,7 @@ def test_simulate_oscillator(tmp_path):
                 "--t-end", str(2 * np.pi), "--out-dir", str(tmp_path),
                 "--prefix", "osc"])
     assert code == 0
-    summary = json.load(open(tmp_path / "osc.json"))
+    summary = _read_json(tmp_path / "osc.json")
     assert summary["monitor_drift"]["oscillator_invariant"] < 1e-9
 
 
@@ -92,11 +102,11 @@ def test_unfold_circular(tmp_path):
     code = run(["unfold", "--x", "1,0,0", "--v", "0,1,0",
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "unfold.json"))
+    summary = _read_json(tmp_path / "unfold.json")
     assert abs(summary["E"] + 0.5) < 1e-12
     assert not summary["collision_regularized"]
     assert summary["divergence"]["max_position_divergence"] < 1e-7
-    header = open(tmp_path / "unfold.csv").readline().strip()
+    header = _first_line(tmp_path / "unfold.csv").strip()
     assert header == "tau,t,Y1,Y2,Y3,Y0,U1,U2,U3,U0,x1,x2,x3,v1,v2,v3"
 
 
@@ -104,7 +114,7 @@ def test_unfold_collision_is_regularized(tmp_path):
     code = run(["unfold", "--x", "1,0,0", "--v=-0.5,0,0",
                 "--tau-end", "6.0", "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "unfold.json"))
+    summary = _read_json(tmp_path / "unfold.json")
     assert summary["collision_regularized"]
 
 
@@ -113,7 +123,7 @@ def test_unfold_gauge_sweep(tmp_path):
                 "--lambda", "0..6.28:4", "--samples", "64",
                 "--out-dir", str(tmp_path), "--prefix", "sw"])
     assert code == 0
-    sweep = json.load(open(tmp_path / "sw_sweep.json"))
+    sweep = _read_json(tmp_path / "sw_sweep.json")
     assert len(sweep["lambdas"]) == 4
     assert sweep["max_downstairs_divergence"] < 1e-8
     for i in range(4):
@@ -149,7 +159,7 @@ def test_verify_report_file(tmp_path):
     code = run(["verify", "--suite", "kepler-algebra", "--samples", "20",
                 "--out", "rep.json", "--out-dir", str(tmp_path)])
     assert code == 0
-    rep = json.load(open(tmp_path / "rep.json"))
+    rep = _read_json(tmp_path / "rep.json")
     assert rep["suite"] == "kepler-algebra"
     assert all(e["pass"] for e in rep["entries"])
 
@@ -163,7 +173,7 @@ def test_verify_unknown_suite(tmp_path, capsys):
 def test_demo_radial(tmp_path, capsys):
     code = run(["demo", "radial", "--out-dir", str(tmp_path)])
     assert code == 0
-    rep = json.load(open(tmp_path / "radial.json"))
+    rep = _read_json(tmp_path / "radial.json")
     assert rep["pass"]
     assert rep["max_divergence"] < 1e-8
     capsys.readouterr()
@@ -172,11 +182,11 @@ def test_demo_radial(tmp_path, capsys):
 def test_demo_calogero_default_and_free(tmp_path, capsys):
     code = run(["demo", "calogero", "--out-dir", str(tmp_path)])
     assert code == 0
-    rep = json.load(open(tmp_path / "calogero.json"))
+    rep = _read_json(tmp_path / "calogero.json")
     assert rep["pass"] and rep["max_divergence"] < 1e-6
     code = run(["demo", "calogero", "--l", "0", "--out-dir", str(tmp_path)])
     assert code == 0
-    rep = json.load(open(tmp_path / "calogero.json"))
+    rep = _read_json(tmp_path / "calogero.json")
     assert abs(rep["l"]) < 1e-14 and rep["max_divergence"] < 1e-10
     capsys.readouterr()
 
@@ -227,7 +237,7 @@ def test_config_file_lambda_alias(tmp_path):
     cfg.write_text("x = 1,0,0\nv = 0,1,0\nlambda = 1.5\ntau-end = 1.0\n")
     code = run(["unfold", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.load(open(tmp_path / "unfold.json"))
+    summary = _read_json(tmp_path / "unfold.json")
     assert summary["gauge_lambda"] == 1.5
 
 
@@ -293,3 +303,13 @@ def test_unfold_sweep_reports_every_gauge_as_it_finishes(tmp_path, capsys):
         assert side["collision_regularized"]
         assert side["divergence"]["max_position_divergence"] < 1e-8
         assert side["wall_time_s"] > 0.0
+
+
+def test_collision_gauge_sweep_agrees_downstairs(tmp_path):
+    # the unfolded chart is exact, so gauges agree even next to r = 0
+    code = run(["unfold", "--x", "1,0,0", "--v=-0.5,0,0", "--tau-end", "6",
+                "--lambda", "0..6.28:8", "--out-dir", str(tmp_path),
+                "--prefix", "col"])
+    assert code == 0
+    sweep = _read_json(tmp_path / "col_sweep.json")
+    assert sweep["max_downstairs_divergence"] < 1e-8

@@ -25,6 +25,7 @@ from ksunfold import (
 from ksunfold.integrate import integrate
 from ksunfold.symplectic import quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
+from ksunfold.systems import DynamicalSystem, scaling_preset
 
 
 # --- radial reduction of free motion ---------------------------------------
@@ -189,6 +190,66 @@ def test_tau_of_keeps_scalar_and_array_shapes():
     assert res.tau_of(np.zeros((2, 3))).shape == (2, 3)
 
 
+def _augmented_oscillator(E, g):
+    """DP5 oracle for the closed-form flow: (Y, U, t) with dY/dtau = g U,
+    dU/dtau = 2 g E Y, dt/dtau = 2 g R^2, linear in (Y, U)."""
+
+    def rhs(s):
+        Y, U = s[..., :4], s[..., 4:8]
+        dt = 2.0 * g * np.sum(Y * Y, axis=-1)
+        return np.concatenate([g * U, (2.0 * g * E) * Y, dt[..., None]],
+                              axis=-1)
+
+    return DynamicalSystem("unfold", 9, rhs=rhs)
+
+
+# E < 0 (the three orbits above), E > 0 with both scalings, and E ~ 0, where
+# the Stumpff argument stays inside the series region
+_FLOW_ORBITS = {
+    **{name: (p0, tau_end, "unit") for name, (p0, tau_end) in _ORBITS.items()},
+    "hyperbolic-unit": ([1.0, 0, 0, 0, 2.0, 0.3], 2.0, "unit"),
+    "hyperbolic-gyorgyi": ([1.0, 0, 0, 0, 2.0, 0.3], 2.0, "gyorgyi"),
+    "near-parabolic": ([1.0, 0, 0, 0, np.sqrt(2.0 + 2e-11), 0], 3.0, "unit"),
+}
+
+
+@pytest.mark.parametrize("orbit", sorted(_FLOW_ORBITS))
+def test_closed_form_flow_matches_dp5_oracle(orbit):
+    p0, tau_end, scaling = _FLOW_ORBITS[orbit]
+    res = unfold_kepler(np.array(p0), tau_end,
+                        scaling=scaling_preset(scaling), compare=False)
+    up = res.upstairs
+    if orbit == "near-parabolic":
+        assert 0.0 < abs(up.E) < 1e-10
+    s0 = np.concatenate([up.Y0, up.U0, [0.0]])
+    oracle = integrate(_augmented_oscillator(up.E, up.g), s0, tau_end)
+    ref = oracle.eval(up.times)
+    assert np.max(np.abs(up.states[:, :8] - ref[:, :8])) <= 1e-8
+    t = up.states[:, 8]
+    assert np.all(np.abs(t - ref[:, 8]) <= 1e-8 * np.maximum(1.0, np.abs(t)))
+    # the sampled columns are the flow's own nodes, and eval reproduces them
+    assert np.array_equal(res.chart, up.states[:, :8])
+    assert np.array_equal(up.eval(up.times[7]), up.states[7])
+
+
+def test_unfold_monitors_at_force_constant_two():
+    res = unfold_kepler(np.array([1.0, 0, 0, 0, 1.2, 0]), 3.0, k=2.0)
+    assert res.divergence["max_position_divergence"] < 1e-7
+    assert res.divergence["max_velocity_divergence"] < 1e-7
+    energy = res.upstairs.monitors["chart_energy"]
+    assert np.max(energy) - np.min(energy) < 1e-9
+    assert abs(energy[0] - res.E) < 1e-12
+    inv = res.upstairs.monitors["oscillator_invariant"]
+    assert np.max(np.abs(inv - 2.0)) < 1e-9
+
+
+def test_unfold_rejects_non_positive_tau_end():
+    for tau_end in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tau_end"):
+            unfold_kepler(np.array([1.0, 0, 0, 0, 1.0, 0]), tau_end,
+                          compare=False)
+
+
 def _count_direct_legs(monkeypatch):
     calls = []
 
@@ -269,9 +330,10 @@ def test_unfold_csv_and_sidecar(tmp_path):
                         n_samples=16)
     path = tmp_path / "unfold.csv"
     res.to_csv(path)
-    header = open(path).readline().strip()
-    assert header == "tau,t,Y1,Y2,Y3,Y0,U1,U2,U3,U0,x1,x2,x3,v1,v2,v3"
-    assert len(open(path).read().splitlines()) == 18
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "tau,t,Y1,Y2,Y3,Y0,U1,U2,U3,U0,x1,x2,x3,v1,v2,v3"
+    assert len(lines) == 18
     side = res.sidecar()
     assert side["samples"] == 17
     assert side["scaling"] == "unit"
