@@ -31,7 +31,7 @@ from .reduction import (
     reduce_calogero,
     unfold_sweep,
 )
-from .symplectic import SUITES, run_suite
+from .symplectic import MAX_SUITE_SEED, SUITES, run_suite
 from .systems import (
     calogero_moser_field,
     completed_oscillator_field,
@@ -246,6 +246,7 @@ def cmd_simulate(cfg: dict) -> int:
         "system": system.name,
         "t_end": t_end,
         "accepted_steps": int(len(traj.times) - 1),
+        **traj.stats,
         "monitor_drift": drifts,
         "energy_drift": drifts.get(system.energy.name) if system.energy
         else None,
@@ -324,11 +325,12 @@ def cmd_verify(cfg: dict) -> int:
     suite = _require(cfg, "suite")
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    report = run_suite(
-        suite,
-        samples=_as_count(cfg, "samples", 100),
-        seed=_as_int(cfg, "seed", 0),
-    )
+    seed = _as_int(cfg, "seed", 0)
+    if not 0 <= seed <= MAX_SUITE_SEED:
+        raise ConfigError(f"--seed must be an integer in [0, 2**64 - 2], "
+                          f"got {seed}")
+    report = run_suite(suite, samples=_as_count(cfg, "samples", 100),
+                       seed=seed)
     report["config"] = _echo(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

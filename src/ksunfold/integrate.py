@@ -10,6 +10,7 @@ the failure is surfaced with the offending time and state.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "integrate",
     "integrate_fixed",
     "find_return_time",
+    "write_table",
 ]
 
 # Dormand-Prince 5(4) tableau
@@ -39,6 +41,9 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+# stage rows of the step loop: row i - 1 forms stage i from K[:i]; the last
+# row is _B5[:6], which forms y_new (FSAL: its rhs is the next step's K[0])
+_STAGES = tuple(_A[i, :i] for i in range(1, 6)) + (_B5[:6],)
 
 # dense-output coefficients: y(t0 + theta*h) = y0 + h * K^T P (theta, ..., theta^4)
 _P = np.array([
@@ -60,6 +65,25 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0
+# a step below this times max(|t|, 1) has underflowed
+_FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
+
+# rows per block in `write_table`: bounds the size of the formatted text
+_CSV_BLOCK = 512
+
+
+def write_table(path, header, table):
+    """CSV of a float table: the header through `csv.writer`, then every
+    value as `%.16e` (17 significant digits, as f"{v:.16e}"), CRLF line
+    ends, formatted a block of rows at a time."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.16e"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo:lo + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
 
 def _locate(nodes, x):
     """For each x, the index i of the interval [nodes[i], nodes[i+1]] of the
@@ -95,6 +119,11 @@ class Trajectory:
     `dense` holds h * K^T P per step, shape (n_steps, dim, 4), so the state
     inside step i is states[i] + dense[i] @ (theta, theta^2, theta^3, theta^4)
     with theta = (t - times[i]) / (times[i+1] - times[i]).
+
+    `stats` holds the integrator's counts: `rhs_evals` (every right-hand
+    side call, failed ones included), `rejected_steps` (error test failed)
+    and `domain_retries` (a right-hand side raised DomainError and the step
+    was shrunk).
     """
 
     times: np.ndarray
@@ -102,6 +131,7 @@ class Trajectory:
     monitors: dict = field(default_factory=dict)
     dense: Optional[np.ndarray] = None
     state_names: tuple = ()
+    stats: dict = field(default_factory=dict)
 
     @property
     def t0(self) -> float:
@@ -134,18 +164,12 @@ class Trajectory:
 
     def to_csv(self, path):
         """State and monitor columns at accepted steps, 17 significant digits."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            names = self.state_names or tuple(
-                f"s{i}" for i in range(self.states.shape[1])
-            )
-            w.writerow(["t", *names, *self.monitors.keys()])
-            mon = [self.monitors[k] for k in self.monitors]
-            for i in range(len(self.times)):
-                row = [f"{self.times[i]:.16e}"]
-                row += [f"{v:.16e}" for v in self.states[i]]
-                row += [f"{m[i]:.16e}" for m in mon]
-                w.writerow(row)
+        names = self.state_names or tuple(
+            f"s{i}" for i in range(self.states.shape[1])
+        )
+        write_table(path, ["t", *names, *self.monitors],
+                    np.column_stack([self.times, self.states,
+                                     *self.monitors.values()]))
 
 
 def _monitor_values(system, monitors, states):
@@ -158,9 +182,10 @@ def _monitor_values(system, monitors, states):
 
 
 def _initial_step(f, y0, f0, t_end, cfg):
-    """Hairer-Norsett-Wanner starting-step heuristic, clipped to the span."""
+    """Hairer-Norsett-Wanner starting-step heuristic, clipped to the span;
+    returns the step and whether its rhs probe raised DomainError."""
     if cfg.initial_step is not None:
-        return min(cfg.initial_step, t_end)
+        return min(cfg.initial_step, t_end), False
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -169,12 +194,22 @@ def _initial_step(f, y0, f0, t_end, cfg):
         f1 = f(y0 + h0 * f0)
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     except DomainError:
-        return min(h0 * 1e-3, t_end)
+        return min(h0 * 1e-3, t_end), True
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end, cfg.max_step)
+    return min(100 * h0, h1, t_end, cfg.max_step), False
+
+
+def _stats(nfev, rejected, retries) -> dict:
+    return {"rhs_evals": nfev, "rejected_steps": rejected,
+            "domain_retries": retries}
+
+
+def _failure(message, t, y, stats) -> IntegrationError:
+    counts = ", ".join(f"{k}={v}" for k, v in stats.items())
+    return IntegrationError(f"{message} ({counts})", t=t, state=y)
 
 
 def integrate(
@@ -199,7 +234,10 @@ def integrate(
     t = t0
     k0 = f(y)  # a bad initial state surfaces immediately
 
-    h = _initial_step(f, y, k0, t_end - t0, cfg)
+    h, probe_failed = _initial_step(f, y, k0, t_end - t0, cfg)
+    nfev = 1 + (cfg.initial_step is None)
+    rejected = 0
+    retries = int(probe_failed)
     ts = [t]
     ys = [y.copy()]
     dense = []
@@ -210,43 +248,44 @@ def integrate(
     while t < t_end:
         attempts += 1
         if attempts > cfg.max_steps:
-            raise IntegrationError(
-                f"step count exceeded max_steps={cfg.max_steps}", t=t, state=y
-            )
-        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if h < floor:
+            raise _failure(f"step count exceeded max_steps={cfg.max_steps}",
+                           t, y, _stats(nfev, rejected, retries))
+        if h < _FLOOR_EPS * max(abs(t), 1.0):
             detail = (f": rhs domain error persisted ({last_domain_error})"
                       if last_domain_error is not None else "")
-            raise IntegrationError(
+            raise _failure(
                 f"step size {h:.3g} underflowed at t={t:.6g}{detail}",
-                t=t, state=y,
-            )
+                t, y, _stats(nfev, rejected, retries))
         h_eff = min(h, cfg.max_step)
         clamped = t + h_eff >= t_end
         h_step = t_end - t if clamped else h_eff
+        K[0] = k0
         try:
-            K[0] = k0
-            for i in range(1, 6):
-                K[i] = f(y + h_step * (_A[i, :i] @ K[:i]))
-            y_new = y + h_step * (_B5[:6] @ K[:6])
-            K[6] = f(y_new)
+            for i, row in enumerate(_STAGES, 1):
+                y_new = y + h_step * (row @ K[:i])
+                K[i] = f(y_new)
         except DomainError as exc:
+            nfev += i
+            retries += 1
             h = h_step / 2.0
             last_domain_error = exc
             continue
+        nfev += 6
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(((h_step * (_E @ K)) / scale) ** 2))
+        z = (h_step * (_E @ K)) / scale
+        err = math.sqrt(np.add.reduce(z * z) / z.size)
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
             dense.append(h_step * (K.T @ _P))
             ts.append(t_new)
-            ys.append(y_new.copy())
+            ys.append(y_new)
             t, y, k0 = t_new, y_new, K[6].copy()
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err**_ORDER_EXP
             )
             h = h_step * factor
         else:
+            rejected += 1
             h = h_step * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
 
     times = np.array(ts)
@@ -257,6 +296,7 @@ def integrate(
         monitors=_monitor_values(system, monitors, states),
         dense=np.array(dense),
         state_names=system.state_names,
+        stats=_stats(nfev, rejected, retries),
     )
 
 

@@ -6,7 +6,6 @@ Kepler unfolding into the oscillator family).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401
 
 from .errors import DegenerateStructureError, DomainError, IntegrationError
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate, write_table
 from .phase_geometry import (
     fiber_act,
     ks_lift,
@@ -334,13 +333,8 @@ class UnfoldResult:
             + ["Y1", "Y2", "Y3", "Y0", "U1", "U2", "U3", "U0"]
             + ["x1", "x2", "x3", "v1", "v2", "v3"]
         )
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for i in range(len(self.taus)):
-                row = [self.taus[i], self.ts[i], *self.chart[i],
-                       *self.xs[i], *self.vs[i]]
-                w.writerow([f"{val:.16e}" for val in row])
+        write_table(path, cols, np.column_stack(
+            [self.taus, self.ts, self.chart, self.xs, self.vs]))
 
     def sidecar(self) -> dict:
         return {

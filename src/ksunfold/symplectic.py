@@ -49,6 +49,7 @@ __all__ = [
     "verify_structure_constants",
     "run_suite",
     "SUITES",
+    "MAX_SUITE_SEED",
     "EPS_CYCLES",
 ]
 
@@ -524,8 +525,15 @@ def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
             "pass": all(e["pass"] for e in entries)}
 
 
+# largest suite seed: the suites seed Philox with seed and seed + 1, and
+# Philox takes an unsigned 64-bit key
+MAX_SUITE_SEED = 2**64 - 2
+
+
 def run_suite(name: str, samples: int = 100, seed: int = 0) -> dict:
     """Run a named verification suite; returns the JSON-ready report."""
+    if not 0 <= seed <= MAX_SUITE_SEED:
+        raise ValueError(f"seed must be in [0, 2**64 - 2], got {seed}")
     if name == "kepler-algebra":
         report = verify_structure_constants(
             kepler_structure(), OBSERVABLES, kepler_expected(),

@@ -175,12 +175,12 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
-        x, v = _split3(s)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r < r_min):
+        x = s[..., :3]
+        r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own body
+        if (r < r_min).any():
             raise DomainError(f"kepler rhs: r < r_min = {r_min:g}", state=s)
         acc = -k * x / r[..., None] ** 3
-        return np.concatenate([v, acc], axis=-1)
+        return np.concatenate([s[..., 3:6], acc], axis=-1)
 
     energy = _kepler_energy(k)
     mon = tuple(

@@ -313,3 +313,49 @@ def test_collision_gauge_sweep_agrees_downstairs(tmp_path):
     assert code == 0
     sweep = _read_json(tmp_path / "col_sweep.json")
     assert sweep["max_downstairs_divergence"] < 1e-8
+
+
+def test_simulate_sidecar_reports_integrator_counts(tmp_path):
+    code = run(_KEPLER + ["--t-end", "6.2832", "--out-dir", str(tmp_path)])
+    assert code == 0
+    summary = _read_json(tmp_path / "kepler.json")
+    assert summary["domain_retries"] == 0
+    # 2 set-up calls, then 6 per accepted or rejected attempt
+    assert summary["rhs_evals"] == 2 + 6 * (summary["accepted_steps"]
+                                            + summary["rejected_steps"])
+
+
+def test_simulate_failure_message_carries_counts(tmp_path, capsys):
+    code = run(["simulate", "--system", "kepler", "--x", "1,0,0",
+                "--v=-0.5,0,0", "--t-end", "5", "--out-dir", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "rhs_evals=" in err["message"]
+    assert "rejected_steps=" in err["message"]
+    assert "domain_retries=" in err["message"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 - 1), str(2**64)])
+def test_verify_out_of_range_seed_exits_2_naming_the_flag(tmp_path, capsys, seed):
+    code = run(["verify", "--suite", "oscillator-u4", "--samples", "5",
+                f"--seed={seed}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--seed" in err["message"] and seed in err["message"]
+
+
+def test_verify_largest_seed_runs(tmp_path, capsys):
+    for suite in ("oscillator-u4", "rescaled-so4"):
+        code = run(["verify", "--suite", suite, "--samples", "5",
+                    f"--seed={2**64 - 2}", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+def test_run_suite_rejects_out_of_range_seed(seed):
+    from ksunfold import run_suite
+
+    with pytest.raises(ValueError, match="seed"):
+        run_suite("kepler-algebra", samples=5, seed=seed)

@@ -1,6 +1,8 @@
 """Adaptive DP5(4) integrator: accuracy, order, dense output, failure modes."""
 
 import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,18 @@ from ksunfold import (
     DynamicalSystem,
     IntegrationError,
     IntegratorConfig,
+    Trajectory,
     completed_oscillator_field,
     find_return_time,
     integrate,
     integrate_fixed,
     kepler_field,
     free3d_field,
+    unfold_kepler,
 )
-from ksunfold.integrate import _B5, _P
+from ksunfold.integrate import (
+    _A, _B5, _CSV_BLOCK, _E, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _P, _SAFETY,
+)
 from ksunfold.sampling import rng_from_seed
 
 
@@ -229,3 +235,273 @@ def test_csv_export_roundtrip(tmp_path):
 def test_integrate_fixed_rejects_unknown_method():
     with pytest.raises(ValueError):
         integrate_fixed(free3d_field(), np.zeros(6), 1.0, 10, method="euler")
+
+
+# --- bulk CSV writer against the per-row csv.writer loops it replaced --------
+
+def _trajectory_csv_oracle(traj, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        names = traj.state_names or tuple(
+            f"s{i}" for i in range(traj.states.shape[1])
+        )
+        w.writerow(["t", *names, *traj.monitors.keys()])
+        mon = [traj.monitors[k] for k in traj.monitors]
+        for i in range(len(traj.times)):
+            row = [f"{traj.times[i]:.16e}"]
+            row += [f"{v:.16e}" for v in traj.states[i]]
+            row += [f"{m[i]:.16e}" for m in mon]
+            w.writerow(row)
+
+
+def _unfold_csv_oracle(res, path):
+    cols = (
+        ["tau", "t"]
+        + ["Y1", "Y2", "Y3", "Y0", "U1", "U2", "U3", "U0"]
+        + ["x1", "x2", "x3", "v1", "v2", "v3"]
+    )
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for i in range(len(res.taus)):
+            row = [res.taus[i], res.ts[i], *res.chart[i],
+                   *res.xs[i], *res.vs[i]]
+            w.writerow([f"{val:.16e}" for val in row])
+
+
+def _assert_same_csv(tmp_path, obj, oracle):
+    obj.to_csv(tmp_path / "new.csv")
+    oracle(obj, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    return new
+
+
+_GALLERY = {
+    "circular": (np.array([1.0, 0, 0, 0, 1.0, 0]), 2 * np.pi),
+    "eccentric": (np.array([1.0, 0, 0, 0, 0.8, 0]), 2 * np.pi / np.sqrt(1.36)),
+    "collision": (np.array([1.0, 0, 0, -0.5, 0, 0]), 6.0),
+}
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("orbit", sorted(_GALLERY))
+def test_unfold_csv_matches_row_loop_oracle(tmp_path, orbit):
+    p0, tau_end = _GALLERY[orbit]
+    res = unfold_kepler(p0, tau_end)
+    assert len(res.taus) % _CSV_BLOCK != 0
+    text = _assert_same_csv(tmp_path, res, _unfold_csv_oracle)
+    assert text.count(b"\r\n") == 1 + len(res.taus)
+
+
+def test_trajectory_csv_matches_row_loop_oracle(tmp_path):
+    traj = integrate(kepler_field(), np.array([1.6, 0, 0, 0, 0.5, 0]),
+                     4 * np.pi, config=IntegratorConfig(rel_tol=1e-11))
+    assert len(traj.times) > _CSV_BLOCK
+    _assert_same_csv(tmp_path, traj, _trajectory_csv_oracle)
+
+
+def _synthetic_trajectory(n, seed=0):
+    rng = rng_from_seed(seed)
+    states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    flat = states.reshape(-1)
+    flat[: min(len(_SPECIAL), flat.size)] = _SPECIAL[: flat.size]
+    return Trajectory(times=np.arange(n) * 0.1, states=states,
+                      monitors={"m": -states[:, 0], "flag": np.ones(n)})
+
+
+@pytest.mark.parametrize("n", [1, 4, 511, 512, 513, 1031])
+def test_trajectory_csv_synthetic_tables(tmp_path, n):
+    traj = _synthetic_trajectory(n)
+    text = _assert_same_csv(tmp_path, traj, _trajectory_csv_oracle)
+    assert text.count(b"\r\n") == 1 + n
+    if n > 1:
+        for word in (b"nan", b"inf", b"-inf", b"-0.0000000000000000e+00",
+                     b"4.9406564584124654e-324", b"1.7976931348623157e+308"):
+            assert word in text
+
+
+@pytest.mark.parametrize("n", [1, 700])
+def test_unfold_csv_synthetic_tables(tmp_path, n):
+    res = unfold_kepler(*_GALLERY["circular"], compare=False, n_samples=8)
+    rng = rng_from_seed(1)
+    table = rng.normal(size=(n, 16)) * 10.0 ** rng.integers(-300, 300, (n, 16))
+    table.reshape(-1)[: len(_SPECIAL)] = _SPECIAL[: table.size]
+    res = dataclasses.replace(res, taus=table[:, 0], ts=table[:, 1],
+                              chart=table[:, 2:10], xs=table[:, 10:13],
+                              vs=table[:, 13:16])
+    _assert_same_csv(tmp_path, res, _unfold_csv_oracle)
+
+
+# --- DP5 loop and Kepler rhs against the arithmetic they replaced ------------
+
+def _kepler_rhs_oracle(s, k=1.0, r_min=1e-12):
+    s = np.asarray(s, dtype=float)
+    x, v = s[..., :3], s[..., 3:6]
+    r = np.linalg.norm(x, axis=-1)
+    if np.any(r < r_min):
+        raise DomainError(f"kepler rhs: r < r_min = {r_min:g}", state=s)
+    acc = -k * x / r[..., None] ** 3
+    return np.concatenate([v, acc], axis=-1)
+
+
+def _initial_step_oracle(f, y0, f0, t_end, cfg):
+    if cfg.initial_step is not None:
+        return min(cfg.initial_step, t_end)
+    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    try:
+        f1 = f(y0 + h0 * f0)
+        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    except DomainError:
+        return min(h0 * 1e-3, t_end)
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_end, cfg.max_step)
+
+
+def _integrate_oracle(f, s0, t_end, cfg, t0=0.0):
+    """The step loop as first written: (times, states, dense)."""
+    y = np.array(s0, dtype=float).reshape(-1)
+    t = t0
+    k0 = f(y)
+    h = _initial_step_oracle(f, y, k0, t_end - t0, cfg)
+    ts = [t]
+    ys = [y.copy()]
+    dense = []
+    K = np.empty((7, y.size))
+    attempts = 0
+    last_domain_error = None
+    while t < t_end:
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise IntegrationError(
+                f"step count exceeded max_steps={cfg.max_steps}", t=t, state=y
+            )
+        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        if h < floor:
+            detail = (f": rhs domain error persisted ({last_domain_error})"
+                      if last_domain_error is not None else "")
+            raise IntegrationError(
+                f"step size {h:.3g} underflowed at t={t:.6g}{detail}",
+                t=t, state=y,
+            )
+        h_eff = min(h, cfg.max_step)
+        clamped = t + h_eff >= t_end
+        h_step = t_end - t if clamped else h_eff
+        try:
+            K[0] = k0
+            for i in range(1, 6):
+                K[i] = f(y + h_step * (_A[i, :i] @ K[:i]))
+            y_new = y + h_step * (_B5[:6] @ K[:6])
+            K[6] = f(y_new)
+        except DomainError as exc:
+            h = h_step / 2.0
+            last_domain_error = exc
+            continue
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = np.sqrt(np.mean(((h_step * (_E @ K)) / scale) ** 2))
+        if err <= 1.0:
+            t_new = t_end if clamped else t + h_step
+            dense.append(h_step * (K.T @ _P))
+            ts.append(t_new)
+            ys.append(y_new.copy())
+            t, y, k0 = t_new, y_new, K[6].copy()
+            factor = _MAX_FACTOR if err == 0.0 else min(
+                _MAX_FACTOR, _SAFETY * err**_ORDER_EXP
+            )
+            h = h_step * factor
+        else:
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
+    return np.array(ts), np.array(ys), np.array(dense)
+
+
+class _Counted:
+    """A right-hand side that counts its calls, DomainErrors and the
+    attempts that completed all six stage evaluations."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.domain_errors = f, 0, 0
+        self.full_attempts, self._stage = 0, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        try:
+            out = self.f(s)
+        except DomainError:
+            self.domain_errors += 1
+            self._stage = 0
+            raise
+        if self.calls > 2:
+            self._stage += 1
+            if self._stage == 6:
+                self._stage, self.full_attempts = 0, self.full_attempts + 1
+        return out
+
+
+@pytest.mark.parametrize("e", [0.0, 0.6, 0.9])
+def test_stepper_matches_oracle_bit_for_bit(e):
+    s0 = np.array([1.0 + e, 0, 0, 0, np.sqrt((1.0 - e) / (1.0 + e)), 0])
+    cfg = IntegratorConfig(rel_tol=1e-11)
+    counted = _Counted(kepler_field().rhs)
+    traj = integrate(DynamicalSystem("kepler", 6, rhs=counted), s0,
+                     4 * np.pi, config=cfg)
+    times, states, dense = _integrate_oracle(_kepler_rhs_oracle, s0,
+                                             4 * np.pi, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.dense, dense)
+    assert traj.stats == {
+        "rhs_evals": counted.calls,
+        "rejected_steps": counted.full_attempts - (len(times) - 1),
+        "domain_retries": 0,
+    }
+    assert traj.stats["rhs_evals"] == 2 + 6 * counted.full_attempts
+
+
+@pytest.mark.parametrize("r_min", [1e-12, 1e-3])
+def test_collision_failure_matches_oracle(r_min):
+    # at the default r_min the error control shrinks the step to underflow
+    # first; at 1e-3 the rhs raises DomainError and the step is halved
+    s0 = np.array([1.0, 0, 0, -0.5, 0, 0])
+    counted = _Counted(kepler_field(r_min=r_min).rhs)
+    with pytest.raises(IntegrationError) as new:
+        integrate(DynamicalSystem("kepler", 6, rhs=counted), s0, 2.0)
+    with pytest.raises(IntegrationError) as old:
+        _integrate_oracle(lambda s: _kepler_rhs_oracle(s, r_min=r_min),
+                          s0, 2.0, IntegratorConfig())
+    assert new.value.t == old.value.t
+    assert np.array_equal(new.value.state, old.value.state)
+    assert (r_min > 1e-12) == ("domain error persisted" in str(old.value))
+    assert counted.domain_errors > 0 or r_min == 1e-12
+    assert str(new.value) == (
+        f"{old.value} (rhs_evals={counted.calls}, rejected_steps=0, "
+        f"domain_retries={counted.domain_errors})")
+
+
+def test_max_steps_failure_reports_counts():
+    with pytest.raises(IntegrationError, match=r"max_steps=10 \(rhs_evals=62, "
+                       r"rejected_steps=\d+, domain_retries=0\)"):
+        integrate(kepler_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 100.0,
+                  config=IntegratorConfig(max_steps=10))
+
+
+def test_kepler_rhs_matches_oracle_bit_for_bit():
+    rhs = kepler_field().rhs
+    rng = rng_from_seed(3)
+    batch = rng.normal(size=(257, 6)) * 10.0 ** rng.integers(-4, 4, (257, 1))
+    assert np.array_equal(rhs(batch), _kepler_rhs_oracle(batch))
+    for s in batch[:8]:
+        assert np.array_equal(rhs(s), _kepler_rhs_oracle(s))
+        assert rhs(s).shape == (6,)
+    batch[100, :3] = [1e-13, 0.0, 0.0]
+    with pytest.raises(DomainError):
+        rhs(batch)
+    with pytest.raises(DomainError):
+        _kepler_rhs_oracle(batch)
