@@ -4,7 +4,8 @@ structure-constant verification suites.
 A structure is its coefficient matrix M(s) in the chart basis, so that
 omega(a, b) = a^T M(s) b for tangent vectors a, b.  The bracket engine then
 evaluates {f, g}(s) = -grad(f)^T M(s)^{-1} grad(g) using the closed-form
-gradients attached to the observables.  Sign convention (fixed once, here):
+gradients attached to the observables; a bracket table evaluates each
+observable's gradient once.  Sign convention (fixed once, here):
 for the canonical structure on (Y, U) this yields {Y_a, U_b} = +delta_ab.
 
 All evaluators broadcast over a leading batch axis of states.
@@ -12,6 +13,7 @@ All evaluators broadcast over a leading batch axis of states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -146,13 +148,17 @@ def pullback_chart_structure(cond_max: float = 1e12) -> SymplecticStructure:
     )
 
 
-def poisson_bracket(struct: SymplecticStructure, f: Observable, g: Observable, s):
-    """{f, g}(s) = -grad(f)^T M(s)^{-1} grad(g); broadcasts over batches."""
-    s = np.asarray(s, dtype=float)
-    gf = f.gradient(s)
-    gg = g.gradient(s)
+def _contract(gf, wg):
+    """-sum_i gf_i wg_i, summed in index order: with wg = gg @ inv.T and inv
+    a signed permutation this rounds exactly as the three-operand
+    einsum("...i,ij,...j->...", gf, inv, gg) does."""
+    return -np.add.accumulate(gf * wg, axis=-1)[..., -1]
+
+
+def _bracket(struct: SymplecticStructure, gf, gg, s):
+    """{f, g}(s) from the gradients gf = grad f(s), gg = grad g(s)."""
     if struct.constant:
-        return -np.einsum("...i,ij,...j->...", gf, struct.inv, gg)
+        return _contract(gf, gg @ struct.inv.T)
     M = struct.matrix_at(s)
     cond = np.linalg.cond(M)
     if np.any(cond > struct.cond_max):
@@ -164,6 +170,36 @@ def poisson_bracket(struct: SymplecticStructure, f: Observable, g: Observable, s
         )
     sol = np.linalg.solve(M, gg[..., None])[..., 0]
     return -np.einsum("...i,...i->...", gf, sol)
+
+
+def poisson_bracket(struct: SymplecticStructure, f: Observable, g: Observable, s):
+    """{f, g}(s) = -grad(f)^T M(s)^{-1} grad(g); broadcasts over batches."""
+    s = np.asarray(s, dtype=float)
+    return _bracket(struct, f.gradient(s), g.gradient(s), s)
+
+
+def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
+    """{f, g}(s) for every (f, g) in `pairs`, computing each distinct
+    observable's gradient once and, for a constant structure, each right
+    factor's image gg @ inv.T once.  Returns the list of values and the
+    number of gradients computed."""
+    grads, images = {}, {}
+
+    def gradient(o):
+        if id(o) not in grads:
+            grads[id(o)] = o.gradient(s)
+        return grads[id(o)]
+
+    values = []
+    for f, g in pairs:
+        gf = gradient(f)
+        if not struct.constant:
+            values.append(_bracket(struct, gf, gradient(g), s))
+            continue
+        if id(g) not in images:
+            images[id(g)] = gradient(g) @ struct.inv.T
+        values.append(_contract(gf, images[id(g)]))
+    return values, len(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +316,11 @@ def bracket_table(struct, observables, states) -> BracketTable:
     states = np.asarray(states, dtype=float)
     m = len(obs)
     vals = np.zeros((m, m, states.shape[0]))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                vals[i, j] = poisson_bracket(struct, obs[i], obs[j], states)
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    values, _ = _table_brackets(struct, [(obs[i], obs[j]) for i, j in pairs],
+                                states)
+    for (i, j), v in zip(pairs, values):
+        vals[i, j] = v
     names = tuple(o.name for o in obs)
     return BracketTable(observables=names, states=states, values=vals)
 
@@ -296,6 +333,16 @@ def _rhs_values(rhs, states):
     if callable(rhs):
         return np.asarray(rhs(states), dtype=float)
     return np.full(states.shape[:-1], float(rhs))
+
+
+def _check_samples(samples) -> int:
+    try:
+        n = operator.index(samples)
+    except TypeError:
+        n = 0
+    if n <= 0:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    return n
 
 
 def verify_structure_constants(
@@ -312,6 +359,7 @@ def verify_structure_constants(
     callables of the state batch (for energy-dependent tables); nothing is
     fitted, so energy dependence cannot be masked.
     """
+    samples = _check_samples(samples)
     if states is None:
         if struct.dim == 6:
             states = sample_states3(samples, seed=seed)
@@ -321,11 +369,11 @@ def verify_structure_constants(
             raise ValueError("no default sampler for this dimension")
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
+    lhs, gradient_evals = _table_brackets(
+        struct, [(observables[f], observables[g]) for f, g in expected], states)
     entries = []
-    for (fname, gname), rhs in expected.items():
-        f, g = observables[fname], observables[gname]
-        lhs = poisson_bracket(struct, f, g, states)
-        resid = float(np.max(np.abs(lhs - _rhs_values(rhs, states))))
+    for ((fname, gname), rhs), value in zip(expected.items(), lhs):
+        resid = float(np.max(np.abs(value - _rhs_values(rhs, states))))
         entries.append({
             "pair": f"{{{fname},{gname}}}",
             "samples": n,
@@ -338,6 +386,8 @@ def verify_structure_constants(
         "seed": seed,
         "entries": entries,
         "pass": all(e["pass"] for e in entries),
+        "brackets": len(entries),
+        "gradient_evals": gradient_evals,
     }
 
 
@@ -495,7 +545,8 @@ def _suite_commutant() -> dict:
         "pass": bool(np.max(np.abs(R)) <= 0.0),
     } for name, R in checks]
     return {"samples": 1, "seed": 0, "entries": entries,
-            "pass": all(e["pass"] for e in entries)}
+            "pass": all(e["pass"] for e in entries),
+            "brackets": 0, "gradient_evals": 0}
 
 
 def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
@@ -522,7 +573,8 @@ def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
             "pass": bool(resid <= tolerance),
         })
     return {"samples": samples, "seed": seed, "entries": entries,
-            "pass": all(e["pass"] for e in entries)}
+            "pass": all(e["pass"] for e in entries),
+            "brackets": n_matrices, "gradient_evals": 2 * n_matrices}
 
 
 # largest suite seed: the suites seed Philox with seed and seed + 1, and
@@ -534,6 +586,7 @@ def run_suite(name: str, samples: int = 100, seed: int = 0) -> dict:
     """Run a named verification suite; returns the JSON-ready report."""
     if not 0 <= seed <= MAX_SUITE_SEED:
         raise ValueError(f"seed must be in [0, 2**64 - 2], got {seed}")
+    samples = _check_samples(samples)
     if name == "kepler-algebra":
         report = verify_structure_constants(
             kepler_structure(), OBSERVABLES, kepler_expected(),
@@ -566,6 +619,8 @@ def run_suite(name: str, samples: int = 100, seed: int = 0) -> dict:
             e["pair"] = "E>0:" + e["pair"]
         report["entries"] += scatter["entries"]
         report["pass"] = report["pass"] and scatter["pass"]
+        report["brackets"] += scatter["brackets"]
+        report["gradient_evals"] += scatter["gradient_evals"]
     elif name == "oscillator-u4":
         report = _suite_u4(samples, seed)
     elif name == "commutant-su2xsu2":

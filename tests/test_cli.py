@@ -164,6 +164,17 @@ def test_verify_report_file(tmp_path):
     assert all(e["pass"] for e in rep["entries"])
 
 
+def test_verify_report_counts_brackets_and_gradients(tmp_path, capsys):
+    for suite, counts in (("kepler-algebra", (21, 7)),
+                          ("rescaled-so4", (18, 12))):
+        code = run(["verify", "--suite", suite, "--samples", "10",
+                    "--out", "rep.json", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        rep = _read_json(tmp_path / "rep.json")
+        assert (rep["brackets"], rep["gradient_evals"]) == counts
+
+
 def test_verify_unknown_suite(tmp_path, capsys):
     code = run(["verify", "--suite", "bogus", "--out-dir", str(tmp_path)])
     assert code == 2

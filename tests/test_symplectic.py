@@ -1,5 +1,7 @@
 """Bracket engine, structure matrices, u(4) correspondence, verification suites."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,19 @@ from ksunfold import (
 )
 from ksunfold.symplectic import (
     EPS_CYCLES,
+    BracketTable,
+    SymplecticStructure,
+    _rhs_values,
+    _suite_commutant,
     bracket_matrix,
     canonical_structure,
+    chart_jq_expected,
     kepler_expected,
     lagrangian_matrix,
     lagrangian_matrix_inverse,
     quadratic_observable,
+    reduction_expected,
+    rescaled_expected,
 )
 from ksunfold.sampling import rng_from_seed, sample_chart_states, sample_states3
 
@@ -330,3 +339,303 @@ def test_all_suites_pass(suite):
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
+
+
+# ---------------------------------------------------------------------------
+# the per-pair bracket path as it was before tables cached their gradients:
+# the oracle for the table kernel
+# ---------------------------------------------------------------------------
+
+def _oracle_bracket(struct, f, g, s):
+    """Both gradients recomputed, three-operand einsum for a constant
+    structure, per-state condition check and solve otherwise."""
+    s = np.asarray(s, dtype=float)
+    gf = f.gradient(s)
+    gg = g.gradient(s)
+    if struct.constant:
+        return -np.einsum("...i,ij,...j->...", gf, struct.inv, gg)
+    M = struct.matrix_at(s)
+    cond = np.linalg.cond(M)
+    if np.any(cond > struct.cond_max):
+        bad = np.argmax(cond) if cond.ndim else ()
+        raise DegenerateStructureError(
+            f"{struct.name} condition number {np.max(cond):.3g} exceeds "
+            f"{struct.cond_max:.3g}",
+            state=s[bad] if cond.ndim else s,
+        )
+    sol = np.linalg.solve(M, gg[..., None])[..., 0]
+    return -np.einsum("...i,...i->...", gf, sol)
+
+
+def _oracle_verify(struct, observables, expected, seed, tolerance, states):
+    entries = []
+    for (fname, gname), rhs in expected.items():
+        lhs = _oracle_bracket(struct, observables[fname], observables[gname],
+                              states)
+        resid = float(np.max(np.abs(lhs - _rhs_values(rhs, states))))
+        entries.append({
+            "pair": f"{{{fname},{gname}}}",
+            "samples": states.shape[0],
+            "max_residual": resid,
+            "tolerance": tolerance,
+            "pass": bool(resid <= tolerance),
+        })
+    return {"samples": states.shape[0], "seed": seed, "entries": entries,
+            "pass": all(e["pass"] for e in entries)}
+
+
+def _oracle_u4(samples, seed, tolerance=1e-10, kappa=1.3, n_matrices=8):
+    rng = rng_from_seed(seed)
+    states = sample_chart_states(samples, seed=seed + 1)
+    entries = []
+    for idx in range(n_matrices):
+        raw = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        C, D = (0.5 * (r - r.conj().T) for r in raw)
+        FC = quadratic_from_matrix(C, kappa, name=f"F_C{idx}")
+        FD = quadratic_from_matrix(D, kappa, name=f"F_D{idx}")
+        FCD = quadratic_from_matrix(C @ D - D @ C, kappa)
+        lhs = _oracle_bracket(chart_structure(), FC, FD, states)
+        resid = float(np.max(np.abs(lhs - FCD.fn(states))))
+        entries.append({
+            "pair": f"{{F_C{idx},F_D{idx}}}",
+            "samples": samples,
+            "max_residual": resid,
+            "tolerance": tolerance,
+            "pass": bool(resid <= tolerance),
+        })
+    return {"samples": samples, "seed": seed, "entries": entries,
+            "pass": all(e["pass"] for e in entries)}
+
+
+def _oracle_suite(name, samples, seed):
+    """`run_suite` with every bracket taken through `_oracle_bracket`, less
+    the `brackets`/`gradient_evals` counts."""
+    chart, kepler = chart_structure(), kepler_structure()
+    if name == "kepler-algebra":
+        report = _oracle_verify(kepler, OBSERVABLES, kepler_expected(), seed,
+                                1e-9, sample_states3(samples, seed=seed))
+    elif name == "oscillator-jq":
+        report = _oracle_verify(chart, OBSERVABLES, chart_jq_expected(), seed,
+                                1e-9, sample_chart_states(samples, seed=seed))
+    elif name == "reduction-criterion":
+        report = _oracle_verify(chart, OBSERVABLES, reduction_expected(), seed,
+                                1e-10, sample_chart_states(samples, seed=seed))
+    elif name == "rescaled-so4":
+        obs, table = rescaled_expected(-1)
+        report = _oracle_verify(
+            chart, obs, table, seed, 1e-8,
+            sample_chart_states(samples, seed=seed, energy_sign=-1))
+        obs, table = rescaled_expected(+1)
+        scatter = _oracle_verify(
+            chart, obs, table, seed + 1, 1e-8,
+            sample_chart_states(samples, seed=seed + 1, energy_sign=+1))
+        for e in scatter["entries"]:
+            e["pair"] = "E>0:" + e["pair"]
+        report["entries"] += scatter["entries"]
+        report["pass"] = report["pass"] and scatter["pass"]
+    elif name == "oscillator-u4":
+        report = _oracle_u4(samples, seed)
+    else:
+        # no bracket is evaluated: its own exact matrix checks are the oracle
+        report = _suite_commutant()
+        report.pop("brackets")
+        report.pop("gradient_evals")
+    report["suite"] = name
+    return report
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+ORACLE_SEEDS = range(32)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_reports_bit_identical_to_per_pair_oracle(suite):
+    # json.dumps writes each float as its shortest round-tripping repr, so
+    # equal text means equal bits (the sign of zero included)
+    for seed in ORACLE_SEEDS:
+        for samples in (1, 7, 200):
+            report = run_suite(suite, samples=samples, seed=seed)
+            del report["brackets"], report["gradient_evals"]
+            oracle = _oracle_suite(suite, samples, seed)
+            assert json.dumps(report, sort_keys=True) == \
+                json.dumps(oracle, sort_keys=True), (suite, seed, samples)
+
+
+TABLE_CASES = (
+    (chart_structure, ("J1", "J2", "J3", "Q1", "Q2", "Q3", "h",
+                       "chart_energy"), sample_chart_states),
+    (kepler_structure, ("L1", "L2", "L3", "A1", "A2", "A3", "kepler_energy"),
+     sample_states3),
+    (lagrangian_structure, ("J1_yu", "J2_yu", "Q2_yu", "h_yu",
+                            "conformal_energy"), sample_chart_states),
+)
+
+
+@pytest.mark.parametrize("make, names, sampler", TABLE_CASES)
+def test_bracket_table_equals_per_pair_oracle(make, names, sampler):
+    struct = make()
+    for seed in range(8):
+        s = sampler(50, seed=seed)
+        tbl = bracket_table(struct, names, s)
+        m = len(names)
+        ref = np.zeros((m, m, s.shape[0]))
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    ref[i, j] = _oracle_bracket(struct, OBSERVABLES[names[i]],
+                                                OBSERVABLES[names[j]], s)
+        assert np.array_equal(tbl.values, ref)
+        oracle = BracketTable(tbl.observables, s, ref)
+        assert tbl.antisymmetry_residual() == oracle.antisymmetry_residual()
+
+
+@pytest.mark.parametrize("make, names, sampler", TABLE_CASES)
+def test_poisson_bracket_bit_equal_on_states_and_batches(make, names, sampler):
+    struct = make()
+    s = sampler(64, seed=47)
+    for f in names:
+        for g in names:
+            fo, go = OBSERVABLES[f], OBSERVABLES[g]
+            batch = poisson_bracket(struct, fo, go, s)
+            assert np.array_equal(_bits(batch),
+                                  _bits(_oracle_bracket(struct, fo, go, s)))
+            for state in s[:3]:
+                one = poisson_bracket(struct, fo, go, state)
+                ref = _oracle_bracket(struct, fo, go, state)
+                assert type(one) is type(ref)
+                assert np.array_equal(_bits(one), _bits(ref)), (f, g)
+
+
+def _degenerate_batch():
+    s = sample_chart_states(5, seed=53)
+    s[3] = 0.0
+    s[3, 0] = 1e-8
+    s[3, 5] = 1.0
+    return s
+
+
+def _raised(fn):
+    with pytest.raises(DegenerateStructureError) as info:
+        fn()
+    return str(info.value), info.value.state
+
+
+def test_state_dependent_structure_still_raises_degenerate():
+    st = lagrangian_structure()
+    f, g = OBSERVABLES["J1_yu"], OBSERVABLES["J2_yu"]
+    s = _degenerate_batch()
+    msg, state = _raised(lambda: _oracle_bracket(st, f, g, s))
+    for call in (
+        lambda: poisson_bracket(st, f, g, s),
+        lambda: bracket_table(st, ("J1_yu", "J2_yu"), s),
+        lambda: verify_structure_constants(
+            st, OBSERVABLES, {("J1_yu", "J2_yu"): 0}, states=s),
+    ):
+        got_msg, got_state = _raised(call)
+        assert got_msg == msg
+        assert np.array_equal(got_state, state)
+        assert np.array_equal(got_state, s[3])
+
+
+def test_constant_structure_with_general_inverse_agrees_to_roundoff():
+    # a constant symplectic matrix whose inverse is dense: the ordered sum
+    # runs over the image gg @ inv.T, not the einsum's terms, so only
+    # roundoff separates them (bound set from the dtype, 64 ulps of the
+    # absolute sum of the terms)
+    rng = rng_from_seed(59)
+    A = rng.normal(size=(8, 8))
+    M = A @ chart_structure().matrix @ A.T
+    st = SymplecticStructure("dense", 8, matrix=M, inv=np.linalg.inv(M))
+    assert np.count_nonzero(st.inv) == 64
+    names = ("J1", "J2", "Q1", "h", "chart_energy")
+    s = sample_chart_states(40, seed=61)
+    tbl = bracket_table(st, names, s)
+    eps = np.finfo(float).eps
+    for i, f in enumerate(names):
+        for j, g in enumerate(names):
+            gf, gg = OBSERVABLES[f].gradient(s), OBSERVABLES[g].gradient(s)
+            scale = np.einsum("...i,ij,...j->...", np.abs(gf), np.abs(st.inv),
+                              np.abs(gg))
+            ref = -np.einsum("...i,ij,...j->...", gf, st.inv, gg)
+            one = poisson_bracket(st, OBSERVABLES[f], OBSERVABLES[g], s)
+            assert np.all(np.abs(one - ref) <= 64 * eps * scale), (f, g)
+            if i != j:
+                assert np.array_equal(tbl.values[i, j], one)
+
+
+def _counting(obs, counts):
+    def grad(s):
+        counts[obs.name] = counts.get(obs.name, 0) + 1
+        return obs.grad(s)
+    return Observable(obs.name, obs.dim, obs.fn, grad)
+
+
+def test_each_observable_gradient_evaluated_once_per_table():
+    counts = {}
+    names = ("L1", "L2", "L3", "A1", "A2", "A3", "kepler_energy")
+    wrapped = {n: _counting(OBSERVABLES[n], counts) for n in names}
+    # an alias: the same observable under a second key is still one
+    wrapped["A1_alias"] = wrapped["A1"]
+    expected = dict(kepler_expected())
+    expected[("A1_alias", "L2")] = OBSERVABLES["A3"]
+    rep = verify_structure_constants(kepler_structure(), wrapped, expected,
+                                     samples=30, seed=67)
+    assert rep["pass"]
+    assert counts == {n: 1 for n in names}
+    assert rep["brackets"] == len(expected) == 22
+    assert rep["gradient_evals"] == 7
+
+    counts.clear()
+    s = sample_states3(30, seed=71)
+    tbl = bracket_table(kepler_structure(),
+                        [wrapped[n] for n in names], s)
+    assert counts == {n: 1 for n in names}
+    assert tbl.observables == names
+
+
+def test_table_cache_tells_apart_observables_sharing_a_name():
+    # two different observables named alike must not share a gradient
+    st = chart_structure()
+    s = sample_chart_states(20, seed=73)
+    twin = [Observable("same", 8, OBSERVABLES[n].fn, OBSERVABLES[n].grad)
+            for n in ("J1", "J2", "J3")]
+    tbl = bracket_table(st, twin, s)
+    assert np.array_equal(tbl.values[0, 1], poisson_bracket(st, *twin[:2], s))
+    rep = verify_structure_constants(
+        st, {"a": twin[0], "b": twin[1]}, {("a", "b"): OBSERVABLES["J3"]},
+        samples=20, seed=73)
+    assert rep["pass"] and rep["gradient_evals"] == 2
+
+
+SUITE_COUNTS = {
+    "kepler-algebra": (21, 7),
+    "oscillator-u4": (8, 16),
+    "oscillator-jq": (21, 7),
+    "commutant-su2xsu2": (0, 0),
+    "reduction-criterion": (7, 8),
+    "rescaled-so4": (18, 12),  # 9 + 9 brackets, 6 + 6 gradients
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_reports_count_brackets_and_gradients(suite):
+    rep = run_suite(suite, samples=5, seed=3)
+    assert (rep["brackets"], rep["gradient_evals"]) == SUITE_COUNTS[suite]
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, "7", None, np.float64(4.0)])
+def test_non_positive_integer_samples_rejected(samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify_structure_constants(kepler_structure(), OBSERVABLES,
+                                   kepler_expected(), samples=samples)
+    for suite in SUITES:
+        with pytest.raises(ValueError, match="samples"):
+            run_suite(suite, samples=samples)
+
+
+def test_integer_like_samples_accepted():
+    rep = run_suite("kepler-algebra", samples=np.int64(3), seed=1)
+    assert rep["samples"] == 3 and rep["pass"]
