@@ -268,6 +268,9 @@ def cmd_unfold(cfg: dict) -> int:
     E = 0.5 * float(v @ v) - k / float(np.linalg.norm(x))
     if "tau_end" in cfg:
         tau_end = _as_float(cfg, "tau_end")
+        if tau_end <= 0.0:
+            raise ConfigError(f"--tau-end must be positive, "
+                              f"got {cfg['tau_end']!r}")
     elif E < 0.0:
         tau_end = 2.0 * np.pi / np.sqrt(-2.0 * E)  # one upstairs period
     else:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError
 from .systems import DynamicalSystem
@@ -70,6 +69,43 @@ _FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
 
 # rows per block in `write_table`: bounds the size of the formatted text
 _CSV_BLOCK = 512
+
+# iteration cap of `_safeguarded_newton`, and the tolerance in t of the
+# return times it refines for `find_return_time`
+_ROOT_MAX_ITER = 64
+_RETURN_TOL = 1e-14
+
+
+def brentq(*args, **kwargs):
+    """SciPy's `brentq`, imported only when called; ksunfold never calls it.
+    Bound here and in `reduction` only because the benchmark's tracer
+    (bench/tracing.py) patches `brentq` on both modules by name; ROADMAP
+    item 7 (a tracer that tolerates its absence) removes it."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
+
+
+def _safeguarded_newton(fdf, lo, hi, x, tol):
+    """Roots of increasing brackets, elementwise: f(lo) <= 0 <= f(hi).
+
+    `fdf(x)` returns (f(x), f'(x)).  Each iteration shrinks the bracket to
+    the sign of f at x, then takes the Newton step if it lands inside the
+    bracket and bisects otherwise (f' = 0 included), on every element at
+    once, until every last step is at most tol max(1, |x|) or after
+    _ROOT_MAX_ITER iterations (Numerical Recipes' `rtsafe`)."""
+    for _ in range(_ROOT_MAX_ITER):
+        f, df = fdf(x)
+        lo = np.where(f <= 0.0, x, lo)
+        hi = np.where(f >= 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        inside = (newton >= lo) & (newton <= hi)
+        step = np.where(inside, newton, 0.5 * (lo + hi)) - x
+        x = x + step
+        if not np.any(np.abs(step) > tol * np.maximum(1.0, np.abs(x))):
+            break
+    return x
 
 
 def write_table(path, header, table):
@@ -358,7 +394,8 @@ def find_return_time(
     Detection: the trajectory must first leave a neighbourhood of the
     reference; afterwards, crossings of the hyperplane through the reference
     normal to the flow direction there are bracketed on the node grid
-    and refined with a scalar root solve on `eval`.
+    and refined by `_safeguarded_newton` on `eval` and `deriv`, from the
+    secant point of the bracket.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1)
     comp = np.arange(ref.size) if components is None else np.asarray(components)
@@ -379,12 +416,16 @@ def find_return_time(
         raise ValueError("trajectory never leaves the reference neighbourhood")
     start = int(np.argmax(departed))
 
-    def g_of(t):
-        return float((traj.eval(t)[comp] - refc) @ w)
+    def fdf(t):
+        return ((traj.eval(t)[comp] - refc) @ w,
+                traj.deriv(t)[comp] @ w)
 
     for i in range(start, len(traj.times) - 1):
-        if g_nodes[i] < 0.0 <= g_nodes[i + 1]:
-            t_star = brentq(g_of, traj.times[i], traj.times[i + 1], xtol=1e-12)
+        g0, g1 = g_nodes[i], g_nodes[i + 1]
+        if g0 < 0.0 <= g1:
+            lo, hi = traj.times[i], traj.times[i + 1]
+            t_star = float(_safeguarded_newton(
+                fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _RETURN_TOL))
             if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
-                return float(t_star)
+                return t_star
     raise ValueError("no return within the trajectory span")

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
-# unused here since tau_of inverts the time map itself; still bound because
-# the benchmark's tracer (bench/tracing.py) patches `reduction.brentq` by name
-from scipy.optimize import brentq  # noqa: F401
 
 from .errors import DegenerateStructureError, DomainError, IntegrationError
-from .integrate import IntegratorConfig, integrate, write_table
+from .integrate import (
+    IntegratorConfig,
+    _safeguarded_newton,
+    brentq,  # noqa: F401  (unused; see integrate.brentq)
+    integrate,
+    write_table,
+)
 from .phase_geometry import (
     fiber_act,
     ks_lift,
@@ -26,7 +29,7 @@ from .phase_geometry import (
     to_oscillator_chart,
 )
 from .sampling import rng_from_seed, sample_states3
-from .symplectic import chart_structure, poisson_bracket
+from .symplectic import _check_samples, chart_structure, poisson_bracket
 from .systems import (
     DynamicalSystem,
     EnergyScaling,
@@ -174,7 +177,6 @@ _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
 
 # tau_of: largest last Newton or bisection step, relative to max(1, |tau|)
 _TAU_TOL = 1e-14
-_TAU_MAX_ITER = 64
 
 
 def _stumpff(z):
@@ -310,22 +312,15 @@ class UnfoldResult:
         nodes = up.states[:, 8]
         target = np.clip(np.asarray(t, dtype=float), nodes[0], nodes[-1])
         j = np.clip(np.searchsorted(nodes, target), 1, len(nodes) - 1)
-        lo, hi = up.times[j - 1], up.times[j]
-        tau = np.interp(target, nodes, up.times)
-        for _ in range(_TAU_MAX_ITER):
+
+        def fdf(tau):
             state = up.eval(tau)
-            f = state[..., 8] - target
-            df = 2.0 * up.g * np.sum(state[..., :4] ** 2, axis=-1)
-            lo = np.where(f <= 0.0, tau, lo)
-            hi = np.where(f >= 0.0, tau, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = tau - f / df
-            inside = (newton >= lo) & (newton <= hi)
-            step = np.where(inside, newton, 0.5 * (lo + hi)) - tau
-            tau = tau + step
-            if not np.any(np.abs(step) > _TAU_TOL * np.maximum(1.0, np.abs(tau))):
-                break
-        return tau
+            return (state[..., 8] - target,
+                    2.0 * up.g * np.sum(state[..., :4] ** 2, axis=-1))
+
+        return _safeguarded_newton(fdf, up.times[j - 1], up.times[j],
+                                   np.interp(target, nodes, up.times),
+                                   _TAU_TOL)
 
     def to_csv(self, path):
         cols = (
@@ -622,6 +617,7 @@ def project_constants(
     residual, since without those properties the value would depend on the
     choice of lift.
     """
+    samples = _check_samples(samples)
     struct = chart_structure()
     states = np.asarray(
         sample_states3(samples, seed=seed), dtype=float

@@ -368,6 +368,9 @@ def verify_structure_constants(
         else:
             raise ValueError("no default sampler for this dimension")
     states = np.asarray(states, dtype=float)
+    if states.size == 0:
+        raise ValueError(f"states must hold at least one state, got shape "
+                         f"{states.shape}")
     n = states.shape[0]
     lhs, gradient_evals = _table_brackets(
         struct, [(observables[f], observables[g]) for f, g in expected], states)

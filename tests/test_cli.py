@@ -137,6 +137,18 @@ def test_unfold_positive_energy_needs_tau_end(tmp_path, capsys):
     assert "tau-end" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("tau_end", ["-1", "0"])
+def test_unfold_non_positive_tau_end_exits_2_naming_the_flag(
+        tmp_path, capsys, tau_end):
+    code = run(["unfold", "--x", "1,0,0", "--v", "0,1,0",
+                f"--tau-end={tau_end}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--tau-end" in err["message"] and "positive" in err["message"]
+    assert "Y0" not in err["message"]
+
+
 def test_unfold_rejects_bad_scaling_domain(tmp_path, capsys):
     # gyorgyi scaling needs E > 0
     code = run(["unfold", "--x", "1,0,0", "--v", "0,1,0",

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ksunfold import (
     DomainError,
@@ -22,6 +23,7 @@ from ksunfold import (
 )
 from ksunfold.integrate import (
     _A, _B5, _CSV_BLOCK, _E, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _P, _SAFETY,
+    _safeguarded_newton,
 )
 from ksunfold.sampling import rng_from_seed
 
@@ -214,6 +216,95 @@ def test_return_time_needs_departure():
     traj = integrate(still, np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         find_return_time(traj, np.array([1.0, 0.0]), tol=1e-6)
+
+
+def _find_return_time_brentq(traj, reference, tol, components=None):
+    """Oracle for find_return_time: the same detection, each crossing
+    refined by SciPy's brentq (xtol 1e-12) on `eval` alone."""
+    ref = np.asarray(reference, dtype=float).reshape(-1)
+    comp = np.arange(ref.size) if components is None else np.asarray(components)
+    refc = ref[comp]
+    dist_nodes = np.linalg.norm(traj.states[:, comp] - refc, axis=1)
+    w = traj.deriv(traj.times[int(np.argmin(dist_nodes))])[comp]
+    w = w / np.linalg.norm(w)
+    g_nodes = (traj.states[:, comp] - refc) @ w
+    departed = dist_nodes > max(4.0 * tol, 0.25 * float(np.max(dist_nodes)))
+    start = int(np.argmax(departed))
+
+    def g_of(t):
+        return float((traj.eval(t)[comp] - refc) @ w)
+
+    for i in range(start, len(traj.times) - 1):
+        if g_nodes[i] < 0.0 <= g_nodes[i + 1]:
+            t_star = brentq(g_of, traj.times[i], traj.times[i + 1], xtol=1e-12)
+            if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
+                return float(t_star)
+    raise ValueError("no return within the trajectory span")
+
+
+def _apocentre(a, e):
+    """Kepler state (k = 1) at apocentre, semi-major axis a, eccentricity e."""
+    r = a * (1.0 + e)
+    return np.array([r, 0.0, 0.0, 0.0, np.sqrt((1.0 - e) / r), 0.0])
+
+
+# circular, e = 0.6, e = 0.9, and the energies E = -0.25, -0.125 of
+# acceptance criterion 6 (its E = -0.5 is the circular orbit)
+_RETURN_ORBITS = {
+    "circular": _apocentre(1.0, 0.0),
+    "e0.6": _apocentre(1.0, 0.6),
+    "e0.9": _apocentre(1.0, 0.9),
+    "E-0.25": _apocentre(2.0, 0.0),
+    "E-0.125": _apocentre(4.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("orbit", sorted(_RETURN_ORBITS))
+def test_return_time_of_closed_form_flow_matches_brentq(orbit):
+    p0 = _RETURN_ORBITS[orbit]
+    E = 0.5 * p0[3:] @ p0[3:] - 1.0 / np.linalg.norm(p0[:3])
+    res = unfold_kepler(p0, 2.2 * 2 * np.pi / np.sqrt(-2 * E), compare=False)
+    up = res.upstairs
+    t_ret = find_return_time(up, up.states[0], 1e-6, components=range(8))
+    oracle = _find_return_time_brentq(up, up.states[0], 1e-6,
+                                      components=range(8))
+    assert abs(t_ret - oracle) <= 1e-12
+    assert abs(t_ret - 2 * np.pi / np.sqrt(-2 * E)) <= 1e-10
+
+
+@pytest.mark.parametrize("orbit", sorted(_RETURN_ORBITS))
+def test_return_time_of_dp5_kepler_orbit_matches_brentq(orbit):
+    p0 = _RETURN_ORBITS[orbit]
+    a = 1.0 / (2.0 / np.linalg.norm(p0[:3]) - p0[3:] @ p0[3:])
+    traj = integrate(kepler_field(), p0, 1.2 * 2 * np.pi * a**1.5,
+                     config=IntegratorConfig(rel_tol=1e-11))
+    t_ret = find_return_time(traj, p0, tol=1e-6)
+    assert abs(t_ret - _find_return_time_brentq(traj, p0, 1e-6)) <= 1e-12
+
+
+def test_return_time_of_dp5_oscillator_matches_brentq():
+    osc = completed_oscillator_field(E=-0.5)
+    s0 = np.array([1.0, 0.3, 0.5, 0.0, 0.0, 1.0, 0.0, -0.2])
+    traj = integrate(osc, s0, 9.0)
+    t_ret = find_return_time(traj, s0, tol=1e-6)
+    assert abs(t_ret - _find_return_time_brentq(traj, s0, 1e-6)) <= 1e-12
+
+
+def test_safeguarded_newton_bisects_where_newton_leaves_the_bracket():
+    # atan: Newton from |x| > 1.39 overshoots the bracket; x^3 - 1e-3
+    # starts where f' = 0; x^2 - 2 converges by Newton alone; a root at an end
+    def fdf(x):
+        return (np.stack([np.arctan(x[0]), x[1] ** 3 - 1e-3, x[2] ** 2 - 2.0,
+                          x[3] - 1.0]),
+                np.stack([1.0 / (1.0 + x[0] ** 2), 3.0 * x[1] ** 2,
+                          2.0 * x[2], np.ones_like(x[3])]))
+
+    lo = np.array([-1.0, -1.0, 0.0, 1.0])
+    hi = np.array([20.0, 2.0, 2.0, 3.0])
+    x = np.array([15.0, 0.0, 1.0, 2.0])
+    root = _safeguarded_newton(fdf, lo, hi, x, 1e-14)
+    assert np.all(np.abs(root - [0.0, 0.1, np.sqrt(2.0), 1.0])
+                  <= [1e-15, 1e-15, 1e-15, 0.0])
 
 
 def test_csv_export_roundtrip(tmp_path):

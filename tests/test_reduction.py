@@ -178,6 +178,45 @@ def test_tau_of_matches_brentq_oracle(orbit):
     assert np.max(np.abs(tau[len(inside):] - ends)) <= 1e-12
 
 
+def _tau_of_newton_loop(res, t):
+    """Oracle for UnfoldResult.tau_of: its Newton loop as it stood before
+    the loop moved into integrate._safeguarded_newton."""
+    up = res.upstairs
+    nodes = up.states[:, 8]
+    target = np.clip(np.asarray(t, dtype=float), nodes[0], nodes[-1])
+    j = np.clip(np.searchsorted(nodes, target), 1, len(nodes) - 1)
+    lo, hi = up.times[j - 1], up.times[j]
+    tau = np.interp(target, nodes, up.times)
+    for _ in range(64):
+        state = up.eval(tau)
+        f = state[..., 8] - target
+        df = 2.0 * up.g * np.sum(state[..., :4] ** 2, axis=-1)
+        lo = np.where(f <= 0.0, tau, lo)
+        hi = np.where(f >= 0.0, tau, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = tau - f / df
+        inside = (newton >= lo) & (newton <= hi)
+        step = np.where(inside, newton, 0.5 * (lo + hi)) - tau
+        tau = tau + step
+        if not np.any(np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(tau))):
+            break
+    return tau
+
+
+@pytest.mark.parametrize("orbit", sorted(_ORBITS))
+def test_tau_of_is_bit_equal_to_its_newton_loop(orbit):
+    p0, tau_end = _ORBITS[orbit]
+    res = unfold_kepler(np.array(p0), tau_end, compare=False)
+    t_end = float(res.ts[-1])
+    t = np.concatenate([np.linspace(-1.0, t_end + 1.0, 2049),
+                        res.upstairs.states[:, 8]])
+    assert np.array_equal(res.tau_of(t), _tau_of_newton_loop(res, t))
+    for tv in (0.0, 0.37 * t_end, t_end):
+        out = res.tau_of(tv)
+        assert np.ndim(out) == 0
+        assert np.array_equal(out, _tau_of_newton_loop(res, tv))
+
+
 def test_tau_of_keeps_scalar_and_array_shapes():
     res = unfold_kepler(np.array([1.0, 0, 0, 0, 1.0, 0]), 2 * np.pi,
                         compare=False)
@@ -428,6 +467,12 @@ def test_non_commuting_observable_is_rejected():
     bad = quadratic_observable(P + P.T, "bad_quadratic")
     with pytest.raises(ValueError, match="commute"):
         project_constants(bad, samples=30, seed=19)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5])
+def test_project_constants_rejects_bad_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        project_constants(OBSERVABLES["J1"], samples=samples)
 
 
 def test_tangency_of_conformal_field_to_gauge_level():

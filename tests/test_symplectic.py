@@ -636,6 +636,15 @@ def test_non_positive_integer_samples_rejected(samples):
             run_suite(suite, samples=samples)
 
 
+@pytest.mark.parametrize("dim", [6, 8])
+def test_empty_state_batch_rejected(dim):
+    struct, expected = ((kepler_structure(), kepler_expected()) if dim == 6
+                        else (chart_structure(), chart_jq_expected()))
+    with pytest.raises(ValueError, match="states"):
+        verify_structure_constants(struct, OBSERVABLES, expected,
+                                   states=np.empty((0, dim)))
+
+
 def test_integer_like_samples_accepted():
     rep = run_suite("kepler-algebra", samples=np.int64(3), seed=1)
     assert rep["samples"] == 3 and rep["pass"]
