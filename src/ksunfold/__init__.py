@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     DegenerateStructureError,
     DomainError,
+    HorizonError,
     IntegrationError,
     KSUnfoldError,
     LiftError,

@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DegenerateStructureError,
     DomainError,
+    HorizonError,
     IntegrationError,
     LiftError,
 )
@@ -234,6 +235,8 @@ def _build_system(cfg):
 def cmd_simulate(cfg: dict) -> int:
     system, s0 = _build_system(cfg)
     t_end = _as_float(cfg, "t_end")
+    if t_end <= 0.0:
+        raise ConfigError(f"--t-end must be positive, got {cfg['t_end']!r}")
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", system.name)
     start = time.perf_counter()
@@ -291,19 +294,22 @@ def cmd_unfold(cfg: dict) -> int:
         config=icfg, k=k, n_samples=n_samples,
     )
     start = time.perf_counter()
-    for i, (lam, res) in enumerate(zip(gauges, sweep)):
-        wall = time.perf_counter() - start
-        stem = prefix if len(gauges) == 1 else f"{prefix}_lam{i}"
-        csv_path = os.path.join(out, f"{stem}.csv")
-        res.to_csv(csv_path)
-        summary = res.sidecar()
-        summary["collision_regularized"] = res.collision
-        summary["wall_time_s"] = wall
-        summary["config"] = _echo({**cfg, "lam": lam})
-        _write_json(os.path.join(out, f"{stem}.json"), summary)
-        results.append(res)
-        print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
-        start = time.perf_counter()
+    try:
+        for i, (lam, res) in enumerate(zip(gauges, sweep)):
+            wall = time.perf_counter() - start
+            stem = prefix if len(gauges) == 1 else f"{prefix}_lam{i}"
+            csv_path = os.path.join(out, f"{stem}.csv")
+            res.to_csv(csv_path)
+            summary = res.sidecar()
+            summary["collision_regularized"] = res.collision
+            summary["wall_time_s"] = wall
+            summary["config"] = _echo({**cfg, "lam": lam})
+            _write_json(os.path.join(out, f"{stem}.json"), summary)
+            results.append(res)
+            print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
+            start = time.perf_counter()
+    except HorizonError as exc:
+        raise ConfigError(f"--tau-end: {exc}") from None
 
     if len(results) > 1:
         cross = 0.0

@@ -35,5 +35,10 @@ class DegenerateStructureError(KSUnfoldError):
         self.state = state
 
 
+class HorizonError(KSUnfoldError, ValueError):
+    """A requested horizon lies beyond what the computation can represent
+    (e.g. the closed-form unfold overflows before tau_end)."""
+
+
 class ConfigError(KSUnfoldError):
     """Invalid run configuration (CLI exit code 2)."""

@@ -278,6 +278,10 @@ def integrate(
     ys = [y.copy()]
     dense = []
     K = np.empty((7, y.size))
+    # each stage row with the view of K it combines; views stay current
+    stages = [(row, K[:i]) for i, row in enumerate(_STAGES, 1)]
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    abs_y = np.abs(y)
     attempts = 0
     last_domain_error = None
 
@@ -297,8 +301,8 @@ def integrate(
         h_step = t_end - t if clamped else h_eff
         K[0] = k0
         try:
-            for i, row in enumerate(_STAGES, 1):
-                y_new = y + h_step * (row @ K[:i])
+            for i, (row, Ki) in enumerate(stages, 1):
+                y_new = y + h_step * row.dot(Ki)
                 K[i] = f(y_new)
         except DomainError as exc:
             nfev += i
@@ -307,15 +311,16 @@ def integrate(
             last_domain_error = exc
             continue
         nfev += 6
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        z = (h_step * (_E @ K)) / scale
+        abs_new = np.abs(y_new)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        z = (h_step * _E.dot(K)) / scale
         err = math.sqrt(np.add.reduce(z * z) / z.size)
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
-            dense.append(h_step * (K.T @ _P))
+            dense.append(h_step * K.T.dot(_P))
             ts.append(t_new)
             ys.append(y_new)
-            t, y, k0 = t_new, y_new, K[6].copy()
+            t, y, k0, abs_y = t_new, y_new, K[6].copy(), abs_new
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err**_ORDER_EXP
             )

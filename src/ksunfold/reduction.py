@@ -13,7 +13,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DegenerateStructureError, DomainError, IntegrationError
+from .errors import (
+    DegenerateStructureError,
+    DomainError,
+    HorizonError,
+    IntegrationError,
+)
 from .integrate import (
     IntegratorConfig,
     _safeguarded_newton,
@@ -178,6 +183,11 @@ _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
 # tau_of: largest last Newton or bisection step, relative to max(1, |tau|)
 _TAU_TOL = 1e-14
 
+# a zero of Y . Y0 is a collision when |Y|^2 there is below this times
+# |Y0|^2: zero up to rounding (about 1e-32), while a near-radial orbit's
+# pericentre r = |Y|^2 is of order |x0 x v0|^2
+_COLLISION_R2 = 1e-24
+
 
 def _stumpff(z):
     """Stumpff functions (c2(z), c3(z)): (1 - cos w)/w^2 and (w - sin w)/w^3
@@ -213,7 +223,8 @@ class OscillatorFlow:
 
     `times` and `states` (Y, U, t) sample the flow at n_samples + 1 uniform
     nodes over [0, tau_end]; `monitors` holds the oscillator invariant (== k),
-    the gauge momentum h and the chart energy at force constant k there.
+    the gauge momentum h and the chart energy at force constant k there.  A
+    span on which the closed form overflows raises HorizonError.
     """
 
     Y0: np.ndarray
@@ -233,7 +244,14 @@ class OscillatorFlow:
             raise ValueError(f"the unfold needs finite (Y0, U0, E, g) and "
                              f"0 < tau_end < inf, got {start}, {self.tau_end}")
         times = np.linspace(0.0, float(self.tau_end), int(self.n_samples) + 1)
-        states = self.eval(times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = self.eval(times)
+        finite = np.all(np.isfinite(states), axis=-1)
+        if not finite.all():
+            raise HorizonError(
+                f"the closed-form flow overflows by tau = "
+                f"{times[np.argmin(finite)]:.6g}; tau_end = "
+                f"{self.tau_end:.6g} is too long for this orbit")
         chart = states[:, :8]
         # the chart energy is 0/0 at Y = 0 itself, finite everywhere else
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,6 +292,32 @@ class OscillatorFlow:
         return np.concatenate([self.g * U, (2.0 * self.g * self.E) * Y,
                                2.0 * self.g * r2], axis=-1)
 
+    def collision_time(self):
+        """Physical time of the first zero of Y on the sampled span, or None.
+
+        Y stays in the plane of Y0 and U0, so it vanishes only on radial
+        orbits, where Y is a multiple of Y0.  The first sign change of Y.Y0
+        on the nodes is refined by Newton's method (d(Y.Y0)/dtau = g U.Y0)
+        and counts when |Y|^2 is zero there up to rounding."""
+        proj = self.states[:, :4] @ self.Y0
+        down = np.flatnonzero((proj[:-1] > 0.0) & (proj[1:] <= 0.0))
+        if not down.size:
+            return None
+        i = down[0]
+
+        def fdf(tau):
+            state = self.eval(tau)
+            return -(state[:4] @ self.Y0), -self.g * (state[4:8] @ self.Y0)
+
+        lo, hi = self.times[i], self.times[i + 1]
+        tau = float(_safeguarded_newton(
+            fdf, lo, hi, lo + (hi - lo) * proj[i] / (proj[i] - proj[i + 1]),
+            _TAU_TOL))
+        state = self.eval(tau)
+        if state[:4] @ state[:4] > _COLLISION_R2 * (self.Y0 @ self.Y0):
+            return None
+        return float(state[8])
+
 
 @dataclass(frozen=True)
 class UnfoldResult:
@@ -294,6 +338,7 @@ class UnfoldResult:
     divergence: dict
     collision: bool
     config: IntegratorConfig          # of the direct comparison leg
+    direct_leg: Optional[dict] = None  # what the direct leg did
 
     def t_of(self, tau):
         """Physical time at oscillator parameter tau."""
@@ -343,6 +388,7 @@ class UnfoldResult:
             "t_end": float(self.ts[-1]),
             "samples": int(len(self.taus)),
             "divergence": self.divergence,
+            "direct_leg": self.direct_leg,
         }
 
 
@@ -431,9 +477,10 @@ def unfold_sweep(
     its comparison against direct Kepler integration, as soon as it is done.
 
     The direct leg does not depend on the gauge: it is integrated once,
-    with the first gauge, over that gauge's physical-time span, and every
-    gauge is compared against it on the grid up to the shorter of its own
-    span and the leg's.
+    with the first gauge, over that gauge's physical-time span (cut short
+    when that gauge's closed form meets a collision), and every gauge is
+    compared against it on the grid up to the shorter of its own span and
+    the leg's.
     """
     cfg = config or IntegratorConfig()
     x0, v0 = _split_state(p0)
@@ -444,36 +491,47 @@ def unfold_sweep(
             n_samples=n_samples, compare=False,
         )
         if leg is None:
-            leg = _direct_leg(x0, v0, float(result.ts[-1]), k, cfg)
+            leg = _direct_leg(x0, v0, float(result.ts[-1]), k, cfg,
+                              result.upstairs.collision_time())
         divergence, collision = _compare_downstairs(result, leg, compare_points)
         yield dataclasses.replace(result, divergence=divergence,
-                                  collision=collision)
+                                  collision=collision, direct_leg=leg[3])
 
 
-def _direct_leg(x0, v0, t_total, k, cfg):
-    """Integrate Kepler directly over [0, t_total]; on a collision retry up
-    to 95% of the time reached.  Returns (trajectory or None, time reached,
-    whether a collision cut the leg short)."""
+def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
+    """Integrate Kepler directly over [0, t_total], or over 95% of
+    t_collision when the closed form has located a collision; after any
+    failure retry up to 95% of the time reached.  Returns (trajectory or
+    None, time reached, whether a collision cut the leg short, record).
+    The record holds where the horizon came from, the number of attempts
+    and the counts of the integration the comparison uses."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
-    collision = False
-    t_cmp = t_total
+    collision = t_collision is not None
+    t_cmp = 0.95 * t_collision if collision else t_total
+    record = {"horizon": "collision" if collision else "span", "attempts": 0}
     for _ in range(8):
         if t_cmp <= 0.0:
             break
+        record["attempts"] += 1
         try:
-            return integrate(kepler, s0, t_cmp, config=cfg), t_cmp, collision
+            traj = integrate(kepler, s0, t_cmp, config=cfg)
         except IntegrationError as exc:
             collision = True
             reached = exc.t if exc.t is not None else 0.0
             t_cmp = 0.95 * reached
-    return None, 0.0, True
+            continue
+        record.update(rhs_evals=traj.stats["rhs_evals"],
+                      accepted_steps=len(traj.times) - 1,
+                      rejected_steps=traj.stats["rejected_steps"])
+        return traj, t_cmp, collision, record
+    return None, 0.0, True, record
 
 
 def _compare_downstairs(result, leg, compare_points):
     """Measure the divergence of the projected unfold from the direct leg
     on a shared physical-time grid."""
-    direct, t_leg, collision = leg
+    direct, t_leg, collision, _ = leg
     if direct is None:
         return {"compared": False, "collision": True, "t_compared": 0.0}, True
 

@@ -177,10 +177,13 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         s = np.asarray(s, dtype=float)
         x = s[..., :3]
         r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own body
-        if (r < r_min).any():
+        below = r < r_min
+        # .any() goes through NumPy's Python-level _methods; one state
+        # needs only the comparison
+        if below.any() if s.ndim > 1 else below:
             raise DomainError(f"kepler rhs: r < r_min = {r_min:g}", state=s)
         acc = -k * x / r[..., None] ** 3
-        return np.concatenate([s[..., 3:6], acc], axis=-1)
+        return np.concatenate((s[..., 3:6], acc), axis=-1)
 
     energy = _kepler_energy(k)
     mon = tuple(

@@ -313,6 +313,30 @@ def test_non_positive_count_exits_2_naming_the_flag(tmp_path, capsys, argv, flag
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_simulate_non_positive_t_end_exits_2_naming_the_flag(
+        tmp_path, capsys, t_end):
+    code = run(_KEPLER + [f"--t-end={t_end}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--t-end" in err["message"] and "positive" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("v, tau_end", [("0,2,0", "1000"), ("0,1,0", "1e150")])
+def test_unfold_overflowing_span_exits_2_naming_tau_end(
+        tmp_path, capsys, v, tau_end):
+    # pytest turns every warning into an error: none may be emitted
+    code = run(["unfold", "--x", "1,0,0", "--v", v, "--tau-end", tau_end,
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--tau-end" in err["message"] and "overflows" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_unfold_sweep_reports_every_gauge_as_it_finishes(tmp_path, capsys):
     code = run(["unfold", "--x", "1,0,0", "--v=-0.5,0,0", "--tau-end", "6",
                 "--lambda", "0..3:3", "--samples", "32",

@@ -596,3 +596,19 @@ def test_kepler_rhs_matches_oracle_bit_for_bit():
         rhs(batch)
     with pytest.raises(DomainError):
         _kepler_rhs_oracle(batch)
+    # one state below r_min
+    with pytest.raises(DomainError):
+        rhs(batch[100])
+    with pytest.raises(DomainError):
+        _kepler_rhs_oracle(batch[100])
+    # a NaN member does not hide one below r_min
+    batch[7, :3] = np.nan
+    with pytest.raises(DomainError):
+        rhs(batch)
+    with pytest.raises(DomainError):
+        _kepler_rhs_oracle(batch)
+    # NaN compares false: an all-NaN batch passes through, as in the oracle
+    nan_batch = np.full((4, 6), np.nan)
+    assert np.array_equal(rhs(nan_batch), _kepler_rhs_oracle(nan_batch),
+                          equal_nan=True)
+    assert np.isnan(rhs(nan_batch[0])).all()

@@ -9,6 +9,8 @@ import ksunfold.reduction as reduction
 from ksunfold import (
     DegenerateStructureError,
     DomainError,
+    HorizonError,
+    IntegrationError,
     OBSERVABLES,
     check_equivariance,
     fiber_momentum,
@@ -25,7 +27,7 @@ from ksunfold import (
 from ksunfold.integrate import integrate
 from ksunfold.symplectic import quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
-from ksunfold.systems import DynamicalSystem, scaling_preset
+from ksunfold.systems import DynamicalSystem, kepler_field, scaling_preset
 
 
 # --- radial reduction of free motion ---------------------------------------
@@ -301,15 +303,76 @@ def _count_direct_legs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("orbit, legs", [("e0.6", 1), ("collision", 2)])
+@pytest.mark.parametrize("orbit, legs", [("e0.6", 1), ("collision", 1)])
 def test_sweep_integrates_the_direct_leg_once(monkeypatch, orbit, legs):
-    # a collision costs one failed attempt and one retry, for all gauges
+    # the closed form locates the collision, so no attempt fails
     p0, tau_end = _ORBITS[orbit]
     calls = _count_direct_legs(monkeypatch)
     results = list(unfold_sweep(np.array(p0), tau_end, [0.0, 1.0, 2.0]))
     assert len(results) == 3
     assert len(calls) == legs
     assert all(r.collision is (orbit == "collision") for r in results)
+
+
+def _failed_attempt_time(p0, t_end):
+    with pytest.raises(IntegrationError) as exc:
+        integrate(kepler_field(), np.asarray(p0, dtype=float), t_end)
+    return exc.value.t
+
+
+@pytest.mark.parametrize("p0", [
+    [1.0, 0, 0, -0.5, 0, 0],   # the gallery collision orbit
+    [0, 0, -1.0, 0, 0, 0.5],   # a rotation of the cube of it
+    [1.0, 0, 0, 0.5, 0, 0],    # outward first, then back to r = 0
+])
+def test_collision_horizon_matches_the_failing_dp5_attempt(p0):
+    res = unfold_kepler(np.array(p0), 6.0)
+    t_col = res.upstairs.collision_time()
+    t_fail = _failed_attempt_time(p0, float(res.ts[-1]))
+    assert abs(t_col - t_fail) <= 1e-10 * t_col
+    assert res.collision
+    assert res.direct_leg["horizon"] == "collision"
+    assert res.direct_leg["attempts"] == 1
+    assert res.divergence["t_compared"] == 0.95 * t_col
+
+
+def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
+    p0 = np.array([1.0, 0, 0, -0.5, 1e-6, 0])
+    assert unfold_kepler(p0, 6.0, compare=False).upstairs.collision_time() is None
+    calls = _count_direct_legs(monkeypatch)
+    res = unfold_kepler(p0, 6.0)
+    assert len(calls) == 2
+    assert res.collision
+    assert res.direct_leg["horizon"] == "span"
+    assert res.direct_leg["attempts"] == 2
+
+
+@pytest.mark.parametrize("orbit, record", [
+    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 2198,
+                  "accepted_steps": 362, "rejected_steps": 4}),
+    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 374,
+                   "accepted_steps": 62, "rejected_steps": 0}),
+])
+def test_sidecar_records_the_direct_leg(orbit, record):
+    p0, tau_end = _ORBITS[orbit]
+    res = unfold_kepler(np.array(p0), tau_end)
+    assert res.sidecar()["direct_leg"] == record
+    # 2 set-up calls, then 6 per accepted or rejected step
+    assert record["rhs_evals"] == 2 + 6 * (record["accepted_steps"]
+                                           + record["rejected_steps"])
+    assert unfold_kepler(np.array(p0), tau_end,
+                         compare=False).sidecar()["direct_leg"] is None
+
+
+@pytest.mark.parametrize("v, tau_end", [([0, 2.0, 0], 1000.0),
+                                        ([0, 1.0, 0], 1e150)])
+def test_unfold_rejects_a_span_the_closed_form_overflows(v, tau_end):
+    # pytest turns every warning into an error: none may be emitted
+    p0 = np.array([1.0, 0, 0, *v])
+    with pytest.raises(HorizonError, match="tau_end"):
+        unfold_kepler(p0, tau_end, compare=False)
+    with pytest.raises(ValueError, match="tau_end"):
+        unfold_kepler(p0, tau_end)
 
 
 @pytest.mark.parametrize("orbit", sorted(_ORBITS))
