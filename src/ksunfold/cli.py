@@ -45,6 +45,8 @@ from .systems import (
 
 _SYSTEMS = ("kepler", "conformal", "oscillator", "free3d", "radial", "calogero")
 _OUT_DIR_ENV = "KSUNFOLD_OUT_DIR"
+# each demo's default --t-end
+_DEMO_T_END = {"radial": 5.0, "calogero": 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,13 @@ def _as_count(cfg, key, default):
         raise ConfigError(f"--{key.replace('_', '-')} must be a positive "
                           f"integer, got {n}")
     return n
+
+
+def _as_t_end(cfg, default=None):
+    t_end = _as_float(cfg, "t_end", default)
+    if t_end <= 0.0:
+        raise ConfigError(f"--t-end must be positive, got {cfg['t_end']!r}")
+    return t_end
 
 
 def _as_vec(cfg, key, n):
@@ -234,9 +243,7 @@ def _build_system(cfg):
 
 def cmd_simulate(cfg: dict) -> int:
     system, s0 = _build_system(cfg)
-    t_end = _as_float(cfg, "t_end")
-    if t_end <= 0.0:
-        raise ConfigError(f"--t-end must be positive, got {cfg['t_end']!r}")
+    t_end = _as_t_end(cfg)
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", system.name)
     start = time.perf_counter()
@@ -351,6 +358,9 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_demo(cfg: dict) -> int:
     which = _require(cfg, "demo")
+    if which not in _DEMO_T_END:
+        raise ConfigError(f"unknown demo {which!r}; choose radial or calogero")
+    t_end = _as_t_end(cfg, _DEMO_T_END[which])
     out = _out_dir(cfg)
     if which == "radial":
         x = _as_vec(cfg, "x", 3) if "x" in cfg else np.array([1.0, 0.0, 0.0])
@@ -358,11 +368,11 @@ def cmd_demo(cfg: dict) -> int:
         s0 = np.concatenate([x, v])
         E = 0.5 * float(v @ v)
         report = check_equivariance(
-            radial_setup(E), s0, _as_float(cfg, "t_end", 5.0),
+            radial_setup(E), s0, t_end,
             tol=_as_float(cfg, "tol", 1e-8),
             config=_integrator_config(cfg),
         )
-    elif which == "calogero":
+    else:  # calogero
         X0 = np.diag([0.0, 1.0])
         if "l" in cfg and _as_float(cfg, "l") == 0.0:
             V0 = np.diag([0.25, 1.5])
@@ -372,11 +382,8 @@ def cmd_demo(cfg: dict) -> int:
             V0 = np.array([[0.0, a], [a, 0.0]])
             tol = _as_float(cfg, "tol", 1e-6)
         report = reduce_calogero(
-            X0, V0, _as_float(cfg, "t_end", 2.0), tol=tol,
-            config=_integrator_config(cfg),
+            X0, V0, t_end, tol=tol, config=_integrator_config(cfg),
         )
-    else:
-        raise ConfigError(f"unknown demo {which!r}; choose radial or calogero")
     report["config"] = _echo(cfg)
     _write_json(os.path.join(out, f"{which}.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))

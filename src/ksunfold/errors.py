@@ -19,12 +19,14 @@ class LiftError(KSUnfoldError):
 
 
 class IntegrationError(KSUnfoldError):
-    """Integration failed; carries the time and state where it gave up."""
+    """Integration failed; carries the time and state where it gave up and
+    the integrator's counts up to then (`stats`, as `Trajectory.stats`)."""
 
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t=None, state=None, stats=None):
         super().__init__(message)
         self.t = t
         self.state = state
+        self.stats = {} if stats is None else stats
 
 
 class DegenerateStructureError(KSUnfoldError):

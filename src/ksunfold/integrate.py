@@ -67,8 +67,18 @@ _ORDER_EXP = -1.0 / 5.0
 # a step below this times max(|t|, 1) has underflowed
 _FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
 
-# rows per block in `write_table`: bounds the size of the formatted text
+# most rows per block in `write_table`: bounds the encoder's working memory
 _CSV_BLOCK = 512
+
+# The `%.16e` encoder scales |v| by 10^k from a table of powers of ten,
+# _POW10_MIN <= k <= _POW10_MAX, each correctly rounded to np.longdouble.
+# The table entry and the product are each rounded once, by at most eps/2
+# relative, so the scaled value s is within 2 eps s of the exact one.
+_POW10_MIN, _POW10_MAX = -360, 360
+_ROUND_EPS = 2.0 * float(np.finfo(np.longdouble).eps)
+# exponent e of a value is stored at index e + _EXP_BIAS
+_EXP_BIAS = 400
+_ENCODER_TABLES = None  # built by `_encoder_tables` on first use
 
 # iteration cap of `_safeguarded_newton`, and the tolerance in t of the
 # return times it refines for `find_return_time`
@@ -111,26 +121,144 @@ def _safeguarded_newton(fdf, lo, hi, x, tol):
 def write_table(path, header, table):
     """CSV of a float table: the header through `csv.writer`, then every
     value as `%.16e` (17 significant digits, as f"{v:.16e}"), CRLF line
-    ends, formatted a block of rows at a time."""
+    ends, encoded by `_encode_rows` in blocks of at most _CSV_BLOCK rows of
+    nearly equal size."""
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.16e"] * table.shape[1]) + "\r\n"
+    n = len(table)
+    blocks = -(-n // _CSV_BLOCK)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, len(table), _CSV_BLOCK):
-            block = table[lo:lo + _CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.flush()  # the body goes to the byte stream under the text layer
+        for i in range(blocks):
+            fh.buffer.write(_encode_rows(
+                table[i * n // blocks:(i + 1) * n // blocks]))
 
 
-def _locate(nodes, x):
-    """For each x, the index i of the interval [nodes[i], nodes[i+1]] of the
-    nondecreasing array `nodes` holding it, the position theta in [0, 1]
-    inside it, and its length (x beyond either end: first or last
-    interval, theta clipped)."""
-    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                  0, len(nodes) - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    theta = np.clip((x - nodes[idx]) / h, 0.0, 1.0)
-    return idx, theta, h
+def _pow10_table():
+    """10^k for _POW10_MIN <= k <= _POW10_MAX, each rounded to nearest (ties
+    to even) at the precision of np.longdouble, by integer arithmetic."""
+    p = np.finfo(np.longdouble).nmant + 1
+    mants, exps = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        # 10^k = (m + r / d) 2^x with 2^(p-1) <= m < 2^p and 0 <= r < d
+        if k >= 0:
+            n = 10 ** k
+            x = n.bit_length() - p
+            d = 1 << max(x, 0)
+            m, r = divmod(n, d) if x >= 0 else (n << -x, 0)
+        else:
+            d = 10 ** -k
+            x = 1 - p - d.bit_length()
+            m, r = divmod(1 << -x, d)
+        if 2 * r > d or (2 * r == d and m & 1):
+            m += 1
+            if m >> p:
+                m, x = m >> 1, x + 1
+        mants.append(m)
+        exps.append(x)
+    mant = np.zeros(len(mants), dtype=np.longdouble)
+    for shift in range((p - 1) // 32 * 32, -1, -32):  # exact, 32 bits a step
+        mant = mant * 2.0 ** 32 + np.array(
+            [(m >> shift) & 0xFFFFFFFF for m in mants], dtype=np.uint32)
+    # where np.longdouble is a double the extreme powers overflow
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(mant, np.array(exps))
+
+
+def _encoder_tables():
+    """(powers of ten, 4-digit words, exponent head and tail words) of
+    `_encode_rows`, built once."""
+    global _ENCODER_TABLES
+    if _ENCODER_TABLES is None:
+        quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+        e = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
+        ae = np.abs(e)
+        head = (ord("e") + np.where(e < 0, ord("-"), ord("+")) * 2 ** 8
+                + np.where(ae >= 100, 48 + ae // 100, 0) * 2 ** 16
+                + (48 + ae // 10 % 10) * 2 ** 24)
+        _ENCODER_TABLES = (_pow10_table(),
+                           (48 + quads).astype(np.uint8).view("<u4").ravel(),
+                           head.astype("<u4"), (48 + ae % 10).astype("<u4"))
+    return _ENCODER_TABLES
+
+
+def _fallback_text(values):
+    """`%.16e` of each value, NUL-padded to 25 bytes."""
+    text = np.array(["%.16e" % v for v in values.tolist()], dtype="S25")
+    return text.view(np.uint8).reshape(-1, 25)
+
+
+def _encode_rows(block):
+    """The CSV body of a (rows, cols) float block, as a uint8 array of the
+    bytes that formatting every value with `"%.16e" %`, joined by "," with
+    CRLF row ends, gives.
+
+    For finite nonzero v with decimal exponent e, s = |v| 10^(16-e) lies in
+    [1e16, 1e17) and is within 2 eps s of exact (_ROUND_EPS), so rounding s
+    to the nearest integer D gives the 17 digits unless the fraction of s is
+    within that bound of 1/2 (exact ties among them).  Those values and the
+    non-finite ones take `_fallback_text`.  Zero has D = 0 and e = 0.
+    """
+    pow10, quads, exp_head, exp_tail = _encoder_tables()
+    rows, cols = block.shape
+    v = block.reshape(-1)
+    finite = np.isfinite(v)
+    zero = v == 0.0
+    a = np.where(finite & ~zero, np.abs(v), 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    al = a.astype(np.longdouble)
+    # where np.longdouble is a double, the bound exceeds 1/2 (or s
+    # overflows) for every value, and every value falls back
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = al * pow10[16 - _POW10_MIN - e]
+        d = s.astype(np.uint64)
+        # next to a power of ten log10 can miss e by one
+        low, high = d < 10 ** 16, d >= 10 ** 17
+        miss = np.flatnonzero(low | high)
+        if miss.size:
+            e += high
+            e -= low
+            s[miss] = al[miss] * pow10[16 - _POW10_MIN - e[miss]]
+            d[miss] = s[miss].astype(np.uint64)
+        frac = (s - d).astype(np.float64)
+        exact = finite & (d >= 10 ** 16) & (
+            np.abs(frac - 0.5) > _ROUND_EPS * s.astype(np.float64))
+        d += frac > 0.5
+        exact &= d <= 10 ** 17
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    hi = d // 10 ** 8
+    lo = (d - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    # a value is 7 little-endian words (28 bytes), NUL bytes dropped:
+    #   NUL sign D "." | DDDD | DDDD | DDDD | DDDD | "e" sign H T | U sep NUL
+    # sign is "-" or NUL, H the exponent's hundreds digit or NUL, and sep
+    # "," NUL after a row's inner values and CR LF after its last
+    w = np.empty((7, v.size), dtype="<u4")
+    np.multiply(np.signbit(v), np.uint32(ord("-") << 8), out=w[0])
+    w[0] += (lead << 16) + np.uint32(0x2E300000)
+    q = hi // 10 ** 4
+    np.take(quads, q, out=w[1])
+    np.take(quads, hi - q * 10 ** 4, out=w[2])
+    q = lo // 10 ** 4
+    np.take(quads, q, out=w[3])
+    np.take(quads, lo - q * 10 ** 4, out=w[4])
+    e += _EXP_BIAS
+    np.take(exp_head, e, out=w[5])
+    np.take(exp_tail, e, out=w[6])
+    sep = np.full(cols, ord(",") << 8, dtype="<u4")
+    sep[-1] = 0x0A0D00
+    w[6].reshape(rows, cols)[:] += sep
+    out = np.ascontiguousarray(w.T).view(np.uint8)
+    bad = np.flatnonzero(~exact)
+    if bad.size:
+        out[bad, :25] = _fallback_text(v[bad])
+    return out[out != 0]
 
 
 @dataclass(frozen=True)
@@ -177,23 +305,32 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def eval(self, t):
-        """Dense-output states at times t (scalar or array) inside the span."""
+    def _locate(self, t):
+        """For times t inside the span (to 1e-12), the index i of the step
+        [times[i], times[i+1]] holding each, the position theta in [0, 1]
+        inside it, and the step's length."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
+        nodes = self.times
+        if np.any(t < nodes[0] - 1e-12) or np.any(t > nodes[-1] + 1e-12):
             raise ValueError("time outside trajectory span")
-        idx, theta, _ = _locate(self.times, t)
+        idx = np.clip(np.searchsorted(nodes, t, side="right") - 1,
+                      0, len(nodes) - 2)
+        h = nodes[idx + 1] - nodes[idx]
+        theta = np.clip((t - nodes[idx]) / h, 0.0, 1.0)
+        return idx, theta, h
+
+    def eval(self, t):
+        """Dense-output states at times t (scalar or array) inside the span."""
+        idx, theta, _ = self._locate(t)
         powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
         return self.states[idx] + np.einsum("...dm,...m->...d",
                                             self.dense[idx], powers)
 
     def deriv(self, t):
-        """Time derivative of the interpolant at times t."""
-        if self.dense is None:
-            raise ValueError("trajectory has no dense output")
-        idx, theta, h = _locate(self.times, np.asarray(t, dtype=float))
+        """Time derivative of the interpolant at times t inside the span."""
+        idx, theta, h = self._locate(t)
         dpow = np.stack([np.ones_like(theta), 2 * theta, 3 * theta**2,
                          4 * theta**3], axis=-1)
         return np.einsum("...dm,...m->...d", self.dense[idx], dpow) / h[..., None]
@@ -245,7 +382,8 @@ def _stats(nfev, rejected, retries) -> dict:
 
 def _failure(message, t, y, stats) -> IntegrationError:
     counts = ", ".join(f"{k}={v}" for k, v in stats.items())
-    return IntegrationError(f"{message} ({counts})", t=t, state=y)
+    return IntegrationError(f"{message} ({counts})", t=t, state=y,
+                            stats=stats)
 
 
 def integrate(

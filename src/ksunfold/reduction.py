@@ -503,8 +503,10 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     t_collision when the closed form has located a collision; after any
     failure retry up to 95% of the time reached.  Returns (trajectory or
     None, time reached, whether a collision cut the leg short, record).
-    The record holds where the horizon came from, the number of attempts
-    and the counts of the integration the comparison uses."""
+    The record holds where the horizon came from, the number of attempts,
+    the counts of the integration the comparison uses and, when attempts
+    failed, their summed counts (`failed_rhs_evals`,
+    `failed_rejected_steps`, `failed_domain_retries`)."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
     collision = t_collision is not None
@@ -517,6 +519,9 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
         try:
             traj = integrate(kepler, s0, t_cmp, config=cfg)
         except IntegrationError as exc:
+            for key, count in exc.stats.items():
+                failed = f"failed_{key}"
+                record[failed] = record.get(failed, 0) + count
             collision = True
             reached = exc.t if exc.t is not None else 0.0
             t_cmp = 0.95 * reached

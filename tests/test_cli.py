@@ -220,6 +220,19 @@ def test_demo_unknown_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("demo", ["radial", "calogero"])
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_demo_non_positive_t_end_exits_2_naming_the_flag(
+        tmp_path, capsys, demo, t_end):
+    out = tmp_path / "out"
+    code = run(["demo", demo, f"--t-end={t_end}", "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"--t-end must be positive, got {t_end!r}"
+    assert not out.exists()  # rejected before any work
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

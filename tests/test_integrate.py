@@ -126,6 +126,15 @@ def test_dense_eval_outside_span_raises():
         traj.eval(-0.1)
 
 
+def test_dense_deriv_outside_span_raises():
+    osc = completed_oscillator_field(E=-0.5)
+    traj = integrate(osc, np.ones(8), 1.0)
+    for t in (5.0, -0.1, [0.5, 1.5]):
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            traj.deriv(t)
+    assert np.array_equal(traj.deriv(1.0 + 1e-13), traj.deriv(1.0))
+
+
 def test_interpolant_consistency_identities():
     # row sums of the dense-output coefficient matrix reproduce the 5th
     # order weights: the interpolant is node-exact at theta = 1
@@ -581,6 +590,17 @@ def test_max_steps_failure_reports_counts():
                        r"rejected_steps=\d+, domain_retries=0\)"):
         integrate(kepler_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 100.0,
                   config=IntegratorConfig(max_steps=10))
+
+
+def test_integration_error_carries_the_counts():
+    with pytest.raises(IntegrationError) as exc:
+        integrate(kepler_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 100.0,
+                  config=IntegratorConfig(max_steps=10))
+    stats = exc.value.stats
+    assert set(stats) == {"rhs_evals", "rejected_steps", "domain_retries"}
+    assert stats["rhs_evals"] == 62
+    assert str(exc.value).endswith(
+        "(" + ", ".join(f"{k}={v}" for k, v in stats.items()) + ")")
 
 
 def test_kepler_rhs_matches_oracle_bit_for_bit():

@@ -347,6 +347,19 @@ def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
     assert res.direct_leg["attempts"] == 2
 
 
+def test_direct_leg_record_counts_the_failed_attempt():
+    p0 = np.array([1.0, 0, 0, -0.5, 1e-6, 0])
+    res = unfold_kepler(p0, 6.0)
+    with pytest.raises(IntegrationError) as exc:
+        integrate(kepler_field(), p0, float(res.ts[-1]))
+    assert exc.value.stats == {"rhs_evals": 3746, "rejected_steps": 0,
+                               "domain_retries": 0}
+    assert res.sidecar()["direct_leg"] == {
+        "horizon": "span", "attempts": 2, "failed_rhs_evals": 3746,
+        "failed_rejected_steps": 0, "failed_domain_retries": 0,
+        "rhs_evals": 374, "accepted_steps": 62, "rejected_steps": 0}
+
+
 @pytest.mark.parametrize("orbit, record", [
     ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 2198,
                   "accepted_steps": 362, "rejected_steps": 4}),
