@@ -70,7 +70,6 @@ from .integrate import (
     Trajectory,
     find_return_time,
     integrate,
-    integrate_fixed,
 )
 from .reduction import (
     ReductionSetup,

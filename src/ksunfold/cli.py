@@ -357,9 +357,11 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_demo(cfg: dict) -> int:
-    which = _require(cfg, "demo")
+    which = cfg.get("demo")
     if which not in _DEMO_T_END:
-        raise ConfigError(f"unknown demo {which!r}; choose radial or calogero")
+        problem = ("missing the demo name (positional argument DEMO)"
+                   if which is None else f"unknown demo {which!r}")
+        raise ConfigError(f"{problem}; choose radial or calogero")
     t_end = _as_t_end(cfg, _DEMO_T_END[which])
     out = _out_dir(cfg)
     if which == "radial":
@@ -452,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dem = sub.add_parser("demo", help="radial or calogero reduction demo")
     common(dem)
-    dem.add_argument("demo", nargs="?")
+    dem.add_argument("demo", nargs="?", metavar="DEMO",
+                     help="radial or calogero")
     dem.add_argument("--x")
     dem.add_argument("--v")
     dem.add_argument("--l")

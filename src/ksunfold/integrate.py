@@ -1,8 +1,7 @@
 """Adaptive Runge-Kutta integration with dense output.
 
 The engine is a Dormand-Prince 5(4) embedded pair with the FSAL property
-and a free quartic interpolant, plus a fixed-step classical RK4 kept as an
-independent cross-check for tests.  A step whose right-hand side evaluation
+and a free quartic interpolant.  A step whose right-hand side evaluation
 lands in a forbidden region (DomainError) is retried at half the step before
 the failure is surfaced with the offending time and state.
 """
@@ -23,7 +22,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "integrate",
-    "integrate_fixed",
     "find_return_time",
     "write_table",
 ]
@@ -479,50 +477,6 @@ def integrate(
     )
 
 
-def integrate_fixed(
-    system: DynamicalSystem,
-    s0,
-    t_end: float,
-    n_steps: int,
-    method: str = "rk4",
-    t0: float = 0.0,
-) -> Trajectory:
-    """Fixed-step integration (classical RK4 or the DP5 propagator without
-    step control); used as an order-verification and cross-check oracle."""
-    y = np.array(s0, dtype=float).reshape(-1)
-    f = system.rhs
-    h = (float(t_end) - t0) / int(n_steps)
-    ts = [t0]
-    ys = [y.copy()]
-    t = t0
-    for _ in range(int(n_steps)):
-        if method == "rk4":
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        elif method == "dp5":
-            K = np.empty((6, y.size))
-            K[0] = f(y)
-            for i in range(1, 6):
-                K[i] = f(y + h * (_A[i, :i] @ K[:i]))
-            y = y + h * (_B5[:6] @ K)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        t = t0 + (len(ts)) * h
-        ts.append(t)
-        ys.append(y.copy())
-    states = np.array(ys)
-    return Trajectory(
-        times=np.array(ts),
-        states=states,
-        monitors=_monitor_values(system, None, states),
-        dense=None,
-        state_names=system.state_names,
-    )
-
-
 def find_return_time(
     traj,
     reference,
@@ -563,12 +517,14 @@ def find_return_time(
         return ((traj.eval(t)[comp] - refc) @ w,
                 traj.deriv(t)[comp] @ w)
 
-    for i in range(start, len(traj.times) - 1):
+    # brackets g0 < 0 <= g1 on the nodes from `start` on, in order
+    crossings = start + np.flatnonzero((g_nodes[start:-1] < 0.0)
+                                       & (g_nodes[start + 1:] >= 0.0))
+    for i in crossings:
         g0, g1 = g_nodes[i], g_nodes[i + 1]
-        if g0 < 0.0 <= g1:
-            lo, hi = traj.times[i], traj.times[i + 1]
-            t_star = float(_safeguarded_newton(
-                fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _RETURN_TOL))
-            if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
-                return t_star
+        lo, hi = traj.times[i], traj.times[i + 1]
+        t_star = float(_safeguarded_newton(
+            fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _RETURN_TOL))
+        if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
+            return t_star
     raise ValueError("no return within the trajectory span")

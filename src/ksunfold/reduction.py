@@ -7,6 +7,7 @@ Kepler unfolding into the oscillator family).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -192,23 +193,31 @@ _COLLISION_R2 = 1e-24
 def _stumpff(z):
     """Stumpff functions (c2(z), c3(z)): (1 - cos w)/w^2 and (w - sin w)/w^3
     with w = sqrt(z) for z > 0, their cosh/sinh forms for z < 0, and the
-    power series near z = 0, where all three meet."""
+    power series near z = 0, where all three meet.  Each element is computed
+    by its own branch only (NaN by the cosh/sinh one), so cosh cannot
+    overflow on an element that takes another branch."""
     z = np.asarray(z, dtype=float)
+    c2, c3 = np.empty_like(z), np.empty_like(z)
     small = np.abs(z) < 1.0
-    zs = np.where(small, z, 0.0)[..., None]
-    series = _STUMPFF_SERIES[0]
-    for coeff in _STUMPFF_SERIES[1:]:
-        series = coeff - zs * series
-    w = np.sqrt(np.abs(np.where(small, 1.0, z)))
-    # each branch sees 0 where the other applies, so cosh cannot overflow
-    ell = z > 0.0
-    wc, wh = np.where(ell, w, 0.0), np.where(ell, 0.0, w)
+    trig = (z > 0.0) & ~small
+    hyp = ~(small | trig)
+    if small.any():
+        zs = z[small][:, None]
+        series = _STUMPFF_SERIES[0]
+        for coeff in _STUMPFF_SERIES[1:]:
+            series = coeff - zs * series
+        c2[small], c3[small] = series.T
     # products, not **: NumPy rounds array and scalar powers differently,
     # and eval at a node must reproduce the sampled state bit for bit
-    c2 = np.where(ell, 1.0 - np.cos(wc), np.cosh(wh) - 1.0) / (w * w)
-    c3 = np.where(ell, wc - np.sin(wc), np.sinh(wh) - wh) / (w * w * w)
-    return (np.where(small, series[..., 0], c2),
-            np.where(small, series[..., 1], c3))
+    if trig.any():
+        w = np.sqrt(z[trig])
+        c2[trig] = (1.0 - np.cos(w)) / (w * w)
+        c3[trig] = (w - np.sin(w)) / (w * w * w)
+    if hyp.any():
+        w = np.sqrt(np.abs(z[hyp]))
+        c2[hyp] = (np.cosh(w) - 1.0) / (w * w)
+        c3[hyp] = (np.sinh(w) - w) / (w * w * w)
+    return c2, c3
 
 
 @dataclass(frozen=True)
@@ -222,9 +231,10 @@ class OscillatorFlow:
     S = 2 tau^3 c3(4z), A = |Y0|^2, B = g Y0.U0 and C = g^2 |U0|^2.
 
     `times` and `states` (Y, U, t) sample the flow at n_samples + 1 uniform
-    nodes over [0, tau_end]; `monitors` holds the oscillator invariant (== k),
-    the gauge momentum h and the chart energy at force constant k there.  A
-    span on which the closed form overflows raises HorizonError.
+    nodes over [0, tau_end]; `monitors`, computed on first read, holds the
+    oscillator invariant (== k), the gauge momentum h and the chart energy
+    at force constant k there.  A span on which the closed form overflows
+    raises HorizonError.
     """
 
     Y0: np.ndarray
@@ -236,13 +246,21 @@ class OscillatorFlow:
     n_samples: int = 512
     times: np.ndarray = dataclasses.field(init=False)
     states: np.ndarray = dataclasses.field(init=False)
-    monitors: dict = dataclasses.field(init=False)
+    # (alpha, A, B, C) of the closed form, fixed by the start
+    _coeffs: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         start = np.concatenate([self.Y0, self.U0, [self.E, self.g]])
         if not (np.all(np.isfinite(start)) and 0.0 < self.tau_end < np.inf):
             raise ValueError(f"the unfold needs finite (Y0, U0, E, g) and "
                              f"0 < tau_end < inf, got {start}, {self.tau_end}")
+        g = self.g
+        object.__setattr__(self, "_coeffs", (
+            -2.0 * g * g * self.E,
+            float(self.Y0 @ self.Y0),
+            g * float(self.Y0 @ self.U0),
+            g * g * float(self.U0 @ self.U0),
+        ))
         times = np.linspace(0.0, float(self.tau_end), int(self.n_samples) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             states = self.eval(times)
@@ -252,32 +270,31 @@ class OscillatorFlow:
                 f"the closed-form flow overflows by tau = "
                 f"{times[np.argmin(finite)]:.6g}; tau_end = "
                 f"{self.tau_end:.6g} is too long for this orbit")
-        chart = states[:, :8]
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+
+    @functools.cached_property
+    def monitors(self) -> dict:
+        chart = self.states[:, :8]
         # the chart energy is 0/0 at Y = 0 itself, finite everywhere else
         with np.errstate(divide="ignore", invalid="ignore"):
-            monitors = {
+            return {
                 obs.name: obs.fn(chart)
                 for obs in (oscillator_invariant(self.E, self.k),
                             OBSERVABLES["h"], _chart_energy(self.k))
             }
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "monitors", monitors)
 
     def eval(self, tau):
         """States (Y, U, t), shape (..., 9), at tau (scalar or array)."""
         tau = np.asarray(tau, dtype=float)
         g, E = self.g, self.E
-        alpha = -2.0 * g * g * E
+        alpha, A, B, C = self._coeffs
         z = alpha * tau * tau
         c2, c3 = _stumpff(z)
         c = 1.0 - z * c2
         s = tau * (1.0 - z * c3)
         # 2 tau^3 c3(4z), by the double-angle identity 4 c3(4z) = c2 + c3 - z c2 c3
         S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
-        A = float(self.Y0 @ self.Y0)
-        B = g * float(self.Y0 @ self.U0)
-        C = g * g * float(self.U0 @ self.U0)
         t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
         c, s = c[..., None], s[..., None]
         return np.concatenate([c * self.Y0 + (g * s) * self.U0,
@@ -574,9 +591,9 @@ def kepler_period_from_unfold(result: UnfoldResult, tol: float = 1e-6) -> dict:
         tol,
         components=range(8),
     )
-    t_half = float(result.t_of(tau_period / 2.0))
-    t_full = float(result.t_of(tau_period))
-    return {"tau_period": tau_period, "t_half": t_half, "t_full": t_full}
+    t_half, t_full = result.t_of(np.array([tau_period / 2.0, tau_period]))
+    return {"tau_period": tau_period, "t_half": float(t_half),
+            "t_full": float(t_full)}
 
 
 # ---------------------------------------------------------------------------

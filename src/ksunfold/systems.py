@@ -34,7 +34,6 @@ __all__ = [
     "free3d_field",
     "conformal_kepler_field",
     "conformal_acceleration",
-    "conformal_acceleration_energy_form",
     "completed_oscillator_field",
     "reparametrized_field",
     "radial_reduced_field",
@@ -235,15 +234,6 @@ def conformal_acceleration(y, u, k=1.0):
         (u2 / r2 - k / (2.0 * r2**3))[..., None] * y
         - 2.0 * (uy / r2)[..., None] * u
     )
-
-
-def conformal_acceleration_energy_form(y, u, k=1.0):
-    """Same acceleration written through the energy:
-    F = (E/(2 R^4)) y - 2 ((u.y)/R^2) u."""
-    r2 = _r2(y)
-    uy = np.sum(u * y, axis=-1)
-    E = 2.0 * r2 * np.sum(u * u, axis=-1) - k / r2
-    return (E / (2.0 * r2**2))[..., None] * y - 2.0 * (uy / r2)[..., None] * u
 
 
 def conformal_kepler_field(k: float = 1.0, R_min: float = 1e-9) -> DynamicalSystem:

@@ -220,6 +220,18 @@ def test_demo_unknown_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_demo_without_a_name_exits_2_naming_the_argument(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["demo", "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == ("missing the demo name (positional argument "
+                              "DEMO); choose radial or calogero")
+    assert "--demo" not in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("demo", ["radial", "calogero"])
 @pytest.mark.parametrize("t_end", ["0", "-1"])
 def test_demo_non_positive_t_end_exits_2_naming_the_flag(

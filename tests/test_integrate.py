@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,16 +17,59 @@ from ksunfold import (
     completed_oscillator_field,
     find_return_time,
     integrate,
-    integrate_fixed,
     kepler_field,
     free3d_field,
     unfold_kepler,
 )
 from ksunfold.integrate import (
     _A, _B5, _CSV_BLOCK, _E, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _P, _SAFETY,
-    _safeguarded_newton,
+    _monitor_values, _safeguarded_newton,
 )
 from ksunfold.sampling import rng_from_seed
+
+
+def integrate_fixed(
+    system: DynamicalSystem,
+    s0,
+    t_end: float,
+    n_steps: int,
+    method: str = "rk4",
+    t0: float = 0.0,
+) -> Trajectory:
+    """Fixed-step integration (classical RK4 or the DP5 propagator without
+    step control): an order-verification and cross-check oracle."""
+    y = np.array(s0, dtype=float).reshape(-1)
+    f = system.rhs
+    h = (float(t_end) - t0) / int(n_steps)
+    ts = [t0]
+    ys = [y.copy()]
+    t = t0
+    for _ in range(int(n_steps)):
+        if method == "rk4":
+            k1 = f(y)
+            k2 = f(y + 0.5 * h * k1)
+            k3 = f(y + 0.5 * h * k2)
+            k4 = f(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        elif method == "dp5":
+            K = np.empty((6, y.size))
+            K[0] = f(y)
+            for i in range(1, 6):
+                K[i] = f(y + h * (_A[i, :i] @ K[:i]))
+            y = y + h * (_B5[:6] @ K)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        t = t0 + (len(ts)) * h
+        ts.append(t)
+        ys.append(y.copy())
+    states = np.array(ys)
+    return Trajectory(
+        times=np.array(ts),
+        states=states,
+        monitors=_monitor_values(system, None, states),
+        dense=None,
+        state_names=system.state_names,
+    )
 
 
 def _oscillator_exact(s0, t, E=-0.5):
@@ -297,6 +341,150 @@ def test_return_time_of_dp5_oscillator_matches_brentq():
     traj = integrate(osc, s0, 9.0)
     t_ret = find_return_time(traj, s0, tol=1e-6)
     assert abs(t_ret - _find_return_time_brentq(traj, s0, 1e-6)) <= 1e-12
+
+
+def _find_return_time_node_loop(traj, reference, tol, components=None):
+    """Oracle for find_return_time: its bracket scan as a loop over the
+    nodes, each bracket refined as find_return_time refines it."""
+    ref = np.asarray(reference, dtype=float).reshape(-1)
+    comp = np.arange(ref.size) if components is None else np.asarray(components)
+    refc = ref[comp]
+    dist_nodes = np.linalg.norm(traj.states[:, comp] - refc, axis=1)
+    w = traj.deriv(traj.times[int(np.argmin(dist_nodes))])[comp]
+    w = w / np.linalg.norm(w)
+    g_nodes = (traj.states[:, comp] - refc) @ w
+    departed = dist_nodes > max(4.0 * tol, 0.25 * float(np.max(dist_nodes)))
+    start = int(np.argmax(departed))
+
+    def fdf(t):
+        return ((traj.eval(t)[comp] - refc) @ w,
+                traj.deriv(t)[comp] @ w)
+
+    for i in range(start, len(traj.times) - 1):
+        g0, g1 = g_nodes[i], g_nodes[i + 1]
+        if g0 < 0.0 <= g1:
+            lo, hi = traj.times[i], traj.times[i + 1]
+            t_star = float(_safeguarded_newton(
+                fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), 1e-14))
+            if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
+                return t_star
+    raise ValueError("no return within the trajectory span")
+
+
+def _two_frequency_trajectory(t_end):
+    """DP5 run of two decoupled oscillators at frequencies 1 and 3: before
+    it returns at 2 pi it crosses the return hyperplane twice, far from the
+    start."""
+    def rhs(s):
+        return np.concatenate([s[..., 2:], -np.array([1.0, 9.0]) * s[..., :2]],
+                              axis=-1)
+
+    s0 = np.array([1.0, 0.3, 0.0, 1.5])
+    return integrate(DynamicalSystem("two-frequency", 4, rhs=rhs), s0,
+                     t_end), s0
+
+
+@functools.cache
+def _return_cases():
+    two, s0 = _two_frequency_trajectory(1.3 * 2 * np.pi)
+    osc = completed_oscillator_field(E=-0.5)
+    o0 = np.array([1.0, 0.3, 0.5, 0.0, 0.0, 1.0, 0.0, -0.2])
+    cases = {
+        "dp5-two-frequency": (two, s0, None),
+        "dp5-oscillator": (integrate(osc, o0, 9.0), o0, None),
+    }
+    for orbit in ("circular", "e0.9"):
+        p0 = _RETURN_ORBITS[orbit]
+        a = 1.0 / (2.0 / np.linalg.norm(p0[:3]) - p0[3:] @ p0[3:])
+        cases[f"dp5-kepler-{orbit}"] = (
+            integrate(kepler_field(), p0, 1.2 * 2 * np.pi * a**1.5), p0, None)
+        E = 0.5 * p0[3:] @ p0[3:] - 1.0 / np.linalg.norm(p0[:3])
+        up = unfold_kepler(p0, 2.2 * 2 * np.pi / np.sqrt(-2 * E),
+                           compare=False).upstairs
+        cases[f"flow-{orbit}"] = (up, up.states[0], range(8))
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "dp5-kepler-circular", "dp5-kepler-e0.9", "dp5-oscillator",
+    "dp5-two-frequency", "flow-circular", "flow-e0.9",
+])
+def test_return_time_scan_equals_the_node_loop(case):
+    traj, ref, comp = _return_cases()[case]
+    t_ret = find_return_time(traj, ref, 1e-6, components=comp)
+    assert t_ret == _find_return_time_node_loop(traj, ref, 1e-6,
+                                                components=comp)
+
+
+def test_return_time_skips_a_crossing_that_misses_tol():
+    traj, s0 = _return_cases()["dp5-two-frequency"][:2]
+    w = traj.deriv(0.0) / np.linalg.norm(traj.deriv(0.0))
+    g = (traj.states - s0) @ w
+    up = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+    far = np.linalg.norm(traj.states[up] - s0, axis=1) > 1.0
+    assert far[0] and not far.all()  # a far crossing comes first
+    t_ret = find_return_time(traj, s0, 1e-6)
+    assert t_ret == _find_return_time_node_loop(traj, s0, 1e-6)
+    assert abs(t_ret - 2.0 * np.pi) < 1e-8
+
+
+class _Polygon:
+    """A path through 2-D nodes at times 0, 1, 2, ..., linear between
+    them: the `times`, `states`, `eval` and `deriv` find_return_time uses."""
+
+    def __init__(self, nodes):
+        self.states = np.asarray(nodes, dtype=float)
+        self.times = np.arange(len(self.states), dtype=float)
+
+    def _segment(self, t):
+        return int(np.clip(np.floor(t), 0, len(self.times) - 2))
+
+    def eval(self, t):
+        i = self._segment(t)
+        return self.states[i] + (t - i) * (self.states[i + 1] - self.states[i])
+
+    def deriv(self, t):
+        i = self._segment(t)
+        return self.states[i + 1] - self.states[i]
+
+
+# the return hyperplane is y = 0 and nodes lie on it exactly: node 4 far
+# from the start and node 8 at it, each reached from y < 0; or node 4 at the
+# start but reached from y > 0, which is no crossing, and node 7 from y < 0
+_POLYGONS = {
+    "far-node-first": ([[0, 0], [0, 1], [1, 1], [1, -1], [1, 0], [1, 1],
+                        [0, 1], [0, -1], [0, 0], [0, 1]], 8.0),
+    "touch-from-above": ([[0, 0], [0, 2], [2, 2], [1, 1], [0, 0], [-1, 1],
+                          [-1, -1], [0, 0], [0, 1]], 7.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POLYGONS))
+def test_return_time_brackets_nodes_on_the_hyperplane(case):
+    nodes, t_want = _POLYGONS[case]
+    path = _Polygon(nodes)
+    t_ret = find_return_time(path, [0.0, 0.0], 1e-6)
+    assert t_ret == _find_return_time_node_loop(path, [0.0, 0.0], 1e-6)
+    assert t_ret == t_want
+
+
+def _no_return_cases():
+    free = integrate(free3d_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 5.0)
+    up = unfold_kepler(_RETURN_ORBITS["circular"], 0.6 * 2 * np.pi,
+                       compare=False).upstairs
+    return {"dp5-free": (free, free.states[0], None),
+            "flow-short-span": (up, up.states[0], range(8))}
+
+
+@pytest.mark.parametrize("case", ["dp5-free", "flow-short-span"])
+def test_return_time_without_a_crossing_raises_like_the_node_loop(case):
+    traj, ref, comp = _no_return_cases()[case]
+    with pytest.raises(ValueError) as oracle:
+        _find_return_time_node_loop(traj, ref, 1e-6, components=comp)
+    with pytest.raises(ValueError) as got:
+        find_return_time(traj, ref, 1e-6, components=comp)
+    assert str(got.value) == str(oracle.value) == (
+        "no return within the trajectory span")
 
 
 def test_safeguarded_newton_bisects_where_newton_leaves_the_bracket():

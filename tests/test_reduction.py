@@ -273,6 +273,141 @@ def test_closed_form_flow_matches_dp5_oracle(orbit):
     assert np.array_equal(up.eval(up.times[7]), up.states[7])
 
 
+def _stumpff_all_branches(z):
+    """Oracle for reduction._stumpff: the series, cos/sin and cosh/sinh
+    forms on every element (each branch fed 0 or 1 where another applies),
+    one result picked per element by np.where."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)[..., None]
+    series = reduction._STUMPFF_SERIES[0]
+    for coeff in reduction._STUMPFF_SERIES[1:]:
+        series = coeff - zs * series
+    w = np.sqrt(np.abs(np.where(small, 1.0, z)))
+    ell = z > 0.0
+    wc, wh = np.where(ell, w, 0.0), np.where(ell, 0.0, w)
+    c2 = np.where(ell, 1.0 - np.cos(wc), np.cosh(wh) - 1.0) / (w * w)
+    c3 = np.where(ell, wc - np.sin(wc), np.sinh(wh) - wh) / (w * w * w)
+    return (np.where(small, series[..., 0], c2),
+            np.where(small, series[..., 1], c3))
+
+
+def _flow_eval_oracle(up, tau):
+    """Oracle for OscillatorFlow.eval: the closed form with the all-branch
+    Stumpff functions and the constants formed on every call."""
+    tau = np.asarray(tau, dtype=float)
+    g, E = up.g, up.E
+    alpha = -2.0 * g * g * E
+    z = alpha * tau * tau
+    c2, c3 = _stumpff_all_branches(z)
+    c = 1.0 - z * c2
+    s = tau * (1.0 - z * c3)
+    S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
+    A = float(up.Y0 @ up.Y0)
+    B = g * float(up.Y0 @ up.U0)
+    C = g * g * float(up.U0 @ up.U0)
+    t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
+    c, s = c[..., None], s[..., None]
+    return np.concatenate([c * up.Y0 + (g * s) * up.U0,
+                           c * up.U0 + (2.0 * g * E * s) * up.Y0,
+                           t[..., None]], axis=-1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_STUMPFF_EDGES = np.array([
+    0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+    1e3, -1e3, np.inf, -np.inf, np.nan,
+])
+
+
+def _stumpff_arguments(case):
+    rng = rng_from_seed(29)
+    return {
+        "series": rng.uniform(-1.0, 1.0, 400),
+        "trig": rng.uniform(1.0, 400.0, 400),
+        "hyperbolic": rng.uniform(-400.0, -1.0, 400),
+        "mixed": rng.uniform(-60.0, 60.0, 400),
+        "mixed-2d": rng.uniform(-3.0, 3.0, (20, 30)),
+        "edges": _STUMPFF_EDGES,
+        "edges-2d": np.tile(_STUMPFF_EDGES, (3, 1)).T,
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["series", "trig", "hyperbolic", "mixed",
+                                  "mixed-2d", "edges", "edges-2d"])
+def test_stumpff_is_bit_equal_to_the_all_branch_oracle(case):
+    z = _stumpff_arguments(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = reduction._stumpff(z), _stumpff_all_branches(z)
+        scalars = [(reduction._stumpff(v), _stumpff_all_branches(v))
+                   for v in z.reshape(-1)[:50]]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == z.shape
+        assert np.array_equal(_bits(g), _bits(w))
+    # 0-d inputs, one element at a time
+    for pair_got, pair_want in scalars:
+        for g, w in zip(pair_got, pair_want):
+            assert np.ndim(g) == np.ndim(w) == 0
+            assert _bits(g) == _bits(w)
+
+
+@pytest.mark.parametrize("orbit", sorted(_FLOW_ORBITS))
+def test_flow_eval_reproduces_every_node_bit_for_bit(orbit):
+    p0, tau_end, scaling = _FLOW_ORBITS[orbit]
+    up = unfold_kepler(np.array(p0), tau_end, scaling=scaling_preset(scaling),
+                       compare=False).upstairs
+    assert np.array_equal(_bits(up.eval(up.times)), _bits(up.states))
+    assert np.array_equal(_bits(_flow_eval_oracle(up, up.times)),
+                          _bits(up.states))
+    for i, tau in enumerate(up.times):
+        assert np.array_equal(_bits(up.eval(tau)), _bits(up.states[i]))
+    # off the nodes, one point and many at once, against the oracle
+    taus = np.linspace(-0.3 * tau_end, 1.3 * tau_end, 97)
+    assert np.array_equal(_bits(up.eval(taus)),
+                          _bits(_flow_eval_oracle(up, taus)))
+    for tau in taus[::8]:
+        assert np.array_equal(_bits(up.eval(tau)),
+                              _bits(_flow_eval_oracle(up, tau)))
+
+
+def _eager_monitors(up):
+    """The monitors as the flow formed them when it was built."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {obs.name: obs.fn(up.states[:, :8])
+                for obs in (reduction.oscillator_invariant(up.E, up.k),
+                            OBSERVABLES["h"], reduction._chart_energy(up.k))}
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_flow_monitors_are_computed_once_on_first_read(monkeypatch, k):
+    built = []
+    chart_energy = reduction._chart_energy
+
+    def counting(k):
+        built.append(k)
+        return chart_energy(k)
+
+    monkeypatch.setattr(reduction, "_chart_energy", counting)
+    res = unfold_kepler(np.array([1.0, 0, 0, 0, 0.8, 0]), 10.0, k=k,
+                        compare=False)
+    periods = kepler_period_from_unfold(res)
+    assert periods["tau_period"] > 0.0
+    up = res.upstairs
+    assert built == [] and "monitors" not in vars(up)
+    monitors = up.monitors
+    assert built == [k]
+    assert up.monitors is monitors
+    assert built == [k]
+    monkeypatch.setattr(reduction, "_chart_energy", chart_energy)
+    want = _eager_monitors(up)
+    assert list(monitors) == list(want)
+    for name, values in want.items():
+        assert np.array_equal(_bits(monitors[name]), _bits(values))
+
+
 def test_unfold_monitors_at_force_constant_two():
     res = unfold_kepler(np.array([1.0, 0, 0, 0, 1.2, 0]), 3.0, k=2.0)
     assert res.divergence["max_position_divergence"] < 1e-7
