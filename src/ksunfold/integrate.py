@@ -259,6 +259,11 @@ def _encode_rows(block):
     return out[out != 0]
 
 
+def _require_finite_positive(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
@@ -268,8 +273,13 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _require_finite_positive("rel_tol", self.rel_tol)
+        _require_finite_positive("abs_tol", self.abs_tol)
+        if self.initial_step is not None:
+            _require_finite_positive("initial_step", self.initial_step)
+        if not self.max_step > 0:  # NaN fails too; inf means no limit
+            raise ValueError(f"max_step must be positive (inf for no limit), "
+                             f"got {self.max_step!r}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -322,16 +332,22 @@ class Trajectory:
     def eval(self, t):
         """Dense-output states at times t (scalar or array) inside the span."""
         idx, theta, _ = self._locate(t)
-        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
-        return self.states[idx] + np.einsum("...dm,...m->...d",
-                                            self.dense[idx], powers)
+        return self._value(idx, theta, self.dense[idx])
 
     def deriv(self, t):
         """Time derivative of the interpolant at times t inside the span."""
         idx, theta, h = self._locate(t)
-        dpow = np.stack([np.ones_like(theta), 2 * theta, 3 * theta**2,
-                         4 * theta**3], axis=-1)
-        return np.einsum("...dm,...m->...d", self.dense[idx], dpow) / h[..., None]
+        return _slope(theta, h, self.dense[idx])
+
+    def eval_and_deriv(self, t):
+        """(`eval(t)`, `deriv(t)`), locating t and indexing `dense` once."""
+        idx, theta, h = self._locate(t)
+        coeffs = self.dense[idx]
+        return self._value(idx, theta, coeffs), _slope(theta, h, coeffs)
+
+    def _value(self, idx, theta, coeffs):
+        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
+        return self.states[idx] + np.einsum("...dm,...m->...d", coeffs, powers)
 
     def to_csv(self, path):
         """State and monitor columns at accepted steps, 17 significant digits."""
@@ -341,6 +357,13 @@ class Trajectory:
         write_table(path, ["t", *names, *self.monitors],
                     np.column_stack([self.times, self.states,
                                      *self.monitors.values()]))
+
+
+def _slope(theta, h, coeffs):
+    """d/dt of the quartic interpolants `coeffs` at theta, steps of length h."""
+    dpow = np.stack([np.ones_like(theta), 2 * theta, 3 * theta**2,
+                     4 * theta**3], axis=-1)
+    return np.einsum("...dm,...m->...d", coeffs, dpow) / h[..., None]
 
 
 def _monitor_values(system, monitors, states):
@@ -394,7 +417,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate ds/dt = rhs(s) from t0 to t_end with the DP5(4) pair."""
     cfg = config or IntegratorConfig()
-    t_end = float(t_end)
+    t0, t_end = float(t0), float(t_end)
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= t0:
@@ -407,6 +432,7 @@ def integrate(
     k0 = f(y)  # a bad initial state surfaces immediately
 
     h, probe_failed = _initial_step(f, y, k0, t_end - t0, cfg)
+    h = float(h)  # not a NumPy scalar: the step arithmetic stays in floats
     nfev = 1 + (cfg.initial_step is None)
     rejected = 0
     retries = int(probe_failed)
@@ -417,7 +443,7 @@ def integrate(
     # each stage row with the view of K it combines; views stay current
     stages = [(row, K[:i]) for i, row in enumerate(_STAGES, 1)]
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    abs_y = np.abs(y)
+    abs_y = [abs(v) for v in y.tolist()]
     attempts = 0
     last_domain_error = None
 
@@ -447,10 +473,24 @@ def integrate(
             last_domain_error = exc
             continue
         nfev += 6
-        abs_new = np.abs(y_new)
-        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
-        z = (h_step * _E.dot(K)) / scale
-        err = math.sqrt(np.add.reduce(z * z) / z.size)
+        # the error norm in Python floats with NumPy's roundings: m is
+        # np.maximum (NaN if either is), each z_i is formed as in the
+        # array expression, and np.add.reduce sums the squares in its own
+        # order (pairwise from 8 terms on)
+        e = _E.dot(K)
+        abs_new = [abs(v) for v in y_new.tolist()]
+        zsq = []
+        for a, b, ei in zip(abs_y, abs_new, e.tolist()):
+            z = (h_step * ei) / (abs_tol + rel_tol * (
+                a if a >= b or a != a else b))
+            zsq.append(z * z)
+        err = math.sqrt(np.add.reduce(np.array(zsq)) / len(zsq))
+        if not err < math.inf:
+            # overflow or NaN: the array expression gives the same value
+            # and raises NumPy's warnings
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            z = (h_step * e) / scale
+            err = math.sqrt(np.add.reduce(z * z) / z.size)
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
             dense.append(h_step * K.T.dot(_P))
@@ -487,12 +527,13 @@ def find_return_time(
     `reference` (optionally comparing only the listed state components).
 
     `traj` is a dense `Trajectory` or any flow with the same `times`,
-    `states`, `eval` and `deriv` (such as the closed-form unfold flow).
+    `states`, `eval` and `deriv` (such as the closed-form unfold flow), and
+    optionally `eval_and_deriv`, which the Newton iterations then call.
     Detection: the trajectory must first leave a neighbourhood of the
     reference; afterwards, crossings of the hyperplane through the reference
     normal to the flow direction there are bracketed on the node grid
-    and refined by `_safeguarded_newton` on `eval` and `deriv`, from the
-    secant point of the bracket.
+    and refined by `_safeguarded_newton` on the state and its derivative,
+    from the secant point of the bracket.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1)
     comp = np.arange(ref.size) if components is None else np.asarray(components)
@@ -513,9 +554,13 @@ def find_return_time(
         raise ValueError("trajectory never leaves the reference neighbourhood")
     start = int(np.argmax(departed))
 
+    # one evaluation of the flow per Newton iteration, where it offers both
+    eval_and_deriv = getattr(traj, "eval_and_deriv", None) or (
+        lambda t: (traj.eval(t), traj.deriv(t)))
+
     def fdf(t):
-        return ((traj.eval(t)[comp] - refc) @ w,
-                traj.deriv(t)[comp] @ w)
+        state, slope = eval_and_deriv(t)
+        return (state[comp] - refc) @ w, slope[comp] @ w
 
     # brackets g0 < 0 <= g1 on the nodes from `start` on, in order
     crossings = start + np.flatnonzero((g_nodes[start:-1] < 0.0)

@@ -303,7 +303,14 @@ class OscillatorFlow:
 
     def deriv(self, tau):
         """d(Y, U, t)/dtau at tau, from the vector field itself."""
+        return self._field(self.eval(tau))
+
+    def eval_and_deriv(self, tau):
+        """(`eval(tau)`, `deriv(tau)`) from one closed-form evaluation."""
         state = self.eval(tau)
+        return state, self._field(state)
+
+    def _field(self, state):
         Y, U = state[..., :4], state[..., 4:8]
         r2 = np.sum(Y * Y, axis=-1, keepdims=True)
         return np.concatenate([self.g * U, (2.0 * self.g * self.E) * Y,

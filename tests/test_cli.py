@@ -84,6 +84,20 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     assert 0.0 < err["t"] < 2.0
 
 
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "0"),
+                                         ("--abs-tol", "-1e-12")])
+def test_simulate_non_positive_tolerance_exits_2_naming_it(
+        tmp_path, capsys, flag, value):
+    code = run(["simulate", "--system", "kepler", "--x", "1,0,0",
+                "--v", "0,1,0", "--t-end", "1.0", f"{flag}={value}",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(
+        f"{flag[2:].replace('-', '_')} must be finite and positive")
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_inadmissible_state_exits_2(tmp_path, capsys):
     code = run(["simulate", "--system", "kepler", "--x", "0,0,0",
                 "--v", "0,1,0", "--t-end", "1.0", "--out-dir", str(tmp_path)])

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import functools
+import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from ksunfold import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    calogero_moser_field,
     completed_oscillator_field,
+    conformal_kepler_field,
     find_return_time,
     integrate,
     kepler_field,
@@ -25,7 +29,11 @@ from ksunfold.integrate import (
     _A, _B5, _CSV_BLOCK, _E, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _P, _SAFETY,
     _monitor_values, _safeguarded_newton,
 )
-from ksunfold.sampling import rng_from_seed
+from ksunfold.reduction import OscillatorFlow
+from ksunfold.sampling import rng_from_seed, sample_states_sigma0
+
+# the module; the package exports its `integrate` function under that name
+integrate_module = importlib.import_module("ksunfold.integrate")
 
 
 def integrate_fixed(
@@ -226,6 +234,31 @@ def test_config_validation():
         integrate(free3d_field(), np.zeros(6), 0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    (name, value)
+    for name in ("rel_tol", "abs_tol", "initial_step")
+    for value in (np.nan, 0.0, -1e-3, np.inf, -np.inf)
+] + [("max_step", value) for value in (np.nan, 0.0, -1e-3, -np.inf)])
+def test_config_rejects_a_bad_field_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be .*positive"):
+        IntegratorConfig(**{name: value})
+
+
+def test_config_accepts_an_unlimited_max_step():
+    traj = integrate(kepler_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0,
+                     config=IntegratorConfig(max_step=np.inf, initial_step=0.1))
+    assert traj.t1 == 1.0
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_non_finite_t0_raises_before_any_rhs_call(t0):
+    counted = _Counted(kepler_field().rhs)
+    with pytest.raises(ValueError, match="^t0 must be finite"):
+        integrate(DynamicalSystem("kepler", 6, rhs=counted),
+                  np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0, t0=t0)
+    assert counted.calls == 0
+
+
 @pytest.mark.parametrize("s0, t_end", [
     ([1.0, 0.0, 0.0, np.inf, 1.0, 0.0], 1.0),
     ([np.nan, 0.0, 0.0, 0.0, 1.0, 0.0], 1.0),
@@ -414,6 +447,53 @@ def test_return_time_scan_equals_the_node_loop(case):
     t_ret = find_return_time(traj, ref, 1e-6, components=comp)
     assert t_ret == _find_return_time_node_loop(traj, ref, 1e-6,
                                                 components=comp)
+
+
+@pytest.mark.parametrize("case", [
+    "dp5-kepler-circular", "dp5-kepler-e0.9", "dp5-two-frequency",
+    "flow-circular", "flow-e0.9",
+])
+def test_return_time_evaluates_the_flow_once_per_newton_iteration(
+        case, monkeypatch):
+    traj, ref, comp = _return_cases()[case]
+    t_want = find_return_time(traj, ref, 1e-6, components=comp)
+    # one evaluation: a closed-form `eval`, or a dense `_locate` (which
+    # both `eval` and `deriv` of a Trajectory start with)
+    cls = type(traj)
+    name = "eval" if cls is OscillatorFlow else "_locate"
+    evaluate = getattr(cls, name)
+    counts = {"evaluations": 0, "iterations": 0}
+
+    def counted(self, t):
+        counts["evaluations"] += 1
+        return evaluate(self, t)
+
+    def counted_newton(fdf, *args):
+        def counted_fdf(x):
+            before = counts["evaluations"]
+            out = fdf(x)
+            assert counts["evaluations"] == before + 1
+            counts["iterations"] += 1
+            return out
+
+        return _safeguarded_newton(counted_fdf, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(integrate_module, "_safeguarded_newton",
+                        counted_newton)
+    assert find_return_time(traj, ref, 1e-6, components=comp) == t_want
+    assert counts["iterations"] > 0
+
+
+@pytest.mark.parametrize("case", ["dp5-kepler-e0.9", "flow-e0.9"])
+def test_eval_and_deriv_equals_eval_and_deriv_bit_for_bit(case):
+    traj = _return_cases()[case][0]
+    nodes = traj.times
+    inside = nodes[:-1] + 0.37 * np.diff(nodes)
+    for t in (nodes, inside, nodes[5], inside[7], float(inside[-1])):
+        state, slope = traj.eval_and_deriv(t)
+        assert np.array_equal(state, traj.eval(t))
+        assert np.array_equal(slope, traj.deriv(t))
 
 
 def test_return_time_skips_a_crossing_that_misses_tol():
@@ -820,3 +900,163 @@ def test_kepler_rhs_matches_oracle_bit_for_bit():
     assert np.array_equal(rhs(nan_batch), _kepler_rhs_oracle(nan_batch),
                           equal_nan=True)
     assert np.isnan(rhs(nan_batch[0])).all()
+
+
+def _bits(a):
+    """The float64 bit patterns of an array: NaN payloads and -0.0 count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _outcome(f, s):
+    """f(s), or the DomainError it raised, with every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = f(s)
+        except DomainError as exc:
+            out = exc
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_outcome(f, oracle, s):
+    got, got_warnings = _outcome(f, s)
+    want, want_warnings = _outcome(oracle, s)
+    assert got_warnings == want_warnings
+    if isinstance(want, DomainError):
+        assert isinstance(got, DomainError) and str(got) == str(want)
+    else:
+        assert not isinstance(got, DomainError)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_kepler_rhs_single_states_match_oracle_bit_for_bit(k):
+    # 1e5 single states, positions and velocities each scaled by 1e-4..1e4
+    rhs = kepler_field(k=k).rhs
+    rng = rng_from_seed(31)
+    n = 100_000
+    states = rng.normal(size=(n, 6)) * np.repeat(
+        10.0 ** rng.uniform(-4.0, 4.0, (n, 2)), 3, axis=1)
+    want = _kepler_rhs_oracle(states, k=k)
+    got = np.array([rhs(s) for s in states])
+    assert np.array_equal(_bits(got), _bits(want))
+    # the batched oracle is the single-state oracle row by row
+    for s, row in zip(states[:2000], want):
+        assert np.array_equal(_bits(_kepler_rhs_oracle(s, k=k)), _bits(row))
+
+
+def _edge_states():
+    """(name, r_min, state) at the boundaries of the single-state path."""
+    v = [0.3, -0.2, 1.0]
+    x = np.array([0.6, -1.3, 0.25])
+    r = float(np.linalg.norm(x))
+    below = np.nextafter(1e-12, 0.0)
+    return [
+        ("r == r_min", 1e-12, np.array([1e-12, 0.0, 0.0, *v])),
+        ("r just below r_min", 1e-12, np.array([below, 0.0, 0.0, *v])),
+        ("r == r_min, 3 terms", r, np.array([*x, *v])),
+        ("r just below r_min, 3 terms", np.nextafter(r, np.inf),
+         np.array([*x, *v])),
+        ("x == 0, r_min == 0", 0.0, np.array([0.0, 0.0, 0.0, *v])),
+        ("x == -0, r_min == 0", 0.0, np.array([-0.0, 0.0, -0.0, *v])),
+        ("r^3 underflows to 0", 0.0, np.array([1e-120, -2e-120, 3e-120, *v])),
+        ("r^3 subnormal", 0.0, np.array([1e-105, -2e-105, 3e-106, *v])),
+        ("r^3 overflows", 1e-12, np.array([1e200, -3e200, 2e199, *v])),
+        ("r^3 near overflow", 1e-12, np.array([3e102, -1e102, 2e102, *v])),
+        ("r^3 overflows, r finite", 1e-12, np.array([1e110, -3e110, 0.0, *v])),
+        ("r near 1e100", 1e-12, np.array([1e100, 0.0, 0.0, *v])),
+        ("r near 1e-100", 0.0, np.array([1e-100, 0.0, 0.0, *v])),
+        ("x_i^2 underflows", 1e-12, np.array([1.0, 1e-200, -1e-170, *v])),
+        ("NaN position", 1e-12, np.array([np.nan, 0.5, 0.0, *v])),
+        ("NaN velocity", 1e-12, np.array([1.0, 0.5, 0.0, np.nan, 0.0, 1.0])),
+        ("+inf position", 1e-12, np.array([np.inf, 0.5, 0.0, *v])),
+        ("-inf position", 1e-12, np.array([1.0, -np.inf, 0.0, *v])),
+        ("inf and NaN position", 1e-12, np.array([np.inf, np.nan, 0.0, *v])),
+        ("inf velocity", 1e-12, np.array([1.0, 0.5, 0.0, 0.0, -np.inf, 1.0])),
+        ("list", 1e-12, [0.6, -1.3, 0.25, *v]),
+        ("list below r_min", 1e-12, [1e-13, 0.0, 0.0, *v]),
+        ("float32", 1e-12, np.array([0.6, -1.3, 0.25, *v], dtype=np.float32)),
+        ("big-endian float64", 1e-12, np.array([*x, *v], dtype=">f8")),
+        ("int64", 1e-12, np.array([1, 2, -2, 0, 1, 0])),
+        ("non-contiguous", 1e-12,
+         np.array([*x, *v, *x, *v]).reshape(2, 6).T.copy()[:, 0]),
+        ("strided view", 1e-12, np.repeat(np.array([*x, *v]), 2)[::2]),
+        ("one-row batch", 1e-12, np.array([[*x, *v]])),
+    ]
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, -3.0, 1e100, 1e101, 1e300])
+@pytest.mark.parametrize("name, r_min, state", _edge_states(),
+                         ids=[case[0] for case in _edge_states()])
+def test_kepler_rhs_edge_states_match_oracle(name, r_min, state, k):
+    _assert_same_outcome(kepler_field(k=k, r_min=r_min).rhs,
+                         lambda s: _kepler_rhs_oracle(s, k=k, r_min=r_min),
+                         state)
+
+
+def _assert_stepper_matches_oracle(system, s0, t_end, cfg):
+    counted = _Counted(system.rhs)
+    traj = integrate(dataclasses.replace(system, rhs=counted), s0, t_end,
+                     config=cfg)
+    times, states, dense = _integrate_oracle(system.rhs, s0, t_end, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.dense, dense)
+    assert traj.stats == {
+        "rhs_evals": counted.calls,
+        "rejected_steps": counted.full_attempts - (len(times) - 1),
+        "domain_retries": counted.domain_errors,
+    }
+
+
+@pytest.mark.parametrize("e", [0.0, 0.6, 0.9])
+def test_stepper_matches_oracle_over_ten_periods(e):
+    # the simulate workload's runs: ten periods at rel_tol 1e-11
+    s0 = np.array([1.0 + e, 0, 0, 0, np.sqrt((1.0 - e) / (1.0 + e)), 0])
+    _assert_stepper_matches_oracle(kepler_field(), s0, 20 * np.pi,
+                                   IntegratorConfig(rel_tol=1e-11))
+
+
+@pytest.mark.parametrize("system, s0, t_end", [
+    (calogero_moser_field(1.0 / np.sqrt(2.0)),
+     np.array([0.0, 1.0, 0.3, -0.4]), 6.0),
+    (conformal_kepler_field(), sample_states_sigma0(1, seed=17)[0], 4.0),
+], ids=["calogero-4", "conformal-8"])
+def test_stepper_matches_oracle_in_other_dimensions(system, s0, t_end):
+    # NumPy sums the 8 squares of the 8-dim error norm pairwise
+    _assert_stepper_matches_oracle(system, s0, t_end,
+                                   IntegratorConfig(rel_tol=1e-10))
+
+
+@pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan, -1e300])
+def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
+    # an oscillator whose rhs turns non-finite (or overflows the error
+    # estimate) past s0 = 0.9: every step that reaches there is rejected
+    # until the step underflows
+    def rhs(s):
+        out = np.array([s[1], -s[0]])
+        if s[0] > 0.9:
+            out[1] = value
+        return out
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationError) as exc:
+                fn()
+        # the loop forms products with ndarray.dot and squares with z * z
+        # where the oracle uses @ and ** 2: the same arithmetic, under other
+        # names in NumPy's warnings
+        return exc.value, [(w.category, str(w.message).replace(
+            "matmul", "dot").replace("square", "multiply")) for w in caught]
+
+    s0, cfg = np.array([0.0, 1.0]), IntegratorConfig()
+    counted = _Counted(rhs)
+    new, new_warnings = run(lambda: integrate(
+        DynamicalSystem("osc", 2, rhs=counted), s0, 3.0, config=cfg))
+    old, old_warnings = run(lambda: _integrate_oracle(rhs, s0, 3.0, cfg))
+    assert new_warnings == old_warnings
+    assert (value == value) == bool(old_warnings)  # NaN raises none
+    assert new.t == old.t and np.array_equal(new.state, old.state)
+    assert str(new).startswith(f"{old} (rhs_evals={counted.calls}, ")
