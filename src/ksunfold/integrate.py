@@ -432,7 +432,6 @@ def integrate(
     k0 = f(y)  # a bad initial state surfaces immediately
 
     h, probe_failed = _initial_step(f, y, k0, t_end - t0, cfg)
-    h = float(h)  # not a NumPy scalar: the step arithmetic stays in floats
     nfev = 1 + (cfg.initial_step is None)
     rejected = 0
     retries = int(probe_failed)
@@ -443,7 +442,7 @@ def integrate(
     # each stage row with the view of K it combines; views stay current
     stages = [(row, K[:i]) for i, row in enumerate(_STAGES, 1)]
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    abs_y = [abs(v) for v in y.tolist()]
+    abs_y = np.abs(y)
     attempts = 0
     last_domain_error = None
 
@@ -473,24 +472,10 @@ def integrate(
             last_domain_error = exc
             continue
         nfev += 6
-        # the error norm in Python floats with NumPy's roundings: m is
-        # np.maximum (NaN if either is), each z_i is formed as in the
-        # array expression, and np.add.reduce sums the squares in its own
-        # order (pairwise from 8 terms on)
-        e = _E.dot(K)
-        abs_new = [abs(v) for v in y_new.tolist()]
-        zsq = []
-        for a, b, ei in zip(abs_y, abs_new, e.tolist()):
-            z = (h_step * ei) / (abs_tol + rel_tol * (
-                a if a >= b or a != a else b))
-            zsq.append(z * z)
-        err = math.sqrt(np.add.reduce(np.array(zsq)) / len(zsq))
-        if not err < math.inf:
-            # overflow or NaN: the array expression gives the same value
-            # and raises NumPy's warnings
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            z = (h_step * e) / scale
-            err = math.sqrt(np.add.reduce(z * z) / z.size)
+        abs_new = np.abs(y_new)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        z = (h_step * _E.dot(K)) / scale
+        err = math.sqrt(np.add.reduce(z * z) / z.size)
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
             dense.append(h_step * K.T.dot(_P))
@@ -527,8 +512,8 @@ def find_return_time(
     `reference` (optionally comparing only the listed state components).
 
     `traj` is a dense `Trajectory` or any flow with the same `times`,
-    `states`, `eval` and `deriv` (such as the closed-form unfold flow), and
-    optionally `eval_and_deriv`, which the Newton iterations then call.
+    `states`, `eval`, `deriv` and `eval_and_deriv` (such as the closed-form
+    unfold flow); each Newton iteration calls `eval_and_deriv` once.
     Detection: the trajectory must first leave a neighbourhood of the
     reference; afterwards, crossings of the hyperplane through the reference
     normal to the flow direction there are bracketed on the node grid
@@ -554,12 +539,8 @@ def find_return_time(
         raise ValueError("trajectory never leaves the reference neighbourhood")
     start = int(np.argmax(departed))
 
-    # one evaluation of the flow per Newton iteration, where it offers both
-    eval_and_deriv = getattr(traj, "eval_and_deriv", None) or (
-        lambda t: (traj.eval(t), traj.deriv(t)))
-
     def fdf(t):
-        state, slope = eval_and_deriv(t)
+        state, slope = traj.eval_and_deriv(t)  # one flow evaluation
         return (state[comp] - refc) @ w, slope[comp] @ w
 
     # brackets g0 < 0 <= g1 on the nodes from `start` on, in order

@@ -510,7 +510,8 @@ def test_return_time_skips_a_crossing_that_misses_tol():
 
 class _Polygon:
     """A path through 2-D nodes at times 0, 1, 2, ..., linear between
-    them: the `times`, `states`, `eval` and `deriv` find_return_time uses."""
+    them: the `times`, `states`, `eval`, `deriv` and `eval_and_deriv`
+    find_return_time uses."""
 
     def __init__(self, nodes):
         self.states = np.asarray(nodes, dtype=float)
@@ -526,6 +527,9 @@ class _Polygon:
     def deriv(self, t):
         i = self._segment(t)
         return self.states[i + 1] - self.states[i]
+
+    def eval_and_deriv(self, t):
+        return self.eval(t), self.deriv(t)
 
 
 # the return hyperplane is y = 0 and nodes lie on it exactly: node 4 far
@@ -1024,7 +1028,7 @@ def test_stepper_matches_oracle_over_ten_periods(e):
     (conformal_kepler_field(), sample_states_sigma0(1, seed=17)[0], 4.0),
 ], ids=["calogero-4", "conformal-8"])
 def test_stepper_matches_oracle_in_other_dimensions(system, s0, t_end):
-    # NumPy sums the 8 squares of the 8-dim error norm pairwise
+    # 4 and 8 states: NumPy sums the 8-dim error norm in pairwise order
     _assert_stepper_matches_oracle(system, s0, t_end,
                                    IntegratorConfig(rel_tol=1e-10))
 
