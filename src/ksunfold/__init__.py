@@ -45,6 +45,7 @@ from .systems import (
     free3d_field,
     kepler_field,
     observable,
+    observables,
     oscillator_invariant,
     radial_reduced_field,
     reparametrized_field,

@@ -288,7 +288,7 @@ def cmd_unfold(cfg: dict) -> int:
     try:
         scaling = scaling_preset(cfg.get("scaling", "unit"))
     except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(exc.args[0]) from None
     gauges = _parse_gauge(cfg.get("lam", 0.0))
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", "unfold")
@@ -400,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ksunfold",
         description="Kepler unfolding toolkit: simulate, unfold, verify, demo.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -411,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--abs-tol", dest="abs_tol")
         sp.add_argument("--max-steps", dest="max_steps")
 
-    sim = sub.add_parser("simulate", help="integrate a system, write CSV+JSON")
+    sim = sub.add_parser("simulate", help="integrate a system, write CSV+JSON",
+                         allow_abbrev=False)
     common(sim)
     sim.add_argument("--system")
     sim.add_argument("--x")
@@ -431,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--prefix")
     sim.set_defaults(func=cmd_simulate)
 
-    unf = sub.add_parser("unfold", help="lift, flow upstairs, project back")
+    unf = sub.add_parser("unfold", help="lift, flow upstairs, project back",
+                         allow_abbrev=False)
     common(unf)
     unf.add_argument("--x")
     unf.add_argument("--v")
@@ -444,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     unf.add_argument("--prefix")
     unf.set_defaults(func=cmd_unfold)
 
-    ver = sub.add_parser("verify", help="run a structure-constant suite")
+    ver = sub.add_parser("verify", help="run a structure-constant suite",
+                         allow_abbrev=False)
     common(ver)
     ver.add_argument("--suite")
     ver.add_argument("--samples")
@@ -452,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", help="also write the report to this file")
     ver.set_defaults(func=cmd_verify)
 
-    dem = sub.add_parser("demo", help="radial or calogero reduction demo")
+    dem = sub.add_parser("demo", help="radial or calogero reduction demo",
+                         allow_abbrev=False)
     common(dem)
     dem.add_argument("demo", nargs="?", metavar="DEMO",
                      help="radial or calogero")
@@ -466,7 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_json(exc: Exception, code: int) -> int:
-    payload = {"error": type(exc).__name__, "message": str(exc),
+    # str() of a KeyError is the repr of its message
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args \
+        else str(exc)
+    payload = {"error": type(exc).__name__, "message": message,
                "exit_code": code}
     t = getattr(exc, "t", None)
     if t is not None:

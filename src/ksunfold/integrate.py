@@ -401,9 +401,11 @@ def _stats(nfev, rejected, retries) -> dict:
             "domain_retries": retries}
 
 
-def _failure(message, t, y, stats) -> IntegrationError:
+def _failure(message, t, y, stats, nonfinite=0) -> IntegrationError:
     counts = ", ".join(f"{k}={v}" for k, v in stats.items())
-    return IntegrationError(f"{message} ({counts})", t=t, state=y,
+    note = (f"; rhs returned inf or NaN, or the error estimate overflowed, "
+            f"on {nonfinite} rejected attempts" if nonfinite else "")
+    return IntegrationError(f"{message} ({counts}){note}", t=t, state=y,
                             stats=stats)
 
 
@@ -444,19 +446,20 @@ def integrate(
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     abs_y = np.abs(y)
     attempts = 0
+    nonfinite = 0  # rejected attempts whose error norm was inf or NaN
     last_domain_error = None
 
     while t < t_end:
         attempts += 1
         if attempts > cfg.max_steps:
             raise _failure(f"step count exceeded max_steps={cfg.max_steps}",
-                           t, y, _stats(nfev, rejected, retries))
+                           t, y, _stats(nfev, rejected, retries), nonfinite)
         if h < _FLOOR_EPS * max(abs(t), 1.0):
             detail = (f": rhs domain error persisted ({last_domain_error})"
                       if last_domain_error is not None else "")
             raise _failure(
                 f"step size {h:.3g} underflowed at t={t:.6g}{detail}",
-                t, y, _stats(nfev, rejected, retries))
+                t, y, _stats(nfev, rejected, retries), nonfinite)
         h_eff = min(h, cfg.max_step)
         clamped = t + h_eff >= t_end
         h_step = t_end - t if clamped else h_eff
@@ -488,6 +491,7 @@ def integrate(
             h = h_step * factor
         else:
             rejected += 1
+            nonfinite += not math.isfinite(err)
             h = h_step * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
 
     times = np.array(ts)

@@ -541,7 +541,8 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
             break
         record["attempts"] += 1
         try:
-            traj = integrate(kepler, s0, t_cmp, config=cfg)
+            # nothing reads the leg's monitors
+            traj = integrate(kepler, s0, t_cmp, config=cfg, monitors=())
         except IntegrationError as exc:
             for key, count in exc.stats.items():
                 failed = f"failed_{key}"

@@ -27,8 +27,8 @@ from .systems import (
     OBSERVABLES,
     Observable,
     S_KS,
+    quadratic_observable,
     rescaled_runge_lenz,
-    scaled_observable,
 )
 
 __all__ = [
@@ -205,18 +205,6 @@ def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
 # ---------------------------------------------------------------------------
 # quadratic observables and the matrix <-> quadratic-form correspondence
 # ---------------------------------------------------------------------------
-
-def quadratic_observable(P: np.ndarray, name: str = "quadratic") -> Observable:
-    """f(s) = (1/2) s^T P s for symmetric P, with gradient P s."""
-    P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
-    d = P.shape[0]
-    return Observable(
-        name,
-        d,
-        fn=lambda s: 0.5 * np.einsum("...i,ij,...j->...", s, P, s),
-        grad=lambda s: s @ P.T,
-    )
-
 
 def bracket_matrix(P: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Coefficient matrix of {f_P, f_Q} for quadratics under a constant
@@ -397,50 +385,17 @@ def verify_structure_constants(
 def _eps_table(names_a, names_b, names_out, scale=None):
     """Pairs {a_i, b_j} = eps_ijk * scale * out_k for the three cyclic index
     triples, plus {a_i, b_i} = 0 when a and b are distinct families."""
-    table = {}
-    for i, j, k in EPS_CYCLES:
-        out = OBSERVABLES[names_out[k]] if isinstance(names_out[k], str) \
-            else names_out[k]
-        if scale is None:
-            table[(names_a[i], names_b[j])] = out
-        else:
-            table[(names_a[i], names_b[j])] = scaled_observable(
-                f"{scale.name}*{out.name}", out, scale
-            )
+    outs = [OBSERVABLES[n] if scale is None else scale * OBSERVABLES[n]
+            for n in names_out]
+    table = {(names_a[i], names_b[j]): outs[k] for i, j, k in EPS_CYCLES}
     if names_a != names_b:
         # mixed-family tables also pin the diagonal {a_i, b_i} = 0
         for i in range(3):
             table[(names_a[i], names_b[i])] = 0
         # and the anticyclic pairs, which -eps sends to -out
         for i, j, k in EPS_CYCLES:
-            out = OBSERVABLES[names_out[k]] if isinstance(names_out[k], str) \
-                else names_out[k]
-            neg = Observable(
-                f"-{out.name}", out.dim,
-                fn=lambda s, o=out: -o.fn(s), grad=None,
-            )
-            if scale is None:
-                table[(names_a[j], names_b[i])] = neg
-            else:
-                table[(names_a[j], names_b[i])] = scaled_observable(
-                    f"-{scale.name}*{out.name}",
-                    neg,
-                    scale,
-                )
+            table[(names_a[j], names_b[i])] = -outs[k]
     return table
-
-
-def _neg(obs):
-    return Observable(f"-{obs.name}", obs.dim, fn=lambda s: -obs.fn(s), grad=None)
-
-
-def _minus_2E(energy_name):
-    en = OBSERVABLES[energy_name]
-    return Observable(
-        f"-2*{energy_name}", en.dim,
-        fn=lambda s: -2.0 * en.fn(s),
-        grad=lambda s: -2.0 * en.grad(s),
-    )
 
 
 def kepler_expected() -> dict:
@@ -452,7 +407,7 @@ def kepler_expected() -> dict:
     table = {}
     table.update(_eps_table(L, L, L))
     table.update(_eps_table(L, A, A))
-    table.update(_eps_table(A, A, L, scale=_minus_2E("kepler_energy")))
+    table.update(_eps_table(A, A, L, scale=-2 * OBSERVABLES["kepler_energy"]))
     for n in L + A:
         table[("kepler_energy", n)] = 0
     return table
@@ -467,7 +422,7 @@ def chart_jq_expected() -> dict:
     table = {}
     table.update(_eps_table(J, J, J))
     table.update(_eps_table(J, Q, Q))
-    table.update(_eps_table(Q, Q, J, scale=_minus_2E("chart_energy")))
+    table.update(_eps_table(Q, Q, J, scale=-2 * OBSERVABLES["chart_energy"]))
     for n in J + Q:
         table[("chart_energy", n)] = 0
     return table
@@ -493,7 +448,7 @@ def rescaled_expected(sign: int) -> tuple:
     for i, j, k in EPS_CYCLES:
         table[(J[i], J[j])] = OBSERVABLES[J[k]]
         table[(J[i], Qh[j])] = obs[Qh[k]]
-        table[(Qh[i], Qh[j])] = obs[J[k]] if sign < 0 else _neg(OBSERVABLES[J[k]])
+        table[(Qh[i], Qh[j])] = obs[J[k]] if sign < 0 else -obs[J[k]]
     return obs, table
 
 

@@ -2,7 +2,8 @@
 
 Every vector field used by the package is wrapped as a `DynamicalSystem`
 (dimension tag, right-hand side, optional energy, default monitors), and
-every conserved quantity as an `Observable` with a closed-form gradient.
+every conserved quantity as an `Observable` with a closed-form gradient,
+built from quadratic forms by the observable algebra.
 State layout conventions:
 
     kepler / free3d : s = (x1, x2, x3, v1, v2, v3)
@@ -17,14 +18,15 @@ All evaluators broadcast over leading axes: a batch of N states is an
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .phase_geometry import fiber_momentum
 
 __all__ = [
     "Observable",
@@ -44,7 +46,8 @@ __all__ = [
     "CONSERVED",
     "oscillator_invariant",
     "rescaled_runge_lenz",
-    "scaled_observable",
+    "observables",
+    "quadratic_observable",
     "K_J",
     "K_H",
     "S_KS",
@@ -53,7 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Observable:
-    """Named scalar function on a phase space with a closed-form gradient."""
+    """Named scalar function on a phase space with a closed-form gradient.
+
+    Observables form an algebra: `f + g`, `f - g`, `-f`, `f * g` (g an
+    observable or a number) and `f.compose(phi, dphi)` build new observables
+    with their chain-rule gradients.  A composite calls its parts' `fn` and
+    `grad`, never their `gradient`.
+    """
 
     name: str
     dim: int
@@ -67,6 +76,61 @@ class Observable:
         if self.grad is None:
             raise ValueError(f"observable {self.name!r} has no closed-form gradient")
         return self.grad(np.asarray(s, dtype=float))
+
+    def _derived(self, name, fn, grad, other=None) -> "Observable":
+        """A composite of self and other; without a gradient when a part
+        has none."""
+        parts = (self,) if other is None else (self, other)
+        if other is not None and other.dim != self.dim:
+            raise ValueError(f"cannot combine {self.name!r} (dim {self.dim}) "
+                             f"with {other.name!r} (dim {other.dim})")
+        if any(p.grad is None for p in parts):
+            grad = None
+        return Observable(name, self.dim, fn, grad)
+
+    def __add__(self, other):
+        f = self
+        if isinstance(other, Observable):
+            return f._derived(f"({f.name} + {other.name})",
+                              lambda s: f.fn(s) + other.fn(s),
+                              lambda s: f.grad(s) + other.grad(s), other)
+        c = float(other)
+        return Observable(f"({f.name} + {c:g})", f.dim,
+                          lambda s: f.fn(s) + c, f.grad)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        f = self
+        if isinstance(other, Observable):
+            return f._derived(f"({f.name} - {other.name})",
+                              lambda s: f.fn(s) - other.fn(s),
+                              lambda s: f.grad(s) - other.grad(s), other)
+        return f + -float(other)
+
+    def __neg__(self):
+        return -1.0 * self
+
+    def __mul__(self, other):
+        f = self
+        if isinstance(other, Observable):
+            return f._derived(
+                f"{f.name}*{other.name}",
+                lambda s: f.fn(s) * other.fn(s),
+                lambda s: (f.fn(s)[..., None] * other.grad(s)
+                           + other.fn(s)[..., None] * f.grad(s)), other)
+        c = float(other)
+        return f._derived(f"{c:g}*{f.name}", lambda s: c * f.fn(s),
+                          lambda s: c * f.grad(s))
+
+    __rmul__ = __mul__
+
+    def compose(self, phi, dphi) -> "Observable":
+        """phi(f) for a scalar function phi with derivative dphi."""
+        f = self
+        return f._derived(f"{phi.__name__}({f.name})",
+                          lambda s: phi(f.fn(s)),
+                          lambda s: dphi(f.fn(s))[..., None] * f.grad(s))
 
 
 @dataclass(frozen=True)
@@ -207,16 +271,13 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         acc = -k * x / r[..., None] ** 3
         return np.concatenate((s[..., 3:6], acc), axis=-1)
 
-    energy = _kepler_energy(k)
-    mon = tuple(
-        OBSERVABLES[n] for n in ("kepler_energy", "L1", "L2", "L3", "A1", "A2", "A3")
-    ) if k == 1.0 else (energy,)
+    reg = observables(k)
     return DynamicalSystem(
         name="kepler",
         dim=6,
         rhs=rhs,
-        energy=energy,
-        monitors=mon,
+        energy=reg["kepler_energy"],
+        monitors=tuple(reg[n] for n in CONSERVED["kepler"]),
         state_names=("x1", "x2", "x3", "v1", "v2", "v3"),
     )
 
@@ -229,14 +290,7 @@ def free3d_field() -> DynamicalSystem:
         x, v = _split3(s)
         return np.concatenate([v, np.zeros_like(x)], axis=-1)
 
-    energy = Observable(
-        "free_energy",
-        6,
-        fn=lambda s: 0.5 * np.sum(s[..., 3:6] ** 2, axis=-1),
-        grad=lambda s: np.concatenate(
-            [np.zeros_like(s[..., :3]), s[..., 3:6]], axis=-1
-        ),
-    )
+    energy = replace(0.5 * _V2, name="free_energy")
     return DynamicalSystem(
         name="free3d",
         dim=6,
@@ -270,17 +324,14 @@ def conformal_kepler_field(k: float = 1.0, R_min: float = 1e-9) -> DynamicalSyst
             raise DomainError(f"conformal rhs: R < R_min = {R_min:g}", state=s)
         return np.concatenate([u, conformal_acceleration(y, u, k)], axis=-1)
 
-    energy = _conformal_energy(k)
-    mon = tuple(
-        OBSERVABLES[n]
-        for n in ("conformal_energy", "h_yu", "J1_yu", "J2_yu", "J3_yu")
-    ) if k == 1.0 else (energy,)
+    reg = observables(k)
     return DynamicalSystem(
         name="conformal",
         dim=8,
         rhs=rhs,
-        energy=energy,
-        monitors=mon,
+        energy=reg["conformal_energy"],
+        monitors=tuple(reg[n] for n in ("conformal_energy", "h_yu", "J1_yu",
+                                         "J2_yu", "J3_yu")),
         state_names=("y1", "y2", "y3", "y0", "u1", "u2", "u3", "u0"),
     )
 
@@ -300,13 +351,13 @@ def completed_oscillator_field(E: float, k: float = 1.0) -> DynamicalSystem:
         return np.concatenate([U, 2.0 * E * Y], axis=-1)
 
     inv = oscillator_invariant(E)
-    mon = (inv, OBSERVABLES["chart_energy"], OBSERVABLES["h"]) if k == 1.0 else (inv,)
+    reg = observables(k)
     return DynamicalSystem(
         name="oscillator",
         dim=8,
         rhs=rhs,
         energy=inv,
-        monitors=mon,
+        monitors=(inv, reg["chart_energy"], reg["h"]),
         state_names=("Y1", "Y2", "Y3", "Y0", "U1", "U2", "U3", "U0"),
     )
 
@@ -332,12 +383,13 @@ def reparametrized_field(
         E = (0.5 * np.sum(U * U, axis=-1) - k) / r2
         return np.concatenate([U, (2.0 * scaling(E) * E)[..., None] * Y], axis=-1)
 
+    reg = observables(k)
     return DynamicalSystem(
         name=f"reparametrized[{scaling.name}]",
         dim=8,
         rhs=rhs,
-        energy=OBSERVABLES["chart_energy"] if k == 1.0 else _chart_energy(k),
-        monitors=(OBSERVABLES["chart_energy"], OBSERVABLES["h"]) if k == 1.0 else (),
+        energy=reg["chart_energy"],
+        monitors=(reg["chart_energy"], reg["h"]),
         state_names=("Y1", "Y2", "Y3", "Y0", "U1", "U2", "U3", "U0"),
     )
 
@@ -443,317 +495,127 @@ def calogero_moser_field(l: float, gap_min: float = 1e-9) -> DynamicalSystem:
 
 
 # ---------------------------------------------------------------------------
-# observables: Kepler side
+# observables, built by the algebra from quadratic forms
 # ---------------------------------------------------------------------------
 
-def _kepler_energy(k=1.0):
-    def fn(s):
-        x, v = _split3(s)
-        return 0.5 * np.sum(v * v, axis=-1) - k / np.linalg.norm(x, axis=-1)
-
-    def grad(s):
-        x, v = _split3(s)
-        r = np.linalg.norm(x, axis=-1)
-        return np.concatenate([k * x / r[..., None] ** 3, v], axis=-1)
-
-    return Observable("kepler_energy", 6, fn, grad)
-
-
-def _angular_momentum(i):
-    e = np.zeros(3)
-    e[i] = 1.0
-
-    def fn(s):
-        x, v = _split3(s)
-        return np.cross(x, v)[..., i]
-
-    def grad(s):
-        x, v = _split3(s)
-        return np.concatenate(
-            [np.cross(v, np.broadcast_to(e, v.shape)),
-             np.cross(np.broadcast_to(e, x.shape), x)],
-            axis=-1,
-        )
-
-    return Observable(f"L{i + 1}", 6, fn, grad)
+def quadratic_observable(P: np.ndarray, name: str = "quadratic") -> Observable:
+    """f(s) = (1/2) s^T P s for symmetric P, with gradient P s."""
+    P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
+    half = 0.5 * P
+    # a two-operand einsum costs less per batch than np.add.reduce over the
+    # short last axis or the three-operand einsum
+    return Observable(
+        name,
+        P.shape[0],
+        fn=lambda s: np.einsum("...i,...i->...", s, s @ half),
+        grad=lambda s: s @ P,
+    )
 
 
-def _runge_lenz(i, k=1.0):
-    """A = x/r - v x L = (1/r - |v|^2) x + (x.v) v  (conserved for force -k x/r^3
-    with k = 1; general k: A = k x/r - v x L)."""
-
-    def fn(s):
-        x, v = _split3(s)
-        r = np.linalg.norm(x, axis=-1)
-        xv = np.sum(x * v, axis=-1)
-        v2 = np.sum(v * v, axis=-1)
-        return (k / r - v2) * x[..., i] + xv * v[..., i]
-
-    def grad(s):
-        x, v = _split3(s)
-        r = np.linalg.norm(x, axis=-1)
-        xv = np.sum(x * v, axis=-1)
-        v2 = np.sum(v * v, axis=-1)
-        gx = (
-            -k * (x[..., i] / r**3)[..., None] * x
-            + v[..., i][..., None] * v
-        )
-        gx[..., i] += k / r - v2
-        gv = -2.0 * x[..., i][..., None] * v + v[..., i][..., None] * x
-        gv[..., i] += xv
-        return np.concatenate([gx, gv], axis=-1)
-
-    return Observable(f"A{i + 1}", 6, fn, grad)
+def _form(n, aa=0.0, ab=0.0, bb=0.0) -> Observable:
+    """a^T aa a + a^T ab b + b^T bb b on the state s = (a, b) in R^(2n),
+    for symmetric aa and bb."""
+    aa, ab, bb = (np.zeros((n, n)) + m for m in (aa, ab, bb))
+    return quadratic_observable(np.block([[2.0 * aa, ab], [ab.T, 2.0 * bb]]))
 
 
-# ---------------------------------------------------------------------------
-# observables: conformal side, natural coordinates (y, u)
-# ---------------------------------------------------------------------------
-
-def _conformal_energy(k=1.0):
-    def fn(s):
-        y, u = _split4(s)
-        r2 = _r2(y)
-        return 2.0 * r2 * np.sum(u * u, axis=-1) - k / r2
-
-    def grad(s):
-        y, u = _split4(s)
-        r2 = _r2(y)
-        u2 = np.sum(u * u, axis=-1)
-        gy = (4.0 * u2 + 2.0 * k / r2**2)[..., None] * y
-        gu = 4.0 * r2[..., None] * u
-        return np.concatenate([gy, gu], axis=-1)
-
-    return Observable("conformal_energy", 8, fn, grad)
+def _coordinate(n, i) -> Observable:
+    """The linear observable s_i on R^n."""
+    e = np.eye(n)[i]
+    return Observable(f"s{i}", n, lambda s: s[..., i],
+                      lambda s: np.broadcast_to(e, s.shape))
 
 
-def _h_yu():
-    def fn(s):
-        y, u = _split4(s)
-        return fiber_momentum(y, u)
-
-    def grad(s):
-        y, u = _split4(s)
-        r2 = _r2(y)
-        w = np.einsum("...i,ij,...j->...", y, K_H, u)
-        gy = 8.0 * w[..., None] * y + 4.0 * r2[..., None] * (u @ K_H.T)
-        gu = -4.0 * r2[..., None] * (y @ K_H.T)
-        return np.concatenate([gy, gu], axis=-1)
-
-    return Observable("h_yu", 8, fn, grad)
+def _inverse(t):
+    return 1.0 / t
 
 
-def _J_yu(i):
-    K = K_J[i]
-
-    def fn(s):
-        y, u = _split4(s)
-        return _r2(y) * np.einsum("...i,ij,...j->...", y, K, u)
-
-    def grad(s):
-        y, u = _split4(s)
-        r2 = _r2(y)
-        w = np.einsum("...i,ij,...j->...", y, K, u)
-        gy = 2.0 * w[..., None] * y + r2[..., None] * (u @ K.T)
-        gu = -r2[..., None] * (y @ K.T)
-        return np.concatenate([gy, gu], axis=-1)
-
-    return Observable(f"J{i + 1}_yu", 8, fn, grad)
+def _d_inverse(t):
+    return -1.0 / (t * t)
 
 
-def _Q_yu(i, k=1.0):
-    S = S_KS[i]
-
-    def _parts(s):
-        y, u = _split4(s)
-        r2 = _r2(y)
-        xy = np.einsum("...i,ij,...j->...", y, S, y)
-        xu = np.einsum("...i,ij,...j->...", u, S, u)
-        E = 2.0 * r2 * np.sum(u * u, axis=-1) - k / r2
-        return y, u, r2, xy, xu, E
-
-    def fn(s):
-        _, _, r2, xy, xu, E = _parts(s)
-        return r2**2 * xu - 0.5 * E * xy
-
-    def grad(s):
-        y, u, r2, xy, xu, E = _parts(s)
-        u2 = np.sum(u * u, axis=-1)
-        gEy = (4.0 * u2 + 2.0 * k / r2**2)[..., None] * y
-        gEu = 4.0 * r2[..., None] * u
-        gy = (
-            4.0 * (r2 * xu)[..., None] * y
-            - 0.5 * xy[..., None] * gEy
-            - E[..., None] * (y @ S.T)
-        )
-        gu = 2.0 * (r2**2)[..., None] * (u @ S.T) - 0.5 * xy[..., None] * gEu
-        return np.concatenate([gy, gu], axis=-1)
-
-    return Observable(f"Q{i + 1}_yu", 8, fn, grad)
+def _inverse_sqrt(t):
+    return 1.0 / np.sqrt(t)
 
 
-# ---------------------------------------------------------------------------
-# observables: oscillator chart (Y, U)
-# ---------------------------------------------------------------------------
+def _d_inverse_sqrt(t):
+    return -0.5 / (t * np.sqrt(t))
+
+
+# Kepler side, on (x, v)
+_X2, _V2 = _form(3, aa=np.eye(3)), _form(3, bb=np.eye(3))
+_XV = _form(3, ab=np.eye(3))
+_L = tuple(_form(3, ab=_EPS[i]) for i in range(3))
+# the (y, u) and (Y, U) sides share these forms on the halves of the state
+_E4 = np.eye(4)
+_Y2, _U2 = _form(4, aa=_E4), _form(4, bb=_E4)
+_H = _form(4, ab=2.0 * K_H)
+_J = tuple(_form(4, ab=0.5 * K) for K in K_J)
+_XY = tuple(_form(4, aa=S) for S in S_KS)
+_XU = tuple(_form(4, bb=S) for S in S_KS)
+_INV_Y2 = _Y2.compose(_inverse, _d_inverse)
+
 
 def _chart_energy(k=1.0):
     """The conformal energy expressed through the chart:
     E = (|U|^2/2 - k)/R^2 with R^2 = |Y|^2."""
-
-    def fn(s):
-        Y, U = _split4(s)
-        return (0.5 * np.sum(U * U, axis=-1) - k) / _r2(Y)
-
-    def grad(s):
-        Y, U = _split4(s)
-        r2 = _r2(Y)
-        gY = ((2.0 * k - np.sum(U * U, axis=-1)) / r2**2)[..., None] * Y
-        gU = U / r2[..., None]
-        return np.concatenate([gY, gU], axis=-1)
-
-    return Observable("chart_energy", 8, fn, grad)
+    return replace((0.5 * _U2 - k) * _INV_Y2, name="chart_energy")
 
 
-def _h_chart():
-    def fn(s):
-        Y, U = _split4(s)
-        return 2.0 * np.einsum("...i,ij,...j->...", Y, K_H, U)
-
-    def grad(s):
-        Y, U = _split4(s)
-        return np.concatenate([2.0 * (U @ K_H.T), -2.0 * (Y @ K_H.T)], axis=-1)
-
-    return Observable("h", 8, fn, grad)
+def observables(k: float = 1.0) -> Mapping[str, Observable]:
+    """The registered observables at force constant k, by name; read-only,
+    since every caller with the same k shares it."""
+    return _registry(float(k))  # one cache entry for 2 and 2.0
 
 
-def _J_chart(i):
-    K = K_J[i]
-
-    def fn(s):
-        Y, U = _split4(s)
-        return 0.5 * np.einsum("...i,ij,...j->...", Y, K, U)
-
-    def grad(s):
-        Y, U = _split4(s)
-        return np.concatenate([0.5 * (U @ K.T), -0.5 * (Y @ K.T)], axis=-1)
-
-    return Observable(f"J{i + 1}", 8, fn, grad)
-
-
-def _Q_chart(i, k=1.0):
-    """Q_i = (1/4)[x_i(U) - 2E x_i(Y)] with the energy read off the state;
-    polynomial in (Y, U, E) and defined for either energy sign."""
-    S = S_KS[i]
-
-    def fn(s):
-        Y, U = _split4(s)
-        E = (0.5 * np.sum(U * U, axis=-1) - k) / _r2(Y)
-        xY = np.einsum("...i,ij,...j->...", Y, S, Y)
-        xU = np.einsum("...i,ij,...j->...", U, S, U)
-        return 0.25 * xU - 0.5 * E * xY
-
-    def grad(s):
-        Y, U = _split4(s)
-        r2 = _r2(Y)
-        U2 = np.sum(U * U, axis=-1)
-        E = (0.5 * U2 - k) / r2
-        xY = np.einsum("...i,ij,...j->...", Y, S, Y)
-        gEY = ((2.0 * k - U2) / r2**2)[..., None] * Y
-        gEU = U / r2[..., None]
-        gY = -0.5 * xY[..., None] * gEY - E[..., None] * (Y @ S.T)
-        gU = 0.5 * (U @ S.T) - 0.5 * xY[..., None] * gEU
-        return np.concatenate([gY, gU], axis=-1)
-
-    return Observable(f"Q{i + 1}", 8, fn, grad)
-
-
-def _L_ab(a, b):
-    names = ("1", "2", "3", "0")
-
-    def fn(s):
-        Y, U = _split4(s)
-        return 0.5 * (Y[..., a] * U[..., b] - Y[..., b] * U[..., a])
-
-    def grad(s):
-        Y, U = _split4(s)
-        gY = np.zeros_like(Y)
-        gU = np.zeros_like(U)
-        gY[..., a] += 0.5 * U[..., b]
-        gY[..., b] -= 0.5 * U[..., a]
-        gU[..., b] += 0.5 * Y[..., a]
-        gU[..., a] -= 0.5 * Y[..., b]
-        return np.concatenate([gY, gU], axis=-1)
-
-    return Observable(f"L_{names[a]}{names[b]}", 8, fn, grad)
-
-
-def _Q_ab(a, b, k=1.0):
-    names = ("1", "2", "3", "0")
-
-    def fn(s):
-        Y, U = _split4(s)
-        E = (0.5 * np.sum(U * U, axis=-1) - k) / _r2(Y)
-        return 0.5 * (U[..., a] * U[..., b] - 2.0 * E * Y[..., a] * Y[..., b])
-
-    def grad(s):
-        Y, U = _split4(s)
-        r2 = _r2(Y)
-        U2 = np.sum(U * U, axis=-1)
-        E = (0.5 * U2 - k) / r2
-        gEY = ((2.0 * k - U2) / r2**2)[..., None] * Y
-        gEU = U / r2[..., None]
-        YaYb = Y[..., a] * Y[..., b]
-        gY = -YaYb[..., None] * gEY
-        gY[..., a] -= E * Y[..., b]
-        gY[..., b] -= E * Y[..., a]
-        gU = -YaYb[..., None] * gEU
-        gU[..., a] += 0.5 * U[..., b]
-        gU[..., b] += 0.5 * U[..., a]
-        return np.concatenate([gY, gU], axis=-1)
-
-    return Observable(f"Q_{names[a]}{names[b]}", 8, fn, grad)
+@functools.cache
+def _registry(k: float) -> Mapping[str, Observable]:
+    inv_r = _X2.compose(_inverse_sqrt, _d_inverse_sqrt)
+    reg = {"kepler_energy": 0.5 * _V2 - k * inv_r}
+    for i in range(3):
+        reg[f"L{i + 1}"] = _L[i]
+        # A = k x/r - v x L = (k/r - |v|^2) x + (x.v) v
+        reg[f"A{i + 1}"] = ((k * inv_r - _V2) * _coordinate(6, i)
+                            + _XV * _coordinate(6, 3 + i))
+    conformal = 2.0 * (_Y2 * _U2) - k * _INV_Y2
+    reg["conformal_energy"] = conformal
+    reg["h_yu"] = 2.0 * (_Y2 * _H)
+    for i in range(3):
+        reg[f"J{i + 1}_yu"] = 2.0 * (_Y2 * _J[i])
+        reg[f"Q{i + 1}_yu"] = (_Y2 * _Y2) * _XU[i] - 0.5 * conformal * _XY[i]
+    energy = reg["chart_energy"] = _chart_energy(k)
+    reg["h"] = _H
+    for i in range(3):
+        reg[f"J{i + 1}"] = _J[i]
+        # Q_i = (1/4)[x_i(U) - 2E x_i(Y)], defined for either energy sign
+        reg[f"Q{i + 1}"] = 0.25 * _XU[i] - 0.5 * energy * _XY[i]
+    names = "1230"
+    for a in range(4):
+        for b in range(a + 1, 4):
+            unit = np.outer(_E4[a], _E4[b])
+            reg[f"L_{names[a]}{names[b]}"] = _form(4, ab=0.5 * (unit - unit.T))
+    for a in range(4):
+        for b in range(a, 4):
+            unit = np.outer(_E4[a], _E4[b])
+            sym = 0.5 * (unit + unit.T)
+            reg[f"Q_{names[a]}{names[b]}"] = (0.5 * _form(4, bb=sym)
+                                              - energy * _form(4, aa=sym))
+    return MappingProxyType({name: replace(obs, name=name)
+                             for name, obs in reg.items()})
 
 
 def oscillator_invariant(E: float, k: float = 1.0) -> Observable:
     """C = |U|^2/2 - E |Y|^2, the conserved quadratic of the completed field
     at energy E.  On states compatible with the conformal system C == k, and
     unlike the chart energy it stays regular through Y = 0."""
-    E = float(E)
-
-    def fn(s):
-        Y, U = _split4(s)
-        return 0.5 * np.sum(U * U, axis=-1) - E * _r2(Y)
-
-    def grad(s):
-        Y, U = _split4(s)
-        return np.concatenate([-2.0 * E * Y, U], axis=-1)
-
-    return Observable("oscillator_invariant", 8, fn, grad)
-
-
-def scaled_observable(name: str, obs: Observable, factor: Observable) -> Observable:
-    """Product observable factor*obs with the chain-rule gradient."""
-
-    def fn(s):
-        return factor.fn(np.asarray(s, float)) * obs.fn(np.asarray(s, float))
-
-    def grad(s):
-        s = np.asarray(s, float)
-        return (
-            factor.fn(s)[..., None] * obs.grad(s)
-            + obs.fn(s)[..., None] * factor.grad(s)
-        )
-
-    return Observable(name, obs.dim, fn, grad)
+    return replace(0.5 * _U2 - float(E) * _Y2, name="oscillator_invariant")
 
 
 def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:
     """Qhat_i = Q_i / sqrt(-2E) for sign=-1 (bound states) or Q_i / sqrt(2E)
     for sign=+1 (scattering states); only valid where sign*E > 0."""
-    base = _Q_chart(i, k)
-    en = _chart_energy(k)
 
-    def _scale(E):
+    def scale(E):
         arg = 2.0 * sign * E
         if np.any(arg <= 0.0):
             raise DomainError(
@@ -761,55 +623,17 @@ def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:
             )
         return 1.0 / np.sqrt(arg)
 
-    def fn(s):
-        s = np.asarray(s, float)
-        return base.fn(s) * _scale(en.fn(s))
+    def d_scale(E):
+        return -sign * scale(E) ** 3
 
-    def grad(s):
-        s = np.asarray(s, float)
-        E = en.fn(s)
-        a = _scale(E)
-        # d a / d E = -sign * (2 sign E)^(-3/2)
-        da = -sign * (2.0 * sign * E) ** -1.5
-        return a[..., None] * base.grad(s) + (base.fn(s) * da)[..., None] * en.grad(s)
-
-    return Observable(f"Qhat{i + 1}", 8, fn, grad)
+    reg = observables(k)
+    Qhat = reg[f"Q{i + 1}"] * reg["chart_energy"].compose(scale, d_scale)
+    return replace(Qhat, name=f"Qhat{i + 1}")
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
+OBSERVABLES: Mapping[str, Observable] = observables(1.0)
 
-def _build_registry():
-    reg = {}
-    reg["kepler_energy"] = _kepler_energy()
-    for i in range(3):
-        reg[f"L{i + 1}"] = _angular_momentum(i)
-        reg[f"A{i + 1}"] = _runge_lenz(i)
-    reg["conformal_energy"] = _conformal_energy()
-    reg["h_yu"] = _h_yu()
-    for i in range(3):
-        reg[f"J{i + 1}_yu"] = _J_yu(i)
-        reg[f"Q{i + 1}_yu"] = _Q_yu(i)
-    reg["chart_energy"] = _chart_energy()
-    reg["h"] = _h_chart()
-    for i in range(3):
-        reg[f"J{i + 1}"] = _J_chart(i)
-        reg[f"Q{i + 1}"] = _Q_chart(i)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            obs = _L_ab(a, b)
-            reg[obs.name] = obs
-    for a in range(4):
-        for b in range(a, 4):
-            obs = _Q_ab(a, b)
-            reg[obs.name] = obs
-    return reg
-
-
-OBSERVABLES: dict[str, Observable] = _build_registry()
-
-# which registered observables are conserved along which flow (k = 1)
+# which registered observables are conserved along which flow
 CONSERVED = {
     "kepler": ("kepler_energy", "L1", "L2", "L3", "A1", "A2", "A3"),
     "conformal": (

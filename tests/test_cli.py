@@ -445,3 +445,40 @@ def test_run_suite_rejects_out_of_range_seed(seed):
 
     with pytest.raises(ValueError, match="seed"):
         run_suite("kepler-algebra", samples=5, seed=seed)
+
+
+def test_key_error_message_is_plain_text(tmp_path, capsys):
+    code = run(["unfold", "--x", "1,0,0", "--v", "0,1,0", "--scaling", "nope",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "unknown scaling preset 'nope'"
+    assert err["exit_code"] == 2
+
+
+def test_catch_all_key_error_message_is_plain_text(monkeypatch, capsys):
+    import ksunfold.cli as cli
+
+    def missing(cfg):
+        raise KeyError("no such thing 'x'")
+
+    monkeypatch.setattr(cli, "cmd_verify", missing)
+    assert run(["verify", "--suite", "kepler-algebra"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "KeyError", "message": "no such thing 'x'",
+                   "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_KEPLER + ["--t-end", "1", "--max-step", "0"], "--max-step"),
+    (_UNFOLD + ["--rel", "1e-9"], "--rel"),
+    (["verify", "--suite", "kepler-algebra", "--sample", "5"], "--sample"),
+    (["demo", "radial", "--t-e", "1"], "--t-e"),
+])
+def test_abbreviated_flags_are_rejected(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} " in err
+    assert not list(tmp_path.iterdir())

@@ -1064,3 +1064,38 @@ def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
     assert (value == value) == bool(old_warnings)  # NaN raises none
     assert new.t == old.t and np.array_equal(new.state, old.state)
     assert str(new).startswith(f"{old} (rhs_evals={counted.calls}, ")
+
+
+def _inf_past(x_max):
+    def rhs(s):
+        out = np.array([s[1], -s[0]])
+        if s[0] > x_max:
+            out[1] = -np.inf
+        return out
+    return rhs
+
+
+@pytest.mark.parametrize("max_steps, reason", [
+    (10_000_000, "underflowed"), (50, "max_steps=50")])
+def test_failure_names_the_non_finite_attempts(max_steps, reason):
+    system = DynamicalSystem("osc", 2, rhs=_inf_past(0.9))
+    cfg = IntegratorConfig(max_steps=max_steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(IntegrationError) as exc:
+            integrate(system, np.array([0.0, 1.0]), 3.0, config=cfg)
+    message = str(exc.value)
+    assert reason in message
+    head, note = message.split("; ")
+    assert head.endswith(")") and "rhs_evals=" in head
+    assert note.startswith("rhs returned inf or NaN")
+    count = int(note.split(" on ")[1].split()[0])
+    assert 0 < count <= exc.value.stats["rejected_steps"]
+    # the stats keep their keys
+    assert set(exc.value.stats) == {"rhs_evals", "rejected_steps",
+                                    "domain_retries"}
+
+
+def test_finite_failure_does_not_mention_non_finite_values():
+    with pytest.raises(IntegrationError) as exc:
+        integrate(kepler_field(), np.array([1.0, 0, 0, -0.5, 0, 0]), 3.0)
+    assert "inf or NaN" not in str(exc.value)

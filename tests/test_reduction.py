@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 import ksunfold.reduction as reduction
 from ksunfold import (
+    CONSERVED,
     DegenerateStructureError,
     DomainError,
     HorizonError,
@@ -447,6 +448,29 @@ def test_sweep_integrates_the_direct_leg_once(monkeypatch, orbit, legs):
     assert len(results) == 3
     assert len(calls) == legs
     assert all(r.collision is (orbit == "collision") for r in results)
+
+
+def test_direct_leg_computes_no_monitors(monkeypatch):
+    legs = []
+
+    def recording(system, *args, **kwargs):
+        traj = integrate(system, *args, **kwargs)
+        if system.name == "kepler":
+            legs.append((args, kwargs, traj))
+        return traj
+
+    monkeypatch.setattr(reduction, "integrate", recording)
+    p0, tau_end = _ORBITS["e0.6"]
+    res = unfold_kepler(np.array(p0), tau_end)
+    [(args, kwargs, traj)] = legs
+    assert kwargs["monitors"] == () and traj.monitors == {}
+    # the same steps as a leg that computes the system's monitors
+    full = integrate(kepler_field(), *args, config=kwargs["config"])
+    assert set(full.monitors) == set(CONSERVED["kepler"])
+    assert np.array_equal(full.times, traj.times)
+    assert np.array_equal(full.states, traj.states)
+    assert full.stats == traj.stats
+    assert res.direct_leg["rhs_evals"] == full.stats["rhs_evals"]
 
 
 def _failed_attempt_time(p0, t_end):

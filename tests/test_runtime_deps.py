@@ -1,5 +1,6 @@
 """The runtime needs NumPy only: importing ksunfold, running the CLI and
-finding a return time leave SciPy unimported (it is a test oracle)."""
+finding a return time leave SciPy unimported, and importing ksunfold leaves
+SymPy unimported (both are test oracles)."""
 
 import json
 import os
@@ -12,7 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == {root!r})))
 """
 
 _RUN_CLI = """
@@ -32,12 +33,13 @@ kepler_period_from_unfold(res)
 """
 
 
-def _scipy_modules_after(code):
+def _modules_after(code, root="scipy"):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code + _REPORT],
+    proc = subprocess.run([sys.executable, "-c",
+                           code + _REPORT.format(root=root)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -54,10 +56,16 @@ def test_scipy_stays_unimported(tmp_path, case):
             "--out-dir", str(tmp_path)]),
         "period": _PERIOD,
     }[case]
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code) == []
 
 
 def test_probe_sees_scipy_when_imported():
     # the probe itself can tell: an explicit import shows up
-    assert "scipy.optimize" in _scipy_modules_after(
+    assert "scipy.optimize" in _modules_after(
         "import ksunfold, scipy.optimize\n")
+
+
+def test_sympy_stays_unimported():
+    assert _modules_after("import ksunfold\n", "sympy") == []
+    # the probe itself can tell
+    assert "sympy" in _modules_after("import ksunfold, sympy\n", "sympy")
