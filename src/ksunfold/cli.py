@@ -43,7 +43,6 @@ from .systems import (
     scaling_preset,
 )
 
-_SYSTEMS = ("kepler", "conformal", "oscillator", "free3d", "radial", "calogero")
 _OUT_DIR_ENV = "KSUNFOLD_OUT_DIR"
 # each demo's default --t-end
 _DEMO_T_END = {"radial": 5.0, "calogero": 2.0}
@@ -74,101 +73,151 @@ def read_config_file(path: str) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Effective config: defaults < config file < explicit flags."""
-    cli = {k: v for k, v in vars(args).items()
-           if v is not None and k not in ("func", "config")}
-    file_cfg = read_config_file(args.config) if args.config else {}
-    if "lambda" in file_cfg:  # the flag is --lambda but the dest is lam
-        file_cfg["lam"] = file_cfg.pop("lambda")
-    return {**file_cfg, **cli}
+def _flag(dest: str) -> str:
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    return cfg[key]
+def _text(flag, raw):
+    return raw
 
 
-def _as_float(cfg, key, default=None):
-    val = cfg.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+def _number(flag, raw):
     try:
-        out = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key.replace('_', '-')} expects a number, "
-                          f"got {val!r}") from None
+        out = float(raw)
+    except ValueError:
+        raise ConfigError(f"{flag} expects a number, got {raw!r}") from None
     if not np.isfinite(out):
-        raise ConfigError(f"--{key.replace('_', '-')} must be finite, "
-                          f"got {val!r}")
+        raise ConfigError(f"{flag} must be finite, got {raw!r}")
     return out
 
 
-def _as_int(cfg, key, default=None):
-    val = cfg.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+def _positive(flag, raw):
+    out = _number(flag, raw)
+    if out <= 0.0:
+        raise ConfigError(f"{flag} must be positive, got {raw!r}")
+    return out
+
+
+def _integer(flag, raw, ok, want):
     try:
-        return int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key.replace('_', '-')} expects an integer, "
-                          f"got {val!r}") from None
-
-
-def _as_count(cfg, key, default):
-    n = _as_int(cfg, key, default)
-    if n <= 0:
-        raise ConfigError(f"--{key.replace('_', '-')} must be a positive "
-                          f"integer, got {n}")
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"{flag} expects an integer, got {raw!r}") from None
+    if not ok(n):
+        raise ConfigError(f"{flag} must be {want}, got {n}")
     return n
 
 
-def _as_t_end(cfg, default=None):
-    t_end = _as_float(cfg, "t_end", default)
-    if t_end <= 0.0:
-        raise ConfigError(f"--t-end must be positive, got {cfg['t_end']!r}")
-    return t_end
+def _count(flag, raw):
+    return _integer(flag, raw, lambda n: n > 0, "a positive integer")
 
 
-def _as_vec(cfg, key, n):
-    raw = _require(cfg, key)
-    try:
-        vec = np.array([float(p) for p in str(raw).split(",")])
-    except ValueError:
-        raise ConfigError(f"--{key}: expected {n} comma-separated numbers, "
-                          f"got {raw!r}") from None
-    if vec.size != n:
-        raise ConfigError(f"--{key}: expected {n} components, got {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"--{key}: components must be finite, got {raw!r}")
-    return vec
+def _seed(flag, raw):
+    return _integer(flag, raw, lambda n: 0 <= n <= MAX_SUITE_SEED,
+                    "an integer in [0, 2**64 - 2]")
 
 
-def _parse_gauge(raw) -> list:
+def _vec(n):
+    def read(flag, raw):
+        try:
+            vec = np.array([float(p) for p in raw.split(",")])
+        except ValueError:
+            raise ConfigError(f"{flag}: expected {n} comma-separated numbers, "
+                              f"got {raw!r}") from None
+        if vec.size != n:
+            raise ConfigError(f"{flag}: expected {n} components, got {vec.size}")
+        if not np.all(np.isfinite(vec)):
+            raise ConfigError(f"{flag}: components must be finite, got {raw!r}")
+        return vec
+    return read
+
+
+def _gauges(flag, raw):
     """Either a single angle or a sweep 'start..stop:count'."""
-    text = str(raw)
-    if ".." in text:
-        span, _, count = text.partition(":")
+    if ".." in raw:
+        span, _, count = raw.partition(":")
         if not count:
-            raise ConfigError(f"--lambda sweep needs a count: {raw!r}")
+            raise ConfigError(f"{flag} sweep needs a count: {raw!r}")
         a, _, b = span.partition("..")
         try:
             lo, hi, n = float(a), float(b), int(count)
         except ValueError:
-            raise ConfigError(f"bad --lambda sweep {raw!r}") from None
+            raise ConfigError(f"bad {flag} sweep {raw!r}") from None
         if n <= 0:
-            raise ConfigError(f"--lambda sweep count must be a positive "
+            raise ConfigError(f"{flag} sweep count must be a positive "
                               f"integer, got {raw!r}")
-        gauges = list(np.linspace(lo, hi, n))
     else:
         try:
-            gauges = [float(text)]
+            lo = hi = float(raw)
         except ValueError:
-            raise ConfigError(f"bad --lambda value {raw!r}") from None
-    if not np.all(np.isfinite(gauges)):
-        raise ConfigError(f"--lambda must be finite, got {raw!r}")
-    return gauges
+            raise ConfigError(f"bad {flag} value {raw!r}") from None
+    # hi - lo is not finite if an end is not, or if the span overflows
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"{flag} must be finite, got {raw!r}")
+    return list(np.linspace(lo, hi, n)) if ".." in raw else [lo]
+
+
+# how each flag's text is read, by dest: reader(flag, raw) -> value
+_FLAGS = {
+    "out_dir": _text, "rel_tol": _number, "abs_tol": _number,
+    "max_steps": _count, "system": _text, "variant": _text, "prefix": _text,
+    "x": _vec(3), "v": _vec(3), "y": _vec(4), "u": _vec(4),
+    "Y": _vec(4), "U": _vec(4), "q": _vec(2), "qd": _vec(2),
+    "r": _number, "vr": _number, "l": _number, "energy": _number,
+    "k": _number, "t_end": _positive, "tau_end": _positive, "tol": _positive,
+    "lam": _gauges, "scaling": _text, "samples": _count, "seed": _seed,
+    "suite": _text, "out": _text, "demo": _text,
+}
+_HELP = {
+    "out_dir": f"output directory (default ${_OUT_DIR_ENV} or .)",
+    "lam": "gauge angle, or sweep start..stop:count",
+    "out": "also write the report to this file",
+    "demo": "radial or calogero",
+}
+_INTEGRATOR = ("rel_tol", "abs_tol", "max_steps")
+# each command's help and the dests it takes
+_COMMANDS = {
+    "simulate": ("integrate a system, write CSV+JSON",
+                 ("out_dir", *_INTEGRATOR, "system", "x", "v", "y", "u", "Y",
+                  "U", "r", "vr", "q", "qd", "l", "energy", "variant",
+                  "t_end", "prefix")),
+    "unfold": ("lift, flow upstairs, project back",
+               ("out_dir", *_INTEGRATOR, "x", "v", "k", "tau_end", "lam",
+                "scaling", "samples", "prefix")),
+    "verify": ("run a structure-constant suite",
+               ("out_dir", "suite", "samples", "seed", "out")),
+    "demo": ("radial or calogero reduction demo",
+             ("out_dir", *_INTEGRATOR, "demo", "x", "v", "l", "t_end", "tol")),
+}
+
+
+class _Config(dict):
+    """Flag values by dest, each read by its kind; `raw` keeps the text as
+    given, which the reports echo.  A missing key is a missing flag."""
+
+    def __init__(self, raw: dict):
+        super().__init__((k, _FLAGS[k](_flag(k), v)) for k, v in raw.items())
+        self.raw = raw
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required option {_flag(key)}")
+
+
+def _merge(args: argparse.Namespace) -> _Config:
+    """Effective config: defaults < config file < explicit flags.  Every key
+    must be a flag of the command, and every value is read here, before
+    any work."""
+    raw = read_config_file(args.config) if args.config else {}
+    if "lambda" in raw:  # the flag is --lambda but the dest is lam
+        raw["lam"] = raw.pop("lambda")
+    dests = _COMMANDS[args.command][1]
+    for key in raw:
+        if key not in dests:
+            raise ConfigError(f"{args.config}: {args.command} has no flag "
+                              f"{_flag(key)}")
+    given = vars(args)
+    raw.update((k, given[k]) for k in dests if given[k] is not None)
+    return _Config(raw)
 
 
 def _out_dir(cfg) -> str:
@@ -179,9 +228,9 @@ def _out_dir(cfg) -> str:
 
 def _integrator_config(cfg) -> IntegratorConfig:
     return IntegratorConfig(
-        rel_tol=_as_float(cfg, "rel_tol", 1e-10),
-        abs_tol=_as_float(cfg, "abs_tol", 1e-12),
-        max_steps=_as_count(cfg, "max_steps", 10_000_000),
+        rel_tol=cfg.get("rel_tol", 1e-10),
+        abs_tol=cfg.get("abs_tol", 1e-12),
+        max_steps=cfg.get("max_steps", 10_000_000),
     )
 
 
@@ -209,41 +258,40 @@ def _drifts(traj) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
+def _radial(cfg):
+    variant = cfg.get("variant", "energy")
+    if variant == "energy":
+        return radial_reduced_field(E=cfg["energy"], variant="energy")
+    if variant == "angular":
+        return radial_reduced_field(l=cfg["l"], variant="angular")
+    raise ConfigError(f"unknown radial variant {variant!r}")
+
+
+# each system's initial-state flags and its field
+_SYSTEMS = {
+    "kepler": (("x", "v"), lambda cfg: kepler_field()),
+    "conformal": (("y", "u"), lambda cfg: conformal_kepler_field()),
+    "oscillator": (("Y", "U"),
+                   lambda cfg: completed_oscillator_field(E=cfg["energy"])),
+    "free3d": (("x", "v"), lambda cfg: free3d_field()),
+    "radial": (("r", "vr"), _radial),
+    "calogero": (("q", "qd"), lambda cfg: calogero_moser_field(l=cfg["l"])),
+}
+
+
 def _build_system(cfg):
-    name = _require(cfg, "system")
+    name = cfg["system"]
     if name not in _SYSTEMS:
-        raise ConfigError(f"unknown system {name!r}; choose from {_SYSTEMS}")
-    if name in ("kepler", "free3d"):
-        s0 = np.concatenate([_as_vec(cfg, "x", 3), _as_vec(cfg, "v", 3)])
-        system = kepler_field() if name == "kepler" else free3d_field()
-    elif name == "conformal":
-        s0 = np.concatenate([_as_vec(cfg, "y", 4), _as_vec(cfg, "u", 4)])
-        system = conformal_kepler_field()
-    elif name == "oscillator":
-        s0 = np.concatenate([_as_vec(cfg, "Y", 4), _as_vec(cfg, "U", 4)])
-        system = completed_oscillator_field(E=_as_float(cfg, "energy"))
-    elif name == "radial":
-        s0 = np.array([_as_float(cfg, "r"), _as_float(cfg, "vr")])
-        variant = cfg.get("variant", "energy")
-        if variant == "energy":
-            system = radial_reduced_field(E=_as_float(cfg, "energy"),
-                                          variant="energy")
-        elif variant == "angular":
-            system = radial_reduced_field(l=_as_float(cfg, "l"),
-                                          variant="angular")
-        else:
-            raise ConfigError(f"unknown radial variant {variant!r}")
-    else:  # calogero
-        q = _as_vec(cfg, "q", 2)
-        qd = _as_vec(cfg, "qd", 2)
-        s0 = np.concatenate([q, qd])
-        system = calogero_moser_field(l=_as_float(cfg, "l"))
-    return system, s0
+        raise ConfigError(f"unknown system {name!r}; "
+                          f"choose from {tuple(_SYSTEMS)}")
+    state, field = _SYSTEMS[name]
+    s0 = np.hstack([cfg[key] for key in state])
+    return field(cfg), s0
 
 
 def cmd_simulate(cfg: dict) -> int:
     system, s0 = _build_system(cfg)
-    t_end = _as_t_end(cfg)
+    t_end = cfg["t_end"]
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", system.name)
     start = time.perf_counter()
@@ -261,7 +309,7 @@ def cmd_simulate(cfg: dict) -> int:
         "energy_drift": drifts.get(system.energy.name) if system.energy
         else None,
         "wall_time_s": wall,
-        "config": _echo(cfg),
+        "config": _echo(cfg.raw),
     }
     json_path = os.path.join(out, f"{prefix}.json")
     _write_json(json_path, summary)
@@ -270,17 +318,13 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_unfold(cfg: dict) -> int:
-    x = _as_vec(cfg, "x", 3)
-    v = _as_vec(cfg, "v", 3)
+    x, v = cfg["x"], cfg["v"]
     if np.linalg.norm(x) == 0.0:
         raise ConfigError("unfold needs |x| > 0")
-    k = _as_float(cfg, "k", 1.0)
+    k = cfg.get("k", 1.0)
     E = 0.5 * float(v @ v) - k / float(np.linalg.norm(x))
     if "tau_end" in cfg:
-        tau_end = _as_float(cfg, "tau_end")
-        if tau_end <= 0.0:
-            raise ConfigError(f"--tau-end must be positive, "
-                              f"got {cfg['tau_end']!r}")
+        tau_end = cfg["tau_end"]
     elif E < 0.0:
         tau_end = 2.0 * np.pi / np.sqrt(-2.0 * E)  # one upstairs period
     else:
@@ -289,16 +333,15 @@ def cmd_unfold(cfg: dict) -> int:
         scaling = scaling_preset(cfg.get("scaling", "unit"))
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    gauges = _parse_gauge(cfg.get("lam", 0.0))
+    gauges = cfg.get("lam", [0.0])
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", "unfold")
-    icfg = _integrator_config(cfg)
-    n_samples = _as_count(cfg, "samples", 512)
 
     results = []
     sweep = unfold_sweep(
         np.concatenate([x, v]), tau_end, gauges, scaling=scaling,
-        config=icfg, k=k, n_samples=n_samples,
+        config=_integrator_config(cfg), k=k,
+        n_samples=cfg.get("samples", 512),
     )
     start = time.perf_counter()
     try:
@@ -310,7 +353,7 @@ def cmd_unfold(cfg: dict) -> int:
             summary = res.sidecar()
             summary["collision_regularized"] = res.collision
             summary["wall_time_s"] = wall
-            summary["config"] = _echo({**cfg, "lam": lam})
+            summary["config"] = _echo({**cfg.raw, "lam": lam})
             _write_json(os.path.join(out, f"{stem}.json"), summary)
             results.append(res)
             print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
@@ -330,7 +373,7 @@ def cmd_unfold(cfg: dict) -> int:
         sweep = {
             "lambdas": [float(g) for g in gauges],
             "max_downstairs_divergence": cross,
-            "config": _echo(cfg),
+            "config": _echo(cfg.raw),
         }
         _write_json(os.path.join(out, f"{prefix}_sweep.json"), sweep)
         print(f"gauge sweep downstairs divergence {cross:.3e}")
@@ -338,16 +381,12 @@ def cmd_unfold(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    suite = _require(cfg, "suite")
+    suite = cfg["suite"]
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    seed = _as_int(cfg, "seed", 0)
-    if not 0 <= seed <= MAX_SUITE_SEED:
-        raise ConfigError(f"--seed must be an integer in [0, 2**64 - 2], "
-                          f"got {seed}")
-    report = run_suite(suite, samples=_as_count(cfg, "samples", 100),
-                       seed=seed)
-    report["config"] = _echo(cfg)
+    report = run_suite(suite, samples=cfg.get("samples", 100),
+                       seed=cfg.get("seed", 0))
+    report["config"] = _echo(cfg.raw)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if cfg.get("out"):
@@ -362,31 +401,28 @@ def cmd_demo(cfg: dict) -> int:
         problem = ("missing the demo name (positional argument DEMO)"
                    if which is None else f"unknown demo {which!r}")
         raise ConfigError(f"{problem}; choose radial or calogero")
-    t_end = _as_t_end(cfg, _DEMO_T_END[which])
+    t_end = cfg.get("t_end", _DEMO_T_END[which])
     out = _out_dir(cfg)
     if which == "radial":
-        x = _as_vec(cfg, "x", 3) if "x" in cfg else np.array([1.0, 0.0, 0.0])
-        v = _as_vec(cfg, "v", 3) if "v" in cfg else np.array([0.0, 1.0, 0.0])
-        s0 = np.concatenate([x, v])
-        E = 0.5 * float(v @ v)
+        x = cfg.get("x", np.array([1.0, 0.0, 0.0]))
+        v = cfg.get("v", np.array([0.0, 1.0, 0.0]))
         report = check_equivariance(
-            radial_setup(E), s0, t_end,
-            tol=_as_float(cfg, "tol", 1e-8),
-            config=_integrator_config(cfg),
+            radial_setup(0.5 * float(v @ v)), np.concatenate([x, v]), t_end,
+            tol=cfg.get("tol", 1e-8), config=_integrator_config(cfg),
         )
     else:  # calogero
         X0 = np.diag([0.0, 1.0])
-        if "l" in cfg and _as_float(cfg, "l") == 0.0:
+        if cfg.get("l") == 0.0:
             V0 = np.diag([0.25, 1.5])
-            tol = _as_float(cfg, "tol", 1e-10)
+            tol = cfg.get("tol", 1e-10)
         else:
-            a = -_as_float(cfg, "l", -1.0 / np.sqrt(2.0))
+            a = -cfg.get("l", -1.0 / np.sqrt(2.0))
             V0 = np.array([[0.0, a], [a, 0.0]])
-            tol = _as_float(cfg, "tol", 1e-6)
+            tol = cfg.get("tol", 1e-6)
         report = reduce_calogero(
             X0, V0, t_end, tol=tol, config=_integrator_config(cfg),
         )
-    report["config"] = _echo(cfg)
+    report["config"] = _echo(cfg.raw)
     _write_json(os.path.join(out, f"{which}.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1
@@ -403,70 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (help_text, dests) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--out-dir", dest="out_dir",
-                        help=f"output directory (default ${_OUT_DIR_ENV} or .)")
-        sp.add_argument("--rel-tol", dest="rel_tol")
-        sp.add_argument("--abs-tol", dest="abs_tol")
-        sp.add_argument("--max-steps", dest="max_steps")
-
-    sim = sub.add_parser("simulate", help="integrate a system, write CSV+JSON",
-                         allow_abbrev=False)
-    common(sim)
-    sim.add_argument("--system")
-    sim.add_argument("--x")
-    sim.add_argument("--v")
-    sim.add_argument("--y")
-    sim.add_argument("--u")
-    sim.add_argument("--Y", dest="Y")
-    sim.add_argument("--U", dest="U")
-    sim.add_argument("--r")
-    sim.add_argument("--vr")
-    sim.add_argument("--q")
-    sim.add_argument("--qd")
-    sim.add_argument("--l")
-    sim.add_argument("--energy")
-    sim.add_argument("--variant")
-    sim.add_argument("--t-end", dest="t_end")
-    sim.add_argument("--prefix")
-    sim.set_defaults(func=cmd_simulate)
-
-    unf = sub.add_parser("unfold", help="lift, flow upstairs, project back",
-                         allow_abbrev=False)
-    common(unf)
-    unf.add_argument("--x")
-    unf.add_argument("--v")
-    unf.add_argument("--k")
-    unf.add_argument("--tau-end", dest="tau_end")
-    unf.add_argument("--lambda", dest="lam",
-                     help="gauge angle, or sweep start..stop:count")
-    unf.add_argument("--scaling")
-    unf.add_argument("--samples")
-    unf.add_argument("--prefix")
-    unf.set_defaults(func=cmd_unfold)
-
-    ver = sub.add_parser("verify", help="run a structure-constant suite",
-                         allow_abbrev=False)
-    common(ver)
-    ver.add_argument("--suite")
-    ver.add_argument("--samples")
-    ver.add_argument("--seed")
-    ver.add_argument("--out", help="also write the report to this file")
-    ver.set_defaults(func=cmd_verify)
-
-    dem = sub.add_parser("demo", help="radial or calogero reduction demo",
-                         allow_abbrev=False)
-    common(dem)
-    dem.add_argument("demo", nargs="?", metavar="DEMO",
-                     help="radial or calogero")
-    dem.add_argument("--x")
-    dem.add_argument("--v")
-    dem.add_argument("--l")
-    dem.add_argument("--t-end", dest="t_end")
-    dem.add_argument("--tol")
-    dem.set_defaults(func=cmd_demo)
+        for dest in dests:
+            if dest == "demo":
+                sp.add_argument("demo", nargs="?", metavar="DEMO",
+                                help=_HELP[dest])
+            else:
+                sp.add_argument(_flag(dest), dest=dest, help=_HELP.get(dest))
+        sp.set_defaults(func=globals()[f"cmd_{name}"])
     return p
 
 
@@ -484,12 +466,9 @@ def _error_json(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
-        cfg.pop("command", None)
-        return args.func(cfg)
+        return args.func(_merge(args))
     except (ConfigError, LiftError, DomainError, KeyError, ValueError) as exc:
         # bad flags, inadmissible initial states, wrong scaling domain
         return _error_json(exc, 2)

@@ -88,7 +88,7 @@ def brentq(*args, **kwargs):
     """SciPy's `brentq`, imported only when called; ksunfold never calls it.
     Bound here and in `reduction` only because the benchmark's tracer
     (bench/tracing.py) patches `brentq` on both modules by name; ROADMAP
-    item 7 (a tracer that tolerates its absence) removes it."""
+    item 5 (a tracer that tolerates its absence) removes it."""
     from scipy.optimize import brentq as scipy_brentq
 
     return scipy_brentq(*args, **kwargs)

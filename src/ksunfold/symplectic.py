@@ -333,6 +333,17 @@ def _check_samples(samples) -> int:
     return n
 
 
+def _entry(pair: str, samples: int, residual: float, tolerance: float) -> dict:
+    return {"pair": pair, "samples": samples, "max_residual": residual,
+            "tolerance": tolerance, "pass": bool(residual <= tolerance)}
+
+
+def _report(samples, seed, entries, brackets, gradient_evals) -> dict:
+    return {"samples": samples, "seed": seed, "entries": entries,
+            "pass": all(e["pass"] for e in entries), "brackets": brackets,
+            "gradient_evals": gradient_evals}
+
+
 def verify_structure_constants(
     struct: SymplecticStructure,
     observables: Mapping[str, Observable],
@@ -362,24 +373,12 @@ def verify_structure_constants(
     n = states.shape[0]
     lhs, gradient_evals = _table_brackets(
         struct, [(observables[f], observables[g]) for f, g in expected], states)
-    entries = []
-    for ((fname, gname), rhs), value in zip(expected.items(), lhs):
-        resid = float(np.max(np.abs(value - _rhs_values(rhs, states))))
-        entries.append({
-            "pair": f"{{{fname},{gname}}}",
-            "samples": n,
-            "max_residual": resid,
-            "tolerance": tolerance,
-            "pass": bool(resid <= tolerance),
-        })
-    return {
-        "samples": n,
-        "seed": seed,
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-        "brackets": len(entries),
-        "gradient_evals": gradient_evals,
-    }
+    entries = [
+        _entry(f"{{{fname},{gname}}}", n,
+               float(np.max(np.abs(value - _rhs_values(rhs, states)))),
+               tolerance)
+        for ((fname, gname), rhs), value in zip(expected.items(), lhs)]
+    return _report(n, seed, entries, len(entries), gradient_evals)
 
 
 def _eps_table(names_a, names_b, names_out, scale=None):
@@ -398,34 +397,24 @@ def _eps_table(names_a, names_b, names_out, scale=None):
     return table
 
 
+def _algebra_expected(L, A, energy) -> dict:
+    """{L,L} = eps L, {L,A} = eps A, {A,A} = -2E eps L, and everything
+    commutes with the energy E."""
+    return {**_eps_table(L, L, L), **_eps_table(L, A, A),
+            **_eps_table(A, A, L, scale=-2 * OBSERVABLES[energy]),
+            **{(energy, n): 0 for n in L + A}}
+
+
 def kepler_expected() -> dict:
-    """Bracket table of the Kepler constants under the canonical structure:
-    {L,L} = eps L, {L,A} = eps A, {A,A} = -2E eps L, everything commutes
-    with the energy."""
-    L = ("L1", "L2", "L3")
-    A = ("A1", "A2", "A3")
-    table = {}
-    table.update(_eps_table(L, L, L))
-    table.update(_eps_table(L, A, A))
-    table.update(_eps_table(A, A, L, scale=-2 * OBSERVABLES["kepler_energy"]))
-    for n in L + A:
-        table[("kepler_energy", n)] = 0
-    return table
+    """Bracket table of the Kepler constants under the canonical structure."""
+    return _algebra_expected(("L1", "L2", "L3"), ("A1", "A2", "A3"),
+                             "kepler_energy")
 
 
 def chart_jq_expected() -> dict:
-    """Same table shape upstairs: {J,J} = eps J, {J,Q} = eps Q,
-    {Q,Q} = -2E eps J with the chart energy, and everything commutes with
-    the energy."""
-    J = ("J1", "J2", "J3")
-    Q = ("Q1", "Q2", "Q3")
-    table = {}
-    table.update(_eps_table(J, J, J))
-    table.update(_eps_table(J, Q, Q))
-    table.update(_eps_table(Q, Q, J, scale=-2 * OBSERVABLES["chart_energy"]))
-    for n in J + Q:
-        table[("chart_energy", n)] = 0
-    return table
+    """Same table shape upstairs, in J, Q and the chart energy."""
+    return _algebra_expected(("J1", "J2", "J3"), ("Q1", "Q2", "Q3"),
+                             "chart_energy")
 
 
 def reduction_expected() -> dict:
@@ -450,16 +439,6 @@ def rescaled_expected(sign: int) -> tuple:
         table[(J[i], Qh[j])] = obs[Qh[k]]
         table[(Qh[i], Qh[j])] = obs[J[k]] if sign < 0 else -obs[J[k]]
     return obs, table
-
-
-SUITES = (
-    "kepler-algebra",
-    "oscillator-u4",
-    "oscillator-jq",
-    "commutant-su2xsu2",
-    "reduction-criterion",
-    "rescaled-so4",
-)
 
 
 def _commutator(X, Y):
@@ -495,16 +474,9 @@ def _suite_commutant() -> dict:
     for i, j, k in EPS_CYCLES:
         checks.append((f"[A{i+1},A{j+1}]-A{k+1}", _commutator(a[i], a[j]) - a[k]))
         checks.append((f"[B{i+1},B{j+1}]-B{k+1}", _commutator(b[i], b[j]) - b[k]))
-    entries = [{
-        "pair": name,
-        "samples": 1,
-        "max_residual": float(np.max(np.abs(R))),
-        "tolerance": 0.0,
-        "pass": bool(np.max(np.abs(R)) <= 0.0),
-    } for name, R in checks]
-    return {"samples": 1, "seed": 0, "entries": entries,
-            "pass": all(e["pass"] for e in entries),
-            "brackets": 0, "gradient_evals": 0}
+    entries = [_entry(name, 1, float(np.max(np.abs(R))), 0.0)
+               for name, R in checks]
+    return _report(1, 0, entries, 0, 0)
 
 
 def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
@@ -522,17 +494,46 @@ def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
         FD = quadratic_from_matrix(D, kappa, name=f"F_D{idx}")
         FCD = quadratic_from_matrix(_commutator(C, D), kappa)
         lhs = poisson_bracket(struct, FC, FD, states)
-        resid = float(np.max(np.abs(lhs - FCD.fn(states))))
-        entries.append({
-            "pair": f"{{F_C{idx},F_D{idx}}}",
-            "samples": samples,
-            "max_residual": resid,
-            "tolerance": tolerance,
-            "pass": bool(resid <= tolerance),
-        })
-    return {"samples": samples, "seed": seed, "entries": entries,
-            "pass": all(e["pass"] for e in entries),
-            "brackets": n_matrices, "gradient_evals": 2 * n_matrices}
+        entries.append(_entry(f"{{F_C{idx},F_D{idx}}}", samples,
+                              float(np.max(np.abs(lhs - FCD.fn(states)))),
+                              tolerance))
+    return _report(samples, seed, entries, n_matrices, 2 * n_matrices)
+
+
+def _suite_rescaled(samples: int, seed: int) -> dict:
+    """so(4) brackets of the rescaled family at E < 0, then o(3,1) ones at
+    E > 0 (entries tagged 'E>0:') from seed + 1."""
+    entries, brackets, gradient_evals = [], 0, 0
+    for part_seed, sign, tag in ((seed, -1, ""), (seed + 1, +1, "E>0:")):
+        obs, table = rescaled_expected(sign)
+        part = verify_structure_constants(
+            chart_structure(), obs, table, samples=samples, seed=part_seed,
+            tolerance=1e-8, states=sample_chart_states(
+                samples, seed=part_seed, energy_sign=sign),
+        )
+        entries += [{**e, "pair": tag + e["pair"]} for e in part["entries"]]
+        brackets += part["brackets"]
+        gradient_evals += part["gradient_evals"]
+    return _report(samples, seed, entries, brackets, gradient_evals)
+
+
+def _table_suite(make_struct, expected, tolerance):
+    return lambda samples, seed: verify_structure_constants(
+        make_struct(), OBSERVABLES, expected(), samples=samples, seed=seed,
+        tolerance=tolerance)
+
+
+# every suite by name: runner(samples, seed) -> report
+_RUNNERS = {
+    "kepler-algebra": _table_suite(kepler_structure, kepler_expected, 1e-9),
+    "oscillator-u4": _suite_u4,
+    "oscillator-jq": _table_suite(chart_structure, chart_jq_expected, 1e-9),
+    "commutant-su2xsu2": lambda samples, seed: _suite_commutant(),
+    "reduction-criterion": _table_suite(chart_structure, reduction_expected,
+                                        1e-10),
+    "rescaled-so4": _suite_rescaled,
+}
+SUITES = tuple(_RUNNERS)
 
 
 # largest suite seed: the suites seed Philox with seed and seed + 1, and
@@ -545,45 +546,6 @@ def run_suite(name: str, samples: int = 100, seed: int = 0) -> dict:
     if not 0 <= seed <= MAX_SUITE_SEED:
         raise ValueError(f"seed must be in [0, 2**64 - 2], got {seed}")
     samples = _check_samples(samples)
-    if name == "kepler-algebra":
-        report = verify_structure_constants(
-            kepler_structure(), OBSERVABLES, kepler_expected(),
-            samples=samples, seed=seed, tolerance=1e-9,
-        )
-    elif name == "oscillator-jq":
-        report = verify_structure_constants(
-            chart_structure(), OBSERVABLES, chart_jq_expected(),
-            samples=samples, seed=seed, tolerance=1e-9,
-        )
-    elif name == "reduction-criterion":
-        report = verify_structure_constants(
-            chart_structure(), OBSERVABLES, reduction_expected(),
-            samples=samples, seed=seed, tolerance=1e-10,
-        )
-    elif name == "rescaled-so4":
-        obs_n, table_n = rescaled_expected(-1)
-        report = verify_structure_constants(
-            chart_structure(), obs_n, table_n,
-            samples=samples, seed=seed, tolerance=1e-8,
-            states=sample_chart_states(samples, seed=seed, energy_sign=-1),
-        )
-        obs_p, table_p = rescaled_expected(+1)
-        scatter = verify_structure_constants(
-            chart_structure(), obs_p, table_p,
-            samples=samples, seed=seed + 1, tolerance=1e-8,
-            states=sample_chart_states(samples, seed=seed + 1, energy_sign=+1),
-        )
-        for e in scatter["entries"]:
-            e["pair"] = "E>0:" + e["pair"]
-        report["entries"] += scatter["entries"]
-        report["pass"] = report["pass"] and scatter["pass"]
-        report["brackets"] += scatter["brackets"]
-        report["gradient_evals"] += scatter["gradient_evals"]
-    elif name == "oscillator-u4":
-        report = _suite_u4(samples, seed)
-    elif name == "commutant-su2xsu2":
-        report = _suite_commutant()
-    else:
+    if name not in _RUNNERS:
         raise KeyError(f"unknown suite {name!r}")
-    report["suite"] = name
-    return report
+    return {**_RUNNERS[name](samples, seed), "suite": name}

@@ -366,7 +366,7 @@ def reparametrized_field(
     scaling: EnergyScaling | None = None, k: float = 1.0
 ) -> DynamicalSystem:
     """Reparametrized field in the oscillator chart with the energy read off
-    the state: dY/dtau = U, dU/dtau = 2 g(E) E Y, E = (|U|^2/2 - k)/|Y|^2.
+    the state: dY/dtau = g(E) U, dU/dtau = 2 g(E) E Y, E = (|U|^2/2 - k)/|Y|^2.
 
     With g == 1 this is exactly the chart transport of 2 R^2 times the
     conformal Kepler field.
@@ -381,7 +381,9 @@ def reparametrized_field(
         if np.any(r2 <= 0.0):
             raise DomainError("reparametrized rhs needs |Y| > 0", state=s)
         E = (0.5 * np.sum(U * U, axis=-1) - k) / r2
-        return np.concatenate([U, (2.0 * scaling(E) * E)[..., None] * Y], axis=-1)
+        g = np.asarray(scaling(E))
+        return np.concatenate([g[..., None] * U, (2.0 * g * E)[..., None] * Y],
+                              axis=-1)
 
     reg = observables(k)
     return DynamicalSystem(

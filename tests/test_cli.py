@@ -482,3 +482,53 @@ def test_abbreviated_flags_are_rejected(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} " in err
     assert not list(tmp_path.iterdir())
+
+
+# --- every flag and config key checked before any work ------------------------
+
+@pytest.mark.parametrize("argv, line, flag", [
+    (_KEPLER + ["--t-end", "1"], "rel-tl = 0", "--rel-tl"),
+    (["verify", "--suite", "kepler-algebra"], "samles = 0", "--samles"),
+    (["verify", "--suite", "kepler-algebra"], "rel-tol = 1e-9", "--rel-tol"),
+])
+def test_config_key_the_command_has_no_flag_for_exits_2_naming_it(
+        tmp_path, capsys, argv, line, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    code = run(argv + ["--config", str(cfg), "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"]
+    assert not out.exists()
+
+
+def test_malformed_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
+    code = run(_KEPLER + ["--t-end", "1", "--energy", "abc",
+                          "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == "--energy expects a number, got 'abc'"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-steps"])
+def test_verify_takes_no_integrator_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "kepler-algebra", flag, "1e-9",
+             "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_demo_non_positive_tol_exits_2_naming_the_flag(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = run(["demo", "calogero", f"--tol={tol}", "--out-dir", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"--tol must be positive, got {tol!r}"
+    assert not out.exists()

@@ -317,3 +317,16 @@ def test_projection_consistency_of_tangent_map():
     J3 = OBSERVABLES["J3_yu"](s_up)
     ratio = J3 / L3
     assert np.max(np.abs(ratio - ratio[0])) < 1e-10
+
+
+def test_reparametrized_gyorgyi_conserves_chart_energy_and_h():
+    # a reparametrization scales both halves of the field by g(E), so the
+    # flow keeps the chart energy (here positive, as gyorgyi needs) and h
+    from ksunfold import IntegratorConfig, integrate
+
+    s0 = np.array([0.8, -0.3, 0.4, 0.2, 1.1, 1.2, -0.5, 0.9])
+    traj = integrate(reparametrized_field(scaling_preset("gyorgyi")), s0, 0.5,
+                     config=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+    for name in ("chart_energy", "h"):
+        vals = OBSERVABLES[name](traj.states)
+        assert np.max(np.abs(vals - vals[0])) < 1e-9, name
