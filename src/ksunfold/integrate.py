@@ -133,34 +133,10 @@ def write_table(path, header, table):
 
 
 def _pow10_table():
-    """10^k for _POW10_MIN <= k <= _POW10_MAX, each rounded to nearest (ties
-    to even) at the precision of np.longdouble, by integer arithmetic."""
-    p = np.finfo(np.longdouble).nmant + 1
-    mants, exps = [], []
-    for k in range(_POW10_MIN, _POW10_MAX + 1):
-        # 10^k = (m + r / d) 2^x with 2^(p-1) <= m < 2^p and 0 <= r < d
-        if k >= 0:
-            n = 10 ** k
-            x = n.bit_length() - p
-            d = 1 << max(x, 0)
-            m, r = divmod(n, d) if x >= 0 else (n << -x, 0)
-        else:
-            d = 10 ** -k
-            x = 1 - p - d.bit_length()
-            m, r = divmod(1 << -x, d)
-        if 2 * r > d or (2 * r == d and m & 1):
-            m += 1
-            if m >> p:
-                m, x = m >> 1, x + 1
-        mants.append(m)
-        exps.append(x)
-    mant = np.zeros(len(mants), dtype=np.longdouble)
-    for shift in range((p - 1) // 32 * 32, -1, -32):  # exact, 32 bits a step
-        mant = mant * 2.0 ** 32 + np.array(
-            [(m >> shift) & 0xFFFFFFFF for m in mants], dtype=np.uint32)
-    # where np.longdouble is a double the extreme powers overflow
-    with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(mant, np.array(exps))
+    """10^k for _POW10_MIN <= k <= _POW10_MAX, each rounded to nearest at the
+    precision of np.longdouble by the C library's decimal parser."""
+    return np.array([np.longdouble(f"1e{k}")
+                     for k in range(_POW10_MIN, _POW10_MAX + 1)])
 
 
 def _encoder_tables():

@@ -24,19 +24,15 @@ from .integrate import (
     IntegratorConfig,
     _safeguarded_newton,
     brentq,  # noqa: F401  (unused; see integrate.brentq)
+    find_return_time,
     integrate,
     write_table,
 )
-from .phase_geometry import (
-    fiber_act,
-    ks_lift,
-    ks_project,
-    ks_tangent_velocity,
-    to_oscillator_chart,
-)
+from .phase_geometry import fiber_act, ks_lift, ks_tangent, to_oscillator_chart
 from .sampling import rng_from_seed, sample_states3
 from .symplectic import _check_samples, chart_structure, poisson_bracket
 from .systems import (
+    _CALOGERO_GAP,
     DynamicalSystem,
     EnergyScaling,
     Observable,
@@ -68,6 +64,11 @@ __all__ = [
 ]
 
 
+# points of the uniform comparison grids of `check_equivariance` and of the
+# unfold's direct comparison leg
+_GRID_POINTS = 512
+
+
 # ---------------------------------------------------------------------------
 # setups and the equivariance checker
 # ---------------------------------------------------------------------------
@@ -75,10 +76,15 @@ __all__ = [
 def project_tangent_state(s):
     """(y, u) upstairs state(s) -> (x, v) downstairs through the tangent map."""
     s = np.asarray(s, dtype=float)
-    y, u = s[..., :4], s[..., 4:8]
-    return np.concatenate(
-        [ks_project(y), ks_tangent_velocity(y, u)], axis=-1
-    )
+    return np.concatenate(ks_tangent(s[..., :4], s[..., 4:8]), axis=-1)
+
+
+def _downstairs(chart):
+    """(x, v) of oscillator-chart states (Y, U): the tangent map at
+    u = U / (2 |Y|^2), with a NaN velocity where Y = 0."""
+    Y, U = chart[..., :4], chart[..., 4:8]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ks_tangent(Y, U / (2.0 * np.sum(Y * Y, axis=-1))[..., None])
 
 
 @dataclass(frozen=True)
@@ -135,12 +141,11 @@ def check_equivariance(
     s0,
     T: float,
     tol: float = 1e-7,
-    n_grid: int = 512,
     config: Optional[IntegratorConfig] = None,
 ) -> dict:
     """Integrate both legs of the reduction square from s0 over [0, T] and
     report the maximum pointwise divergence of downstairs states on a
-    uniform comparison grid."""
+    uniform comparison grid of _GRID_POINTS intervals."""
     s0 = np.asarray(s0, dtype=float)
     resid = float(np.abs(setup.constraint(s0) - setup.target))
     if resid > 1e-10:
@@ -153,7 +158,7 @@ def check_equivariance(
         "upstairs": setup.upstairs.name,
         "downstairs": setup.downstairs.name,
         "T": float(T),
-        "n_grid": int(n_grid),
+        "n_grid": _GRID_POINTS,
         "constraint_residual": resid,
         "tolerance": float(tol),
     }
@@ -163,7 +168,7 @@ def check_equivariance(
         return report
     up = integrate(setup.upstairs, s0, T, config=config)
     down = integrate(setup.downstairs, setup.projection(s0), T, config=config)
-    grid = np.linspace(0.0, T, n_grid + 1)
+    grid = np.linspace(0.0, T, _GRID_POINTS + 1)
     path_up = setup.projection(up.eval(grid))
     path_down = down.eval(grid)
     div = float(np.max(np.linalg.norm(path_up - path_down, axis=-1)))
@@ -352,7 +357,6 @@ class UnfoldResult:
     E: float
     gauge: float
     scaling: str
-    lift: np.ndarray                  # (Y0, U0) chart state, 8-vector
     taus: np.ndarray                  # (n,)
     ts: np.ndarray                    # (n,) accumulated physical time
     chart: np.ndarray                 # (n, 8) chart states on the grid
@@ -417,11 +421,15 @@ class UnfoldResult:
 
 
 def _split_state(p0):
-    """(x, v) from a State3, an (x, v) pair or a 6-vector."""
-    if hasattr(p0, "x") and hasattr(p0, "v"):
-        return np.asarray(p0.x, float), np.asarray(p0.v, float)
-    arr = np.asarray(p0, dtype=float).reshape(-1)
-    return arr[:3], arr[3:6]
+    """(x, v) of a Kepler state given as 6 finite numbers."""
+    try:
+        arr = np.asarray(p0, dtype=float)
+        ok = arr.shape == (6,) and np.isfinite(arr).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"p0 must be 6 finite numbers (x, v), got {p0!r}")
+    return arr[:3], arr[3:]
 
 
 def unfold_kepler(
@@ -433,24 +441,23 @@ def unfold_kepler(
     k: float = 1.0,
     n_samples: int = 512,
     compare: bool = True,
-    compare_points: int = 512,
 ) -> UnfoldResult:
     """Lift a Kepler state, flow the completed oscillator field and its
     physical-time clock in tau in closed form (`OscillatorFlow`), and project
     back downstairs.  `config` sets only the direct comparison leg.
 
-    `p0` is a State3 or a (x, v) pair / 6-vector.  The returned result
-    samples everything on a uniform tau grid of n_samples+1 points and, when
-    `compare` is set, holds the divergence against direct Kepler integration
-    on a shared physical-time grid (truncated to wherever direct integration
-    survives; radial collisions downstairs set the `collision` flag while
-    the upstairs trajectory continues through Y = 0).  With `compare` set
-    this is the one-gauge case of `unfold_sweep`.
+    `p0` is the 6-vector (x, v); anything else raises ValueError.  The
+    returned result samples everything on a uniform tau grid of n_samples+1
+    points and, when `compare` is set, holds the divergence against direct
+    Kepler integration on a shared physical-time grid (truncated to wherever
+    direct integration survives; radial collisions downstairs set the
+    `collision` flag while the upstairs trajectory continues through Y = 0).
+    With `compare` set this is the one-gauge case of `unfold_sweep`.
     """
     if compare:
         return next(unfold_sweep(
             p0, tau_end, [gauge], scaling=scaling, config=config, k=k,
-            n_samples=n_samples, compare_points=compare_points,
+            n_samples=n_samples,
         ))
     cfg = config or IntegratorConfig()
     x0, v0 = _split_state(p0)
@@ -461,22 +468,15 @@ def unfold_kepler(
     g = float(scaling(E))
 
     up = OscillatorFlow(Y0, U0, E, g, float(tau_end), k, int(n_samples))
-    taus = up.times
     chart = up.states[:, :8]
-    ts = up.states[:, 8]
-    xs = ks_project(chart[:, :4])
-    r2 = np.sum(chart[:, :4] ** 2, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_nat = chart[:, 4:8] / (2.0 * r2)[:, None]
-        vs = ks_tangent_velocity(chart[:, :4], u_nat)
+    xs, vs = _downstairs(chart)
 
     return UnfoldResult(
         E=E,
         gauge=float(gauge),
         scaling=scaling.name,
-        lift=np.concatenate([Y0, U0]),
-        taus=taus,
-        ts=ts,
+        taus=up.times,
+        ts=up.states[:, 8],
         chart=chart,
         xs=xs,
         vs=vs,
@@ -495,7 +495,6 @@ def unfold_sweep(
     config: Optional[IntegratorConfig] = None,
     k: float = 1.0,
     n_samples: int = 512,
-    compare_points: int = 512,
 ) -> Iterator[UnfoldResult]:
     """Unfold `p0` at each gauge angle in turn and yield each result, with
     its comparison against direct Kepler integration, as soon as it is done.
@@ -517,9 +516,9 @@ def unfold_sweep(
         if leg is None:
             leg = _direct_leg(x0, v0, float(result.ts[-1]), k, cfg,
                               result.upstairs.collision_time())
-        divergence, collision = _compare_downstairs(result, leg, compare_points)
-        yield dataclasses.replace(result, divergence=divergence,
-                                  collision=collision, direct_leg=leg[3])
+        yield dataclasses.replace(result,
+                                  divergence=_compare_downstairs(result, leg),
+                                  collision=leg[2], direct_leg=leg[3])
 
 
 def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
@@ -558,21 +557,16 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     return None, 0.0, True, record
 
 
-def _compare_downstairs(result, leg, compare_points):
+def _compare_downstairs(result, leg):
     """Measure the divergence of the projected unfold from the direct leg
     on a shared physical-time grid."""
     direct, t_leg, collision, _ = leg
     if direct is None:
-        return {"compared": False, "collision": True, "t_compared": 0.0}, True
+        return {"compared": False, "collision": True, "t_compared": 0.0}
 
     t_cmp = min(float(result.ts[-1]), t_leg)
-    grid = np.linspace(0.0, t_cmp, int(compare_points) + 1)
-    taus = result.tau_of(grid)
-    states = result.upstairs.eval(taus)
-    Y, U = states[..., :4], states[..., 4:8]
-    xs = ks_project(Y)
-    r2 = np.sum(Y * Y, axis=-1)
-    vs = ks_tangent_velocity(Y, U / (2.0 * r2)[..., None])
+    grid = np.linspace(0.0, t_cmp, _GRID_POINTS + 1)
+    xs, vs = _downstairs(result.upstairs.eval(result.tau_of(grid)))
     down = direct.eval(grid)
     dx = np.linalg.norm(down[:, :3] - xs, axis=-1)
     dv = np.linalg.norm(down[:, 3:6] - vs, axis=-1)
@@ -583,7 +577,7 @@ def _compare_downstairs(result, leg, compare_points):
         "n_points": int(len(grid)),
         "max_position_divergence": float(np.max(dx)),
         "max_velocity_divergence": float(np.max(dv)),
-    }, collision
+    }
 
 
 def kepler_period_from_unfold(result: UnfoldResult, tol: float = 1e-6) -> dict:
@@ -591,8 +585,6 @@ def kepler_period_from_unfold(result: UnfoldResult, tol: float = 1e-6) -> dict:
     of the chart state) and the physical times of the half and full
     tau-period.  The flow downstairs closes after HALF the upstairs period
     (the lift double-covers the orbit), so `t_half` is the Kepler period."""
-    from .integrate import find_return_time
-
     tau_period = find_return_time(
         result.upstairs,
         result.upstairs.states[0],
@@ -617,7 +609,6 @@ def reduce_calogero(
     T: float,
     n_grid: int = 512,
     tol: float = 1e-6,
-    gap_min: float = 1e-9,
     config: Optional[IntegratorConfig] = None,
 ) -> dict:
     """Compare the eigenvalue flow of the free matrix motion X(t) = X0 + t V0
@@ -625,9 +616,10 @@ def reduce_calogero(
     initial matrices.
 
     The conserved commutator M = [X, Xdot] determines the coupling through
-    l = -Tr(M sigma)/2; eigenvalues are kept in ascending order with a
-    nearest-match swap check between grid points, and a gap below `gap_min`
-    is reported as a degeneracy.
+    l = -Tr(M sigma)/2.  For l != 0, X(t) is never a multiple of the
+    identity ([X(t), V0] = M != 0), so the eigenvalues never cross and
+    ascending order labels them continuously; a gap below 1e-9 anywhere on
+    the grid is reported as a degeneracy.
     """
     X0 = np.asarray(X0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
@@ -638,35 +630,27 @@ def reduce_calogero(
     l = -0.5 * float(np.trace(M @ _SIGMA))
 
     q0, G = np.linalg.eigh(X0)
-    if q0[1] - q0[0] < gap_min:
+    if q0[1] - q0[0] < _CALOGERO_GAP:
         raise DegenerateStructureError(
-            f"X0 eigenvalue gap {q0[1] - q0[0]:.3e} below {gap_min:g}",
+            f"X0 eigenvalue gap {q0[1] - q0[0]:.3e} below {_CALOGERO_GAP:g}",
             state=X0,
         )
     qd0 = np.diag(G.T @ V0 @ G)
 
     grid = np.linspace(0.0, float(T), int(n_grid) + 1)
-    eigs = np.empty((len(grid), 2))
-    prev = q0
-    m_drift = 0.0
-    for i, t in enumerate(grid):
-        Xt = X0 + t * V0
-        m_drift = max(m_drift, float(np.max(np.abs((Xt @ V0 - V0 @ Xt) - M))))
-        w = np.linalg.eigh(Xt)[0]
-        # continuity tracking: prefer the assignment closest to the last point
-        if (abs(w[0] - prev[0]) + abs(w[1] - prev[1])
-                > abs(w[1] - prev[0]) + abs(w[0] - prev[1])):
-            w = w[::-1]
-        if abs(w[1] - w[0]) < gap_min:
-            raise DegenerateStructureError(
-                f"eigenvalue collision at t={t:.6g} "
-                f"(gap {abs(w[1] - w[0]):.3e})",
-                state=Xt,
-            )
-        eigs[i] = w
-        prev = w
+    Xt = X0 + grid[:, None, None] * V0
+    m_drift = float(np.max(np.abs((Xt @ V0 - V0 @ Xt) - M)))
+    eigs = np.linalg.eigh(Xt)[0]
+    gap = eigs[:, 1] - eigs[:, 0]
+    bad = np.flatnonzero(gap < _CALOGERO_GAP)
+    if bad.size:
+        i = bad[0]
+        raise DegenerateStructureError(
+            f"eigenvalue collision at t={grid[i]:.6g} (gap {gap[i]:.3e})",
+            state=Xt[i],
+        )
 
-    system = calogero_moser_field(l, gap_min=gap_min)
+    system = calogero_moser_field(l)
     s0 = np.array([q0[0], q0[1], qd0[0], qd0[1]])
     if T > 0:
         traj = integrate(system, s0, float(T), config=config)
@@ -712,7 +696,7 @@ def project_constants(
     )
     lam = rng_from_seed(seed + 1).uniform(0.0, 2.0 * np.pi, size=samples)
     y, u = ks_lift(states[:, :3], states[:, 3:], lam)
-    chart = np.concatenate([y, 2.0 * np.sum(y * y, axis=-1)[:, None] * u], axis=1)
+    chart = np.concatenate(to_oscillator_chart(y, u), axis=1)
 
     resid = float(np.max(np.abs(
         poisson_bracket(struct, obs, OBSERVABLES["h"], chart)
@@ -723,10 +707,7 @@ def project_constants(
             f"(max residual {resid:.3e} > {tol:g})"
         )
     lam2 = rng_from_seed(seed + 2).uniform(0.0, 2.0 * np.pi, size=samples)
-    y2, u2 = fiber_act(y, u, lam2)
-    chart2 = np.concatenate(
-        [y2, 2.0 * np.sum(y2 * y2, axis=-1)[:, None] * u2], axis=1
-    )
+    chart2 = np.concatenate(to_oscillator_chart(*fiber_act(y, u, lam2)), axis=1)
     fiber_dev = float(np.max(np.abs(obs.fn(chart) - obs.fn(chart2))))
     if fiber_dev > tol:
         raise ValueError(
@@ -736,11 +717,8 @@ def project_constants(
 
     def fn(s):
         s = np.asarray(s, dtype=float)
-        yl, ul = ks_lift(s[..., :3], s[..., 3:6])
-        r2 = np.sum(yl * yl, axis=-1)
-        return obs.fn(
-            np.concatenate([yl, 2.0 * r2[..., None] * ul], axis=-1)
-        )
+        lift = to_oscillator_chart(*ks_lift(s[..., :3], s[..., 3:6]))
+        return obs.fn(np.concatenate(lift, axis=-1))
 
     return Observable(f"{obs.name}_down", 6, fn)
 

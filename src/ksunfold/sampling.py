@@ -22,22 +22,24 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.uint64(seed)))
 
 
-def sample_states3(n: int, seed: int = 0, r_range=(0.5, 3.0), v_max=1.5):
+def sample_states3(n: int, seed: int = 0):
     """n Kepler-side states (x, v) as an (n, 6) array, bounded away from the
-    collision set: |x| uniform in r_range, direction uniform on the sphere,
-    velocity components uniform in [-v_max, v_max]."""
+    collision set: |x| uniform in [0.5, 3], direction uniform on the sphere,
+    velocity components uniform in [-1.5, 1.5]."""
     rng = rng_from_seed(seed)
     d = rng.normal(size=(n, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    r = rng.uniform(*r_range, size=(n, 1))
-    v = rng.uniform(-v_max, v_max, size=(n, 3))
+    r = rng.uniform(0.5, 3.0, size=(n, 1))
+    v = rng.uniform(-1.5, 1.5, size=(n, 3))
     return np.concatenate([r * d, v], axis=1)
 
 
-def sample_states_sigma0(n: int, seed: int = 0, r_range=(0.5, 3.0), v_max=1.5):
+def sample_states_sigma0(n: int, seed: int = 0):
     """n states (y, u) on the zero level of the fiber momentum, as an (n, 8)
-    array: lift random downstairs states at a random gauge angle.  The lift
-    lands on h = 0 by construction and the gauge action preserves it."""
+    array: lift random downstairs states (|x| in [0.5, 3], velocity
+    components in [-1.5, 1.5], as `sample_states3`) at a random gauge angle.
+    The lift lands on h = 0 by construction and the gauge action preserves
+    it."""
     rng = rng_from_seed(seed)
     s3 = sample_states3(n, seed=rng.integers(2**63))
     lam = rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -131,20 +131,19 @@ def lagrangian_matrix_inverse(s) -> np.ndarray:
     return W
 
 
-def lagrangian_structure(cond_max: float = 1e12) -> SymplecticStructure:
+def lagrangian_structure() -> SymplecticStructure:
     return SymplecticStructure(
-        name="omega_L", dim=8, matrix_fn=lagrangian_matrix, cond_max=cond_max
+        name="omega_L", dim=8, matrix_fn=lagrangian_matrix
     )
 
 
-def pullback_chart_structure(cond_max: float = 1e12) -> SymplecticStructure:
+def pullback_chart_structure() -> SymplecticStructure:
     """The chart structure pulled back to (y, u) coordinates; equals half the
     Lagrangian structure, so its brackets are twice the omega_L brackets."""
     return SymplecticStructure(
         name="pullback_omega_tilde",
         dim=8,
         matrix_fn=lambda s: 0.5 * lagrangian_matrix(s),
-        cond_max=cond_max,
     )
 
 

@@ -459,7 +459,11 @@ def radial_reduced_field(
     raise ValueError(f"unknown radial variant {variant!r}")
 
 
-def calogero_moser_field(l: float, gap_min: float = 1e-9) -> DynamicalSystem:
+# smallest particle gap |q2 - q1| of the Calogero-Moser system
+_CALOGERO_GAP = 1e-9
+
+
+def calogero_moser_field(l: float) -> DynamicalSystem:
     """Two-body rational Calogero-Moser system on (q1, q2, qd1, qd2):
     q1'' = -2 l^2/(q2-q1)^3, q2'' = +2 l^2/(q2-q1)^3."""
     l = float(l)
@@ -468,9 +472,9 @@ def calogero_moser_field(l: float, gap_min: float = 1e-9) -> DynamicalSystem:
         s = np.asarray(s, dtype=float)
         q1, q2, qd1, qd2 = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
         gap = q2 - q1
-        if np.any(np.abs(gap) < gap_min):
+        if np.any(np.abs(gap) < _CALOGERO_GAP):
             raise DomainError(
-                f"calogero rhs: |q2 - q1| < {gap_min:g}", state=s
+                f"calogero rhs: |q2 - q1| < {_CALOGERO_GAP:g}", state=s
             )
         a = 2.0 * l * l / gap**3
         return np.stack([qd1, qd2, -a, a], axis=-1)

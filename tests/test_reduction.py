@@ -621,6 +621,23 @@ def test_unfold_rejects_origin():
         unfold_kepler(np.zeros(6), 1.0)
 
 
+@pytest.mark.parametrize("p0", [
+    np.arange(1.0, 8.0),                   # 7 numbers: not truncated
+    np.ones(5),                            # 5 numbers: no broadcast error
+    np.array([1.0, 0, 0, 0, np.nan, 0]),
+    np.array([1.0, 0, 0, np.inf, 0, 0]),
+    ([1.0, 0, 0], [0, 1.0, 0]),            # an (x, v) pair
+], ids=["seven", "five", "nan", "inf", "pair"])
+@pytest.mark.parametrize("run", [
+    lambda p0: unfold_kepler(p0, 1.0, compare=False),
+    lambda p0: unfold_kepler(p0, 1.0),
+    lambda p0: next(unfold_sweep(p0, 1.0, [0.0, 1.0])),
+], ids=["unfold", "unfold-compare", "sweep"])
+def test_unfold_rejects_p0_that_is_not_six_finite_numbers(p0, run):
+    with pytest.raises(ValueError, match="p0 must be 6 finite numbers"):
+        run(p0)
+
+
 # --- Calogero-Moser ----------------------------------------------------------
 
 def test_calogero_preset_matches_eigenvalue_flow():
@@ -655,6 +672,19 @@ def test_calogero_zero_coupling_is_free_motion():
     rep = reduce_calogero(X0, V0, T=2.0, tol=1e-10)
     assert abs(rep["l"]) < 1e-14
     assert rep["max_divergence"] < 1e-10
+
+
+def test_calogero_ascending_eigenvalues_at_a_rounding_tie():
+    # l != 0, so the eigenvalues of X0 + t V0 never cross and ascending
+    # order is the continuous labelling; on this pencil the two matchings
+    # of consecutive grid points tie up to rounding
+    X0 = np.array([[-0.15813022355079587, -0.555230211671607],
+                   [-0.555230211671607, -0.1453449014409373]])
+    V0 = np.array([[1382.0403205947948, 627.1261618584098],
+                   [627.1261618584098, 1379.2262573543462]])
+    rep = reduce_calogero(X0, V0, T=1.0)
+    assert rep["pass"], rep
+    assert rep["max_divergence"] < 1e-6
 
 
 def test_calogero_input_validation():
