@@ -20,8 +20,6 @@ from .errors import (
     LiftError,
 )
 from .phase_geometry import (
-    State3,
-    State4,
     fiber_act,
     fiber_matrix,
     fiber_momentum,

@@ -227,11 +227,7 @@ def _out_dir(cfg) -> str:
 
 
 def _integrator_config(cfg) -> IntegratorConfig:
-    return IntegratorConfig(
-        rel_tol=cfg.get("rel_tol", 1e-10),
-        abs_tol=cfg.get("abs_tol", 1e-12),
-        max_steps=cfg.get("max_steps", 10_000_000),
-    )
+    return IntegratorConfig(**{d: cfg[d] for d in _INTEGRATOR if d in cfg})
 
 
 def _echo(cfg: dict) -> dict:

@@ -13,15 +13,11 @@ oscillator coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, LiftError
 
 __all__ = [
-    "State3",
-    "State4",
     "ks_project",
     "ks_tangent_velocity",
     "ks_tangent",
@@ -33,44 +29,6 @@ __all__ = [
     "to_oscillator_chart",
     "from_oscillator_chart",
 ]
-
-
-@dataclass(frozen=True)
-class State3:
-    """A point of the 3-D phase space: position x (|x| > 0) and velocity v."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.x.shape != (3,) or self.v.shape != (3,):
-            raise ValueError("State3 components must be 3-vectors")
-        if not np.linalg.norm(self.x) > 0.0:
-            raise ValueError("State3 requires |x| > 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.x, self.v])
-
-
-@dataclass(frozen=True)
-class State4:
-    """A point of the 4-D phase space: position y and velocity u, component
-    order (1, 2, 3, 0).  R = |y| may vanish only for the completed
-    oscillator field; conformal-Kepler evaluation requires R > 0."""
-
-    y: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.y.shape != (4,) or self.u.shape != (4,):
-            raise ValueError("State4 components must be 4-vectors")
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.y, self.u])
 
 
 def ks_project(y):

@@ -30,7 +30,7 @@ from .integrate import (
 )
 from .phase_geometry import fiber_act, ks_lift, ks_tangent, to_oscillator_chart
 from .sampling import rng_from_seed, sample_states3
-from .symplectic import _check_samples, chart_structure, poisson_bracket
+from .symplectic import _positive_count, chart_structure, poisson_bracket
 from .systems import (
     _CALOGERO_GAP,
     DynamicalSystem,
@@ -285,7 +285,7 @@ class OscillatorFlow:
         with np.errstate(divide="ignore", invalid="ignore"):
             return {
                 obs.name: obs.fn(chart)
-                for obs in (oscillator_invariant(self.E, self.k),
+                for obs in (oscillator_invariant(self.E),
                             OBSERVABLES["h"], _chart_energy(self.k))
             }
 
@@ -580,7 +580,7 @@ def _compare_downstairs(result, leg):
     }
 
 
-def kepler_period_from_unfold(result: UnfoldResult, tol: float = 1e-6) -> dict:
+def kepler_period_from_unfold(result: UnfoldResult) -> dict:
     """Extract periods from an unfold: the upstairs tau-period (first return
     of the chart state) and the physical times of the half and full
     tau-period.  The flow downstairs closes after HALF the upstairs period
@@ -588,7 +588,7 @@ def kepler_period_from_unfold(result: UnfoldResult, tol: float = 1e-6) -> dict:
     tau_period = find_return_time(
         result.upstairs,
         result.upstairs.states[0],
-        tol,
+        tol=1e-6,
         components=range(8),
     )
     t_half, t_full = result.t_of(np.array([tau_period / 2.0, tau_period]))
@@ -626,6 +626,10 @@ def reduce_calogero(
     for name, A in (("X0", X0), ("V0", V0)):
         if A.shape != (2, 2) or abs(A[0, 1] - A[1, 0]) > 1e-12:
             raise ValueError(f"{name} must be symmetric 2x2")
+    T = float(T)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+    n_grid = _positive_count("n_grid", n_grid)
     M = X0 @ V0 - V0 @ X0
     l = -0.5 * float(np.trace(M @ _SIGMA))
 
@@ -637,7 +641,7 @@ def reduce_calogero(
         )
     qd0 = np.diag(G.T @ V0 @ G)
 
-    grid = np.linspace(0.0, float(T), int(n_grid) + 1)
+    grid = np.linspace(0.0, T, n_grid + 1)
     Xt = X0 + grid[:, None, None] * V0
     m_drift = float(np.max(np.abs((Xt @ V0 - V0 @ Xt) - M)))
     eigs = np.linalg.eigh(Xt)[0]
@@ -653,15 +657,15 @@ def reduce_calogero(
     system = calogero_moser_field(l)
     s0 = np.array([q0[0], q0[1], qd0[0], qd0[1]])
     if T > 0:
-        traj = integrate(system, s0, float(T), config=config)
+        traj = integrate(system, s0, T, config=config)
         q_path = traj.eval(grid)[:, :2]
     else:
         q_path = s0[None, :2]
     div = float(np.max(np.abs(q_path - eigs)))
     return {
         "l": l,
-        "T": float(T),
-        "n_grid": int(n_grid),
+        "T": T,
+        "n_grid": n_grid,
         "max_divergence": div,
         "commutator_drift": m_drift,
         "tolerance": float(tol),
@@ -679,7 +683,6 @@ def project_constants(
     obs: Observable,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> Observable:
     """Turn a chart observable that commutes with the fiber momentum into a
     function of the downstairs state: f_down(p) = f(lift(p)).
@@ -689,7 +692,8 @@ def project_constants(
     residual, since without those properties the value would depend on the
     choice of lift.
     """
-    samples = _check_samples(samples)
+    samples = _positive_count("samples", samples)
+    tol = 1e-10
     struct = chart_structure()
     states = np.asarray(
         sample_states3(samples, seed=seed), dtype=float

@@ -219,7 +219,8 @@ def quadratic_from_matrix(C: np.ndarray, kappa: float,
         F_C = (2*kappa*i)^{-1} zbar^T C z
             = -Y^T A U + (U^T B U + kappa^2 Y^T B Y) / (2*kappa)
 
-    for C = A + iB (A real antisymmetric, B real symmetric).  The map is a
+    for C = A + iB (A real antisymmetric, B real symmetric): the quadratic
+    form of P = [[kappa B, -A], [A, B/kappa]] on s = (Y, U).  The map is a
     bracket homomorphism: {F_C, F_D} = F_[C,D] under the chart structure.
     """
     C = np.asarray(C, dtype=complex)
@@ -230,25 +231,9 @@ def quadratic_from_matrix(C: np.ndarray, kappa: float,
     kappa = float(kappa)
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    A = C.real.copy()
-    B = C.imag.copy()
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        Y, U = s[..., :4], s[..., 4:8]
-        t1 = -np.einsum("...i,ij,...j->...", Y, A, U)
-        t2 = np.einsum("...i,ij,...j->...", U, B, U)
-        t3 = np.einsum("...i,ij,...j->...", Y, B, Y)
-        return t1 + (t2 + kappa**2 * t3) / (2.0 * kappa)
-
-    def grad(s):
-        s = np.asarray(s, dtype=float)
-        Y, U = s[..., :4], s[..., 4:8]
-        gY = -(U @ A.T) + kappa * (Y @ B.T)
-        gU = (Y @ A.T) + (U @ B.T) / kappa
-        return np.concatenate([gY, gU], axis=-1)
-
-    return Observable(name, 8, fn, grad)
+    A, B = C.real, C.imag
+    return quadratic_observable(np.block([[kappa * B, -A], [A, B / kappa]]),
+                                name)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +307,13 @@ def _rhs_values(rhs, states):
     return np.full(states.shape[:-1], float(rhs))
 
 
-def _check_samples(samples) -> int:
+def _positive_count(name: str, value) -> int:
     try:
-        n = operator.index(samples)
+        n = operator.index(value)
     except TypeError:
         n = 0
     if n <= 0:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return n
 
 
@@ -357,7 +342,7 @@ def verify_structure_constants(
     callables of the state batch (for energy-dependent tables); nothing is
     fitted, so energy dependence cannot be masked.
     """
-    samples = _check_samples(samples)
+    samples = _positive_count("samples", samples)
     if states is None:
         if struct.dim == 6:
             states = sample_states3(samples, seed=seed)
@@ -478,10 +463,10 @@ def _suite_commutant() -> dict:
     return _report(1, 0, entries, 0, 0)
 
 
-def _suite_u4(samples: int, seed: int, tolerance: float = 1e-10,
-              kappa: float = 1.3, n_matrices: int = 8) -> dict:
+def _suite_u4(samples: int, seed: int) -> dict:
     """Bracket-homomorphism check: {F_C, F_D} = F_[C,D] for random
     antihermitian C, D at a fixed frequency."""
+    tolerance, kappa, n_matrices = 1e-10, 1.3, 8
     rng = rng_from_seed(seed)
     states = sample_chart_states(samples, seed=seed + 1)
     struct = chart_structure()
@@ -544,7 +529,7 @@ def run_suite(name: str, samples: int = 100, seed: int = 0) -> dict:
     """Run a named verification suite; returns the JSON-ready report."""
     if not 0 <= seed <= MAX_SUITE_SEED:
         raise ValueError(f"seed must be in [0, 2**64 - 2], got {seed}")
-    samples = _check_samples(samples)
+    samples = _positive_count("samples", samples)
     if name not in _RUNNERS:
         raise KeyError(f"unknown suite {name!r}")
     return {**_RUNNERS[name](samples, seed), "suite": name}

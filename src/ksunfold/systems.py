@@ -417,16 +417,7 @@ def radial_reduced_field(
             return np.stack([vr, (2.0 * E - vr * vr) / r], axis=-1)
 
         # l^2 = r^2 (2E - vr^2) is the conserved quantity of this variant
-        cons = Observable(
-            "radial_l2",
-            2,
-            fn=lambda s: s[..., 0] ** 2 * (2.0 * E - s[..., 1] ** 2),
-            grad=lambda s: np.stack(
-                [2.0 * s[..., 0] * (2.0 * E - s[..., 1] ** 2),
-                 -2.0 * s[..., 0] ** 2 * s[..., 1]],
-                axis=-1,
-            ),
-        )
+        cons = replace(_R2 * (-_VR2 + 2.0 * E), name="radial_l2")
         return DynamicalSystem(
             "radial", 2, rhs, energy=cons, monitors=(cons,), state_names=("r", "vr")
         )
@@ -443,14 +434,8 @@ def radial_reduced_field(
                 raise DomainError("radial rhs needs r > 0", state=s)
             return np.stack([vr, l * l / r**3], axis=-1)
 
-        energy = Observable(
-            "radial_energy",
-            2,
-            fn=lambda s: 0.5 * s[..., 1] ** 2 + 0.5 * l * l / s[..., 0] ** 2,
-            grad=lambda s: np.stack(
-                [-l * l / s[..., 0] ** 3, s[..., 1]], axis=-1
-            ),
-        )
+        energy = replace(0.5 * _VR2 + 0.5 * l * l * _INV_R2,
+                         name="radial_energy")
         return DynamicalSystem(
             "radial", 2, rhs, energy=energy, monitors=(energy,),
             state_names=("r", "vr"),
@@ -479,21 +464,7 @@ def calogero_moser_field(l: float) -> DynamicalSystem:
         a = 2.0 * l * l / gap**3
         return np.stack([qd1, qd2, -a, a], axis=-1)
 
-    energy = Observable(
-        "calogero_energy",
-        4,
-        fn=lambda s: 0.5 * (s[..., 2] ** 2 + s[..., 3] ** 2)
-        + l * l / (s[..., 1] - s[..., 0]) ** 2,
-        grad=lambda s: np.stack(
-            [
-                2.0 * l * l / (s[..., 1] - s[..., 0]) ** 3,
-                -2.0 * l * l / (s[..., 1] - s[..., 0]) ** 3,
-                s[..., 2],
-                s[..., 3],
-            ],
-            axis=-1,
-        ),
-    )
+    energy = replace(0.5 * _QD2 + l * l * _INV_GAP2, name="calogero_energy")
     return DynamicalSystem(
         "calogero", 4, rhs, energy=energy, monitors=(energy,),
         state_names=("q1", "q2", "qd1", "qd2"),
@@ -560,6 +531,15 @@ _J = tuple(_form(4, ab=0.5 * K) for K in K_J)
 _XY = tuple(_form(4, aa=S) for S in S_KS)
 _XU = tuple(_form(4, bb=S) for S in S_KS)
 _INV_Y2 = _Y2.compose(_inverse, _d_inverse)
+# radial side, on (r, vr)
+_R2, _VR2 = _form(1, aa=1.0), _form(1, bb=1.0)
+_INV_R2 = _R2.compose(_inverse, _d_inverse)
+# Calogero side, on (q1, q2, qd1, qd2): |qd|^2 and 1/(q2 - q1)^2, with the
+# gap squared as a product, since the expanded form q1^2 - 2 q1 q2 + q2^2
+# loses digits as the particles close in
+_QD2 = _form(2, bb=np.eye(2))
+_GAP = _coordinate(4, 1) - _coordinate(4, 0)
+_INV_GAP2 = (_GAP * _GAP).compose(_inverse, _d_inverse)
 
 
 def _chart_energy(k=1.0):
@@ -610,7 +590,7 @@ def _registry(k: float) -> Mapping[str, Observable]:
                              for name, obs in reg.items()})
 
 
-def oscillator_invariant(E: float, k: float = 1.0) -> Observable:
+def oscillator_invariant(E: float) -> Observable:
     """C = |U|^2/2 - E |Y|^2, the conserved quadratic of the completed field
     at energy E.  On states compatible with the conformal system C == k, and
     unlike the chart energy it stays regular through Y = 0."""

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ksunfold import (
     DomainError,
     LiftError,
-    State3,
-    State4,
     fiber_act,
     fiber_matrix,
     fiber_momentum,
@@ -174,19 +172,6 @@ def test_lift_roundtrip_random_cloud():
 def test_lift_rejects_origin():
     with pytest.raises(LiftError):
         ks_lift(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-
-
-def test_state3_validation():
-    with pytest.raises(ValueError):
-        State3(np.array([1.0, 2.0]), np.array([0.0, 0.0, 0.0]))
-    p = State3([1, 0, 0], [0, 1, 0])
-    assert p.x.dtype == np.float64
-    assert np.allclose(p.as_array(), [1, 0, 0, 0, 1, 0])
-
-
-def test_state4_as_array_ordering():
-    s = State4([1, 2, 3, 4], [5, 6, 7, 8])
-    assert np.allclose(s.as_array(), [1, 2, 3, 4, 5, 6, 7, 8])
 
 
 def test_oscillator_chart_roundtrip():

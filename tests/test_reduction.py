@@ -378,7 +378,7 @@ def _eager_monitors(up):
     """The monitors as the flow formed them when it was built."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return {obs.name: obs.fn(up.states[:, :8])
-                for obs in (reduction.oscillator_invariant(up.E, up.k),
+                for obs in (reduction.oscillator_invariant(up.E),
                             OBSERVABLES["h"], reduction._chart_energy(up.k))}
 
 
@@ -692,6 +692,28 @@ def test_calogero_input_validation():
         reduce_calogero(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), 1.0)
     with pytest.raises(DegenerateStructureError):
         reduce_calogero(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("T, n_grid, name", [
+    (np.nan, 512, "T"),
+    (np.inf, 512, "T"),
+    (-1.0, 512, "T"),
+    (1.0, -5, "n_grid"),
+    (1.0, 0, "n_grid"),
+    (1.0, 2.5, "n_grid"),
+])
+def test_calogero_rejects_bad_horizon_and_grid(T, n_grid, name):
+    X0 = np.diag([0.0, 1.0])
+    V0 = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        reduce_calogero(X0, V0, T=T, n_grid=n_grid)
+
+
+def test_calogero_zero_horizon_compares_the_initial_state():
+    X0 = np.diag([0.0, 1.0])
+    V0 = np.array([[0.0, 0.5], [0.5, 0.0]])
+    rep = reduce_calogero(X0, V0, T=0.0, n_grid=4)
+    assert rep["pass"] and rep["max_divergence"] == 0.0
 
 
 # --- descent of constants ----------------------------------------------------

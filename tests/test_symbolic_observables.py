@@ -13,12 +13,15 @@ from ksunfold import (
     Observable,
     completed_oscillator_field,
     conformal_kepler_field,
+    calogero_moser_field,
     integrate,
     kepler_field,
     oscillator_invariant,
+    quadratic_from_matrix,
+    radial_reduced_field,
     reparametrized_field,
 )
-from ksunfold.sampling import sample_chart_states, sample_states3
+from ksunfold.sampling import rng_from_seed, sample_chart_states, sample_states3
 from ksunfold.systems import observables, rescaled_runge_lenz
 
 K_VALUES = (0.5, 1.0, 2.0)
@@ -149,6 +152,62 @@ def test_oscillator_invariant_matches_symbolic(E):
     expr = U.dot(U) / 2 - E * Y.dot(Y)
     _assert_matches(oscillator_invariant(E), _oracle(expr, S),
                     _states(8), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the radial, Calogero and u(4) observables outside the registry
+# ---------------------------------------------------------------------------
+
+R, VR = sp.symbols("r vr", real=True)
+Q = sp.symbols("q1 q2 qd1 qd2", real=True)
+
+
+def _radial_states():
+    rng = rng_from_seed(227)
+    return np.stack([rng.uniform(0.2, 3.0, N_STATES),
+                     rng.normal(size=N_STATES)], axis=-1)
+
+
+def _calogero_states():
+    rng = rng_from_seed(229)
+    q1 = rng.normal(size=N_STATES)
+    gap = rng.uniform(0.1, 2.0, N_STATES) * rng.choice([-1.0, 1.0], N_STATES)
+    return np.stack([q1, q1 + gap, *rng.normal(size=(2, N_STATES))], axis=-1)
+
+
+@pytest.mark.parametrize("E", [-0.3, 0.4])
+def test_radial_l2_matches_symbolic(E):
+    expr = R**2 * (2 * E - VR**2)
+    _assert_matches(radial_reduced_field(E=E).energy, _oracle(expr, (R, VR)),
+                    _radial_states(), 1.0)
+
+
+@pytest.mark.parametrize("l", [0.5, 1.2])
+def test_radial_energy_matches_symbolic(l):
+    expr = VR**2 / 2 + l**2 / (2 * R**2)
+    obs = radial_reduced_field(l=l, variant="angular").energy
+    _assert_matches(obs, _oracle(expr, (R, VR)), _radial_states(), 1.0)
+
+
+@pytest.mark.parametrize("l", [0.5, 1.2])
+def test_calogero_energy_matches_symbolic(l):
+    q1, q2, qd1, qd2 = Q
+    expr = (qd1**2 + qd2**2) / 2 + l**2 / (q2 - q1)**2
+    _assert_matches(calogero_moser_field(l).energy, _oracle(expr, Q),
+                    _calogero_states(), 1.0)
+
+
+@pytest.mark.parametrize("kappa", [0.9, 1.3, 1.7])
+def test_quadratic_from_matrix_matches_symbolic(kappa):
+    # F_C = (2 kappa i)^{-1} zbar^T C z with z = U + i kappa Y
+    rng = rng_from_seed(233)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    C = 0.5 * (raw - raw.conj().T)
+    Y, U = sp.Matrix(S[:4]), sp.Matrix(S[4:])
+    z = U + sp.I * sp.Float(kappa) * Y
+    expr = (z.conjugate().T * sp.Matrix(C) * z)[0] / (2 * sp.Float(kappa) * sp.I)
+    _assert_matches(quadratic_from_matrix(C, kappa),
+                    _oracle(sp.re(sp.expand(expr)), S), _states(8), 1.0)
 
 
 def test_observables_are_cached_per_k():
