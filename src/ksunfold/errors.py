@@ -2,16 +2,17 @@
 
 
 class KSUnfoldError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `state` holds the state at fault,
+    when there is one."""
+
+    def __init__(self, message, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 class DomainError(KSUnfoldError):
     """A state lies outside the admissible domain of a map or vector field
     (e.g. r < r_min for the Kepler right-hand side)."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class LiftError(KSUnfoldError):
@@ -23,18 +24,13 @@ class IntegrationError(KSUnfoldError):
     the integrator's counts up to then (`stats`, as `Trajectory.stats`)."""
 
     def __init__(self, message, t=None, state=None, stats=None):
-        super().__init__(message)
+        super().__init__(message, state)
         self.t = t
-        self.state = state
         self.stats = {} if stats is None else stats
 
 
 class DegenerateStructureError(KSUnfoldError):
     """The symplectic matrix is (numerically) singular at a state."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class HorizonError(KSUnfoldError, ValueError):

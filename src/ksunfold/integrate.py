@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.zeros((7, 7))
 _A[1, 0] = 1 / 5
 _A[2, :2] = [3 / 40, 9 / 40]
@@ -78,10 +77,10 @@ _ROUND_EPS = 2.0 * float(np.finfo(np.longdouble).eps)
 _EXP_BIAS = 400
 _ENCODER_TABLES = None  # built by `_encoder_tables` on first use
 
-# iteration cap of `_safeguarded_newton`, and the tolerance in t of the
-# return times it refines for `find_return_time`
+# iteration cap of `_safeguarded_newton`, and the largest last step,
+# relative to max(1, |x|), of the roots it refines
 _ROOT_MAX_ITER = 64
-_RETURN_TOL = 1e-14
+_ROOT_TOL = 1e-14
 
 
 def brentq(*args, **kwargs):
@@ -114,6 +113,17 @@ def _safeguarded_newton(fdf, lo, hi, x, tol):
         if not np.any(np.abs(step) > tol * np.maximum(1.0, np.abs(x))):
             break
     return x
+
+
+def _up_crossings(times, g, fdf):
+    """Refined up-crossings of g, in order: for each node pair with
+    g[i] < 0 <= g[i + 1], the root of `fdf` (as `_safeguarded_newton`
+    takes it) in [times[i], times[i + 1]], started from the secant point."""
+    for i in np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)):
+        g0, g1 = g[i], g[i + 1]
+        lo, hi = times[i], times[i + 1]
+        yield float(_safeguarded_newton(
+            fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _ROOT_TOL))
 
 
 def write_table(path, header, table):
@@ -523,14 +533,7 @@ def find_return_time(
         state, slope = traj.eval_and_deriv(t)  # one flow evaluation
         return (state[comp] - refc) @ w, slope[comp] @ w
 
-    # brackets g0 < 0 <= g1 on the nodes from `start` on, in order
-    crossings = start + np.flatnonzero((g_nodes[start:-1] < 0.0)
-                                       & (g_nodes[start + 1:] >= 0.0))
-    for i in crossings:
-        g0, g1 = g_nodes[i], g_nodes[i + 1]
-        lo, hi = traj.times[i], traj.times[i + 1]
-        t_star = float(_safeguarded_newton(
-            fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _RETURN_TOL))
+    for t_star in _up_crossings(traj.times[start:], g_nodes[start:], fdf):
         if np.linalg.norm(traj.eval(t_star)[comp] - refc) < tol:
             return t_star
     raise ValueError("no return within the trajectory span")

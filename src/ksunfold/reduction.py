@@ -22,7 +22,9 @@ from .errors import (
 )
 from .integrate import (
     IntegratorConfig,
+    _ROOT_TOL,
     _safeguarded_newton,
+    _up_crossings,
     brentq,  # noqa: F401  (unused; see integrate.brentq)
     find_return_time,
     integrate,
@@ -186,9 +188,6 @@ def check_equivariance(
 _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
                             for n in reversed(range(9))])
 
-# tau_of: largest last Newton or bisection step, relative to max(1, |tau|)
-_TAU_TOL = 1e-14
-
 # a zero of Y . Y0 is a collision when |Y|^2 there is below this times
 # |Y0|^2: zero up to rounding (about 1e-32), while a near-radial orbit's
 # pericentre r = |Y|^2 is of order |x0 x v0|^2
@@ -326,22 +325,17 @@ class OscillatorFlow:
 
         Y stays in the plane of Y0 and U0, so it vanishes only on radial
         orbits, where Y is a multiple of Y0.  The first sign change of Y.Y0
-        on the nodes is refined by Newton's method (d(Y.Y0)/dtau = g U.Y0)
-        and counts when |Y|^2 is zero there up to rounding."""
-        proj = self.states[:, :4] @ self.Y0
-        down = np.flatnonzero((proj[:-1] > 0.0) & (proj[1:] <= 0.0))
-        if not down.size:
-            return None
-        i = down[0]
-
+        on the nodes, an up-crossing of -(Y.Y0), is refined by Newton's
+        method (d(Y.Y0)/dtau = g U.Y0) and counts when |Y|^2 is zero there
+        up to rounding."""
         def fdf(tau):
             state = self.eval(tau)
             return -(state[:4] @ self.Y0), -self.g * (state[4:8] @ self.Y0)
 
-        lo, hi = self.times[i], self.times[i + 1]
-        tau = float(_safeguarded_newton(
-            fdf, lo, hi, lo + (hi - lo) * proj[i] / (proj[i] - proj[i + 1]),
-            _TAU_TOL))
+        tau = next(_up_crossings(self.times, -(self.states[:, :4] @ self.Y0),
+                                 fdf), None)
+        if tau is None:
+            return None
         state = self.eval(tau)
         if state[:4] @ state[:4] > _COLLISION_R2 * (self.Y0 @ self.Y0):
             return None
@@ -393,7 +387,7 @@ class UnfoldResult:
 
         return _safeguarded_newton(fdf, up.times[j - 1], up.times[j],
                                    np.interp(target, nodes, up.times),
-                                   _TAU_TOL)
+                                   _ROOT_TOL)
 
     def to_csv(self, path):
         cols = (

@@ -27,6 +27,7 @@ from .systems import (
     OBSERVABLES,
     Observable,
     S_KS,
+    _finite,
     quadratic_observable,
     rescaled_runge_lenz,
 )
@@ -101,14 +102,20 @@ def chart_structure() -> SymplecticStructure:
     return canonical_structure(4, "omega_tilde")
 
 
-def lagrangian_matrix(s) -> np.ndarray:
-    """Coefficient matrix of the Lagrangian 2-form on (y, u):
-    M = [[A, 4R^2 I], [-4R^2 I, 0]] with A = -8 (y u^T - u y^T)."""
+def _lagrangian_blocks(s):
+    """(b, A) of the Lagrangian 2-form: b = 4R^2, A = -8 (y u^T - u y^T)."""
     s = np.asarray(s, dtype=float)
     y, u = s[..., :4], s[..., 4:8]
     b = 4.0 * np.sum(y * y, axis=-1)
     A = -8.0 * (y[..., :, None] * u[..., None, :] - u[..., :, None] * y[..., None, :])
-    M = np.zeros(s.shape[:-1] + (8, 8))
+    return b, A
+
+
+def lagrangian_matrix(s) -> np.ndarray:
+    """Coefficient matrix of the Lagrangian 2-form on (y, u):
+    M = [[A, b I], [-b I, 0]] with `_lagrangian_blocks`' (b, A)."""
+    b, A = _lagrangian_blocks(s)
+    M = np.zeros(b.shape + (8, 8))
     M[..., :4, :4] = A
     idx = np.arange(4)
     M[..., idx, idx + 4] = b[..., None]
@@ -118,12 +125,9 @@ def lagrangian_matrix(s) -> np.ndarray:
 
 def lagrangian_matrix_inverse(s) -> np.ndarray:
     """Closed-form inverse of `lagrangian_matrix`:
-    M^{-1} = [[0, -I/b], [I/b, A/b^2]], b = 4R^2."""
-    s = np.asarray(s, dtype=float)
-    y, u = s[..., :4], s[..., 4:8]
-    b = 4.0 * np.sum(y * y, axis=-1)
-    A = -8.0 * (y[..., :, None] * u[..., None, :] - u[..., :, None] * y[..., None, :])
-    W = np.zeros(s.shape[:-1] + (8, 8))
+    M^{-1} = [[0, -I/b], [I/b, A/b^2]]."""
+    b, A = _lagrangian_blocks(s)
+    W = np.zeros(b.shape + (8, 8))
     idx = np.arange(4)
     W[..., idx, idx + 4] = (-1.0 / b)[..., None]
     W[..., idx + 4, idx] = (1.0 / b)[..., None]
@@ -155,9 +159,8 @@ def _contract(gf, wg):
 
 
 def _bracket(struct: SymplecticStructure, gf, gg, s):
-    """{f, g}(s) from the gradients gf = grad f(s), gg = grad g(s)."""
-    if struct.constant:
-        return _contract(gf, gg @ struct.inv.T)
+    """{f, g}(s) from the gradients gf = grad f(s), gg = grad g(s) under a
+    state-dependent structure: check its condition number, then solve."""
     M = struct.matrix_at(s)
     cond = np.linalg.cond(M)
     if np.any(cond > struct.cond_max):
@@ -174,7 +177,7 @@ def _bracket(struct: SymplecticStructure, gf, gg, s):
 def poisson_bracket(struct: SymplecticStructure, f: Observable, g: Observable, s):
     """{f, g}(s) = -grad(f)^T M(s)^{-1} grad(g); broadcasts over batches."""
     s = np.asarray(s, dtype=float)
-    return _bracket(struct, f.gradient(s), g.gradient(s), s)
+    return _table_brackets(struct, [(f, g)], s)[0][0]
 
 
 def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
@@ -223,12 +226,12 @@ def quadratic_from_matrix(C: np.ndarray, kappa: float,
     form of P = [[kappa B, -A], [A, B/kappa]] on s = (Y, U).  The map is a
     bracket homomorphism: {F_C, F_D} = F_[C,D] under the chart structure.
     """
-    C = np.asarray(C, dtype=complex)
+    C = _finite("C", np.asarray(C, dtype=complex))
     if C.shape != (4, 4):
         raise ValueError("C must be 4x4")
     if np.max(np.abs(C + C.conj().T)) > 1e-12:
         raise ValueError("C must be antihermitian")
-    kappa = float(kappa)
+    kappa = _finite("kappa", float(kappa))
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     A, B = C.real, C.imag
@@ -466,22 +469,19 @@ def _suite_commutant() -> dict:
 def _suite_u4(samples: int, seed: int) -> dict:
     """Bracket-homomorphism check: {F_C, F_D} = F_[C,D] for random
     antihermitian C, D at a fixed frequency."""
-    tolerance, kappa, n_matrices = 1e-10, 1.3, 8
+    kappa, n_matrices = 1.3, 8
     rng = rng_from_seed(seed)
-    states = sample_chart_states(samples, seed=seed + 1)
-    struct = chart_structure()
-    entries = []
+    observables, expected = {}, {}
     for idx in range(n_matrices):
         raw = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         C, D = (0.5 * (r - r.conj().T) for r in raw)
-        FC = quadratic_from_matrix(C, kappa, name=f"F_C{idx}")
-        FD = quadratic_from_matrix(D, kappa, name=f"F_D{idx}")
-        FCD = quadratic_from_matrix(_commutator(C, D), kappa)
-        lhs = poisson_bracket(struct, FC, FD, states)
-        entries.append(_entry(f"{{F_C{idx},F_D{idx}}}", samples,
-                              float(np.max(np.abs(lhs - FCD.fn(states)))),
-                              tolerance))
-    return _report(samples, seed, entries, n_matrices, 2 * n_matrices)
+        fc, fd = f"F_C{idx}", f"F_D{idx}"
+        observables[fc] = quadratic_from_matrix(C, kappa, name=fc)
+        observables[fd] = quadratic_from_matrix(D, kappa, name=fd)
+        expected[(fc, fd)] = quadratic_from_matrix(_commutator(C, D), kappa)
+    return verify_structure_constants(
+        chart_structure(), observables, expected, samples=samples, seed=seed,
+        tolerance=1e-10, states=sample_chart_states(samples, seed=seed + 1))
 
 
 def _suite_rescaled(samples: int, seed: int) -> dict:

@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import DomainError
+from .phase_geometry import fiber_momentum, ks_tangent_velocity
 
 __all__ = [
     "Observable",
@@ -187,14 +188,6 @@ def _antisym(pairs):
     return K
 
 
-def _sym(pairs):
-    S = np.zeros((4, 4))
-    for a, b, val in pairs:
-        S[a, b] = val
-        S[b, a] = val
-    return S
-
-
 # J_i = (1/2) Y^T K_i U ; index positions are (y1,y2,y3,y0) -> (0,1,2,3)
 K_J = (
     _antisym([(0, 3, 1.0), (2, 1, 1.0)]),   # J1 = (Y1 U0 - Y0 U1 + Y3 U2 - Y2 U3)/2
@@ -202,20 +195,28 @@ K_J = (
     _antisym([(0, 1, 1.0), (3, 2, 1.0)]),   # J3 = (Y1 U2 - Y2 U1 + Y0 U3 - Y3 U0)/2
 )
 
-# h = 2 Y^T K_H U
-K_H = _antisym([(0, 1, 1.0), (2, 3, 1.0)])
-
-# KS quadratic forms x_i(y) = y^T S_i y
-S_KS = (
-    _sym([(0, 2, 1.0), (1, 3, 1.0)]),       # x1 = 2(y1 y3 + y2 y0)
-    _sym([(1, 2, 1.0), (0, 3, -1.0)]),      # x2 = 2(y2 y3 - y1 y0)
-    np.diag([1.0, 1.0, -1.0, -1.0]),        # x3 = y1^2 + y2^2 - y3^2 - y0^2
-)
+# the KS map's coefficients, read off the map at unit vectors e_a, e_b:
+# v_i(e_a, e_b) = 2 S_i[a, b] for the KS forms x_i(y) = y^T S_i y, and
+# h(e_a, e_b) = 4 K_H[a, b] for h = 4 R^2 y^T K_H u = 2 Y^T K_H U
+_E4 = np.eye(4)
+_V_UNIT = ks_tangent_velocity(_E4[:, None], _E4)
+S_KS = tuple(0.5 * _V_UNIT[..., i] for i in range(3))
+K_H = 0.25 * fiber_momentum(_E4[:, None], _E4)
 
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_i, _j, _k] = 1.0
     _EPS[_j, _i, _k] = -1.0
+
+
+def _finite(name, value):
+    """value, a float or an array, once it is checked finite (every entry of
+    it); ValueError naming the parameter otherwise."""
+    # math.isfinite costs a fiftieth of the NumPy check on a float
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.isfinite(value).all()):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 # dtype of the states `kepler_field`'s rhs evaluates in Python floats
@@ -343,7 +344,7 @@ def completed_oscillator_field(E: float, k: float = 1.0) -> DynamicalSystem:
     the energy-E member of the oscillator family the Kepler flow unfolds
     into (frequency sqrt(-2E) for E < 0).
     """
-    E = float(E)
+    E = _finite("E", float(E))
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
@@ -407,41 +408,37 @@ def radial_reduced_field(
     if variant == "energy":
         if E is None:
             raise ValueError("energy variant needs E")
-        E = float(E)
+        E = _finite("E", float(E))
 
-        def rhs(s):
-            s = np.asarray(s, dtype=float)
-            r, vr = s[..., 0], s[..., 1]
-            if np.any(r <= 0.0):
-                raise DomainError("radial rhs needs r > 0", state=s)
-            return np.stack([vr, (2.0 * E - vr * vr) / r], axis=-1)
+        def acceleration(r, vr):
+            return (2.0 * E - vr * vr) / r
 
         # l^2 = r^2 (2E - vr^2) is the conserved quantity of this variant
-        cons = replace(_R2 * (-_VR2 + 2.0 * E), name="radial_l2")
-        return DynamicalSystem(
-            "radial", 2, rhs, energy=cons, monitors=(cons,), state_names=("r", "vr")
-        )
-
-    if variant == "angular":
+        energy = replace(_R2 * (-_VR2 + 2.0 * E), name="radial_l2")
+    elif variant == "angular":
         if l is None:
             raise ValueError("angular variant needs l")
-        l = float(l)
+        l = _finite("l", float(l))
 
-        def rhs(s):
-            s = np.asarray(s, dtype=float)
-            r, vr = s[..., 0], s[..., 1]
-            if np.any(r <= 0.0):
-                raise DomainError("radial rhs needs r > 0", state=s)
-            return np.stack([vr, l * l / r**3], axis=-1)
+        def acceleration(r, vr):
+            return l * l / r**3
 
         energy = replace(0.5 * _VR2 + 0.5 * l * l * _INV_R2,
                          name="radial_energy")
-        return DynamicalSystem(
-            "radial", 2, rhs, energy=energy, monitors=(energy,),
-            state_names=("r", "vr"),
-        )
+    else:
+        raise ValueError(f"unknown radial variant {variant!r}")
 
-    raise ValueError(f"unknown radial variant {variant!r}")
+    def rhs(s):
+        s = np.asarray(s, dtype=float)
+        r, vr = s[..., 0], s[..., 1]
+        if np.any(r <= 0.0):
+            raise DomainError("radial rhs needs r > 0", state=s)
+        return np.stack([vr, acceleration(r, vr)], axis=-1)
+
+    return DynamicalSystem(
+        "radial", 2, rhs, energy=energy, monitors=(energy,),
+        state_names=("r", "vr"),
+    )
 
 
 # smallest particle gap |q2 - q1| of the Calogero-Moser system
@@ -451,7 +448,7 @@ _CALOGERO_GAP = 1e-9
 def calogero_moser_field(l: float) -> DynamicalSystem:
     """Two-body rational Calogero-Moser system on (q1, q2, qd1, qd2):
     q1'' = -2 l^2/(q2-q1)^3, q2'' = +2 l^2/(q2-q1)^3."""
-    l = float(l)
+    l = _finite("l", float(l))
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
@@ -524,7 +521,6 @@ _X2, _V2 = _form(3, aa=np.eye(3)), _form(3, bb=np.eye(3))
 _XV = _form(3, ab=np.eye(3))
 _L = tuple(_form(3, ab=_EPS[i]) for i in range(3))
 # the (y, u) and (Y, U) sides share these forms on the halves of the state
-_E4 = np.eye(4)
 _Y2, _U2 = _form(4, aa=_E4), _form(4, bb=_E4)
 _H = _form(4, ab=2.0 * K_H)
 _J = tuple(_form(4, ab=0.5 * K) for K in K_J)
@@ -551,7 +547,7 @@ def _chart_energy(k=1.0):
 def observables(k: float = 1.0) -> Mapping[str, Observable]:
     """The registered observables at force constant k, by name; read-only,
     since every caller with the same k shares it."""
-    return _registry(float(k))  # one cache entry for 2 and 2.0
+    return _registry(_finite("k", float(k)))  # one cache entry for 2 and 2.0
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 """Source checks: every module compiles from source with warnings turned
-into errors, and only the observable algebra hands out gradients."""
+into errors, only the observable algebra hands out gradients, and each
+shared numerical job is called from its one place."""
 
 import ast
 import pathlib
@@ -25,10 +26,9 @@ def test_module_compiles_without_warnings(path):
 _GRADIENT_HOMES = {"quadratic_observable", "_coordinate", "Observable"}
 
 
-def _gradient_calls(tree):
-    """(enclosing names, line) of every call that passes an observable a
-    gradient: `Observable(...)` with a fourth positional argument, or any
-    call with `grad=`."""
+def _calls(tree, match):
+    """(enclosing class and function names, line) of every call for which
+    match(call, called name) holds."""
     found = []
 
     def visit(node, path):
@@ -39,13 +39,21 @@ def _gradient_calls(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                if ((name == "Observable" and len(child.args) >= 4)
-                        or any(kw.arg == "grad" for kw in child.keywords)):
+                if match(child, name):
                     found.append((path, child.lineno))
             visit(child, path)
 
     visit(tree, ())
     return found
+
+
+def _gradient_calls(tree):
+    """(enclosing names, line) of every call that passes an observable a
+    gradient: `Observable(...)` with a fourth positional argument, or any
+    call with `grad=`."""
+    return _calls(tree, lambda call, name: (
+        (name == "Observable" and len(call.args) >= 4)
+        or any(kw.arg == "grad" for kw in call.keywords)))
 
 
 def test_gradients_come_from_one_mechanism():
@@ -58,3 +66,23 @@ def test_gradients_come_from_one_mechanism():
                 outside.append(f"{path.name}:{line}")
     assert outside == [], "gradients given outside the observable algebra"
     assert homes == _GRADIENT_HOMES
+
+
+# the one place each shared job is called from: the constant-structure
+# bracket arithmetic from the bracket table (`poisson_bracket` is a one-pair
+# table), and the safeguarded Newton refinement from the up-crossing search
+# (`find_return_time`, `collision_time`) and from the clock inversion
+_SINGLE_PATHS = {
+    "_contract": {("_table_brackets",)},
+    "_safeguarded_newton": {("_up_crossings",), ("UnfoldResult", "tau_of")},
+}
+
+
+@pytest.mark.parametrize("callee", sorted(_SINGLE_PATHS))
+def test_shared_jobs_are_called_from_one_place(callee):
+    callers = {}
+    for path in _SRC:
+        tree = ast.parse(path.read_text())
+        for names, line in _calls(tree, lambda call, name: name == callee):
+            callers.setdefault(names, []).append(f"{path.name}:{line}")
+    assert set(callers) == _SINGLE_PATHS[callee], callers

@@ -272,6 +272,16 @@ def test_quadratic_from_matrix_validation():
         quadratic_from_matrix(1j * np.eye(4), -1.0)  # bad frequency
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quadratic_from_matrix_rejects_non_finite_input(value):
+    C = np.zeros((4, 4), dtype=complex)
+    C[0, 1], C[1, 0] = value, -value
+    with pytest.raises(ValueError, match="^C must be finite"):
+        quadratic_from_matrix(C, 1.3)
+    with pytest.raises(ValueError, match="^kappa must be finite"):
+        quadratic_from_matrix(np.zeros((4, 4)), value)
+
+
 def test_quadratic_from_matrix_gradient():
     rng = rng_from_seed(37)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

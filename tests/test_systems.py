@@ -22,10 +22,12 @@ from ksunfold import (
     to_oscillator_chart,
 )
 from ksunfold.systems import (
+    K_H,
     K_J,
     S_KS,
     _r2,
     conformal_acceleration,
+    observables,
     rescaled_runge_lenz,
 )
 from ksunfold.sampling import (
@@ -244,6 +246,60 @@ def test_calogero_energy_and_guard():
     assert abs(dot) < 1e-14
     with pytest.raises(DomainError):
         cal.rhs(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+_BAD_VALUES = [np.nan, np.inf, -np.inf]
+
+# each physical parameter a constructor takes: (parameter, call with value)
+_PARAMETERS = {
+    "radial-E": ("E", lambda x: radial_reduced_field(E=x)),
+    "radial-l": ("l", lambda x: radial_reduced_field(l=x, variant="angular")),
+    "calogero-l": ("l", calogero_moser_field),
+    "oscillator-E": ("E", completed_oscillator_field),
+    "oscillator-k": ("k", lambda x: completed_oscillator_field(-0.5, k=x)),
+    "kepler-k": ("k", lambda x: kepler_field(k=x)),
+    "conformal-k": ("k", lambda x: conformal_kepler_field(k=x)),
+    "reparametrized-k": ("k", lambda x: reparametrized_field(k=x)),
+    "observables-k": ("k", observables),
+}
+
+
+@pytest.mark.parametrize("value", _BAD_VALUES)
+@pytest.mark.parametrize("case", sorted(_PARAMETERS))
+def test_non_finite_parameters_are_rejected(case, value):
+    name, build = _PARAMETERS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(value)
+
+
+def _antisym(pairs):
+    K = np.zeros((4, 4))
+    for a, b, val in pairs:
+        K[a, b] = val
+        K[b, a] = -val
+    return K
+
+
+def _sym(pairs):
+    S = np.zeros((4, 4))
+    for a, b, val in pairs:
+        S[a, b] = val
+        S[b, a] = val
+    return S
+
+
+def test_ks_matrices_equal_their_literal_tables():
+    """S_KS and K_H, read off the KS map, against the tables written out:
+    the same bits, signs of zero included."""
+    literal = (
+        _antisym([(0, 1, 1.0), (2, 3, 1.0)]),   # h = 2 Y^T K_H U
+        _sym([(0, 2, 1.0), (1, 3, 1.0)]),       # x1 = 2(y1 y3 + y2 y0)
+        _sym([(1, 2, 1.0), (0, 3, -1.0)]),      # x2 = 2(y2 y3 - y1 y0)
+        np.diag([1.0, 1.0, -1.0, -1.0]),        # x3 = y1^2 + y2^2 - y3^2 - y0^2
+    )
+    for derived, want in zip((K_H, *S_KS), literal, strict=True):
+        assert derived.dtype == want.dtype
+        assert derived.tobytes() == want.tobytes()
 
 
 def test_scaling_presets():
