@@ -154,7 +154,12 @@ def _gauges(flag, raw):
     # hi - lo is not finite if an end is not, or if the span overflows
     if not np.isfinite(hi - lo):
         raise ConfigError(f"{flag} must be finite, got {raw!r}")
-    return list(np.linspace(lo, hi, n)) if ".." in raw else [lo]
+    if ".." not in raw:
+        return [lo]
+    # on a span near the double range, linspace's last node overflows before
+    # linspace sets it to hi; every node it returns is finite
+    with np.errstate(over="ignore"):
+        return list(np.linspace(lo, hi, n))
 
 
 # how each flag's text is read, by dest: reader(flag, raw) -> value

@@ -408,7 +408,7 @@ class UnfoldResult:
             "abs_tol": self.config.abs_tol,
             "tau_end": float(self.taus[-1]),
             "t_end": float(self.ts[-1]),
-            "samples": int(len(self.taus)),
+            "grid_points": int(len(self.taus)),
             "divergence": self.divergence,
             "direct_leg": self.direct_leg,
         }

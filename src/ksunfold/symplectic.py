@@ -5,8 +5,10 @@ A structure is its coefficient matrix M(s) in the chart basis, so that
 omega(a, b) = a^T M(s) b for tangent vectors a, b.  The bracket engine then
 evaluates {f, g}(s) = -grad(f)^T M(s)^{-1} grad(g) using the closed-form
 gradients attached to the observables; a bracket table evaluates each
-observable's gradient once.  Sign convention (fixed once, here):
-for the canonical structure on (Y, U) this yields {Y_a, U_b} = +delta_ab.
+observable's gradient once, and `verify_structure_constants` each
+observable's value once per batch of states.  Sign convention (fixed
+once, here): for the canonical structure on (Y, U) this yields
+{Y_a, U_b} = +delta_ab.
 
 All evaluators broadcast over a leading batch axis of states.
 """
@@ -28,6 +30,7 @@ from .systems import (
     Observable,
     S_KS,
     _finite,
+    _shared_values,
     quadratic_observable,
     rescaled_runge_lenz,
 )
@@ -87,8 +90,8 @@ def canonical_structure(pairs: int, name: str) -> SymplecticStructure:
     """M = [[0, I], [-I, 0]] on R^(2*pairs): the structure with
     {q_a, p_b} = +delta_ab under the engine's sign convention."""
     n = int(pairs)
-    eye = np.eye(n)
-    M = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:], M[n:, :n] = np.eye(n), -np.eye(n)
     return SymplecticStructure(name=name, dim=2 * n, matrix=M, inv=-M)
 
 
@@ -235,8 +238,11 @@ def quadratic_from_matrix(C: np.ndarray, kappa: float,
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     A, B = C.real, C.imag
-    return quadratic_observable(np.block([[kappa * B, -A], [A, B / kappa]]),
-                                name)
+    # by slices: np.block costs more than the quadratic form's own set-up
+    P = np.empty((8, 8))
+    P[:4, :4], P[:4, 4:] = kappa * B, -A
+    P[4:, :4], P[4:, 4:] = A, B / kappa
+    return quadratic_observable(P, name)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +364,18 @@ def verify_structure_constants(
         raise ValueError(f"states must hold at least one state, got shape "
                          f"{states.shape}")
     n = states.shape[0]
-    lhs, gradient_evals = _table_brackets(
-        struct, [(observables[f], observables[g]) for f, g in expected], states)
-    entries = [
-        _entry(f"{{{fname},{gname}}}", n,
-               float(np.max(np.abs(value - _rhs_values(rhs, states)))),
-               tolerance)
-        for ((fname, gname), rhs), value in zip(expected.items(), lhs)]
+    # a read-only view, so nothing inside the scope changes the shared batch
+    states = states.view()
+    states.flags.writeable = False
+    with _shared_values(states):
+        lhs, gradient_evals = _table_brackets(
+            struct, [(observables[f], observables[g]) for f, g in expected],
+            states)
+        entries = [
+            _entry(f"{{{fname},{gname}}}", n,
+                   float(np.max(np.abs(value - _rhs_values(rhs, states)))),
+                   tolerance)
+            for ((fname, gname), rhs), value in zip(expected.items(), lhs)]
     return _report(n, seed, entries, len(entries), gradient_evals)
 
 

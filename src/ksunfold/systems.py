@@ -18,6 +18,8 @@ All evaluators broadcast over leading axes: a batch of N states is an
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -55,6 +57,48 @@ __all__ = [
 ]
 
 
+# the state batch of the open `_shared_values` scope and the values computed
+# at it so far, keyed by evaluator; None outside a scope
+_SCOPE = contextvars.ContextVar("ksunfold_shared_values", default=None)
+
+
+@contextlib.contextmanager
+def _shared_values(states):
+    """Within the block every observable's value at `states` (that array
+    object, not an equal one) is computed once and shared, read-only, by
+    every composite, gradient and caller that needs it; the values are
+    dropped when the block ends.  The caller must not change `states` in
+    place inside the block."""
+    token = _SCOPE.set((states, {}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _sharing(fn):
+    """fn, with its value at the state batch of an open `_shared_values`
+    scope computed once; unchanged everywhere else."""
+
+    def value(s):
+        scope = _SCOPE.get()
+        if scope is None or s is not scope[0]:
+            return fn(s)
+        memo = scope[1]
+        if value not in memo:
+            v = fn(s)
+            if isinstance(v, np.ndarray):
+                # a read-only view, so no user of the shared value can change
+                # it and fn's own array keeps its flags
+                v = v.view()
+                v.flags.writeable = False
+            memo[value] = v
+        return memo[value]
+
+    value.shares_values = True
+    return value
+
+
 @dataclass(frozen=True)
 class Observable:
     """Named scalar function on a phase space with a closed-form gradient.
@@ -62,13 +106,21 @@ class Observable:
     Observables form an algebra: `f + g`, `f - g`, `-f`, `f * g` (g an
     observable or a number) and `f.compose(phi, dphi)` build new observables
     with their chain-rule gradients.  A composite calls its parts' `fn` and
-    `grad`, never their `gradient`.
+    `grad`, never their `gradient`.  Inside a `_shared_values` scope (opened
+    only by `symplectic.verify_structure_constants`) `fn` computes each
+    node's value at the scope's state batch once, and every bracket,
+    gradient and right-hand side reuses it; gradients are not shared.
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        # `replace` hands a new node the evaluator it already shares
+        if not getattr(self.fn, "shares_values", False):
+            object.__setattr__(self, "fn", _sharing(self.fn))
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
@@ -241,6 +293,8 @@ def _r2(y):
 
 def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     """Kepler: dx/dt = v, dv/dt = -k x / r^3.  Rejects r < r_min."""
+    # a NaN r_min would switch the r < r_min guard off
+    r_min = _finite("r_min", float(r_min))
     small_k = abs(k) <= 1e100
 
     def rhs(s):
@@ -316,6 +370,7 @@ def conformal_acceleration(y, u, k=1.0):
 
 def conformal_kepler_field(k: float = 1.0, R_min: float = 1e-9) -> DynamicalSystem:
     """Conformal Kepler on (y, u): dy/dt = u, du/dt = F.  Rejects R < R_min."""
+    R_min = _finite("R_min", float(R_min))
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
@@ -590,7 +645,8 @@ def oscillator_invariant(E: float) -> Observable:
     """C = |U|^2/2 - E |Y|^2, the conserved quadratic of the completed field
     at energy E.  On states compatible with the conformal system C == k, and
     unlike the chart energy it stays regular through Y = 0."""
-    return replace(0.5 * _U2 - float(E) * _Y2, name="oscillator_invariant")
+    E = _finite("E", float(E))
+    return replace(0.5 * _U2 - E * _Y2, name="oscillator_invariant")
 
 
 def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:

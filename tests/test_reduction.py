@@ -609,7 +609,7 @@ def test_unfold_csv_and_sidecar(tmp_path):
     assert lines[0] == "tau,t,Y1,Y2,Y3,Y0,U1,U2,U3,U0,x1,x2,x3,v1,v2,v3"
     assert len(lines) == 18
     side = res.sidecar()
-    assert side["samples"] == 17
+    assert side["grid_points"] == 17
     assert side["scaling"] == "unit"
     assert not side["collision"]
 

@@ -70,11 +70,14 @@ def test_gradients_come_from_one_mechanism():
 
 # the one place each shared job is called from: the constant-structure
 # bracket arithmetic from the bracket table (`poisson_bracket` is a one-pair
-# table), and the safeguarded Newton refinement from the up-crossing search
-# (`find_return_time`, `collision_time`) and from the clock inversion
+# table), the safeguarded Newton refinement from the up-crossing search
+# (`find_return_time`, `collision_time`) and from the clock inversion, and
+# the shared-value scope of the observables from the structure-constant
+# check, the only caller that evaluates many observables at one batch
 _SINGLE_PATHS = {
     "_contract": {("_table_brackets",)},
     "_safeguarded_newton": {("_up_crossings",), ("UnfoldResult", "tau_of")},
+    "_shared_values": {("verify_structure_constants",)},
 }
 
 
@@ -86,3 +89,13 @@ def test_shared_jobs_are_called_from_one_place(callee):
         for names, line in _calls(tree, lambda call, name: name == callee):
             callers.setdefault(names, []).append(f"{path.name}:{line}")
     assert set(callers) == _SINGLE_PATHS[callee], callers
+
+
+def test_shared_value_scope_is_set_only_by_its_opener():
+    setters = []
+    for path in _SRC:
+        setters += _calls(ast.parse(path.read_text()), lambda call, name: (
+            name == "set"
+            and getattr(getattr(call.func, "value", None), "id", None)
+            == "_SCOPE"))
+    assert [names for names, _ in setters] == [("_shared_values",)]

@@ -1,10 +1,12 @@
 """Bracket engine, structure matrices, u(4) correspondence, verification suites."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
+from ksunfold import symplectic, systems
 from ksunfold import (
     DegenerateStructureError,
     OBSERVABLES,
@@ -39,6 +41,7 @@ from ksunfold.symplectic import (
     rescaled_expected,
 )
 from ksunfold.sampling import rng_from_seed, sample_chart_states, sample_states3
+from ksunfold.systems import _shared_values
 
 
 def _coord(i, dim):
@@ -280,6 +283,22 @@ def test_quadratic_from_matrix_rejects_non_finite_input(value):
         quadratic_from_matrix(C, 1.3)
     with pytest.raises(ValueError, match="^kappa must be finite"):
         quadratic_from_matrix(np.zeros((4, 4)), value)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 1.3, 6.0])
+def test_quadratic_from_matrix_equals_block_matrix(kappa):
+    # the matrix filled by slices, read through grad(I) = I @ P, against the
+    # np.block one, bit for bit
+    rng = rng_from_seed(41)
+    eye = np.eye(8)
+    for _ in range(6):
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        C = 0.5 * (raw - raw.conj().T)
+        A, B = C.real, C.imag
+        block = quadratic_observable(
+            np.block([[kappa * B, -A], [A, B / kappa]]))
+        F = quadratic_from_matrix(C, kappa)
+        assert np.array_equal(_bits(F.grad(eye)), _bits(block.grad(eye)))
 
 
 def test_quadratic_from_matrix_gradient():
@@ -658,3 +677,87 @@ def test_empty_state_batch_rejected(dim):
 def test_integer_like_samples_accepted():
     rep = run_suite("kepler-algebra", samples=np.int64(3), seed=1)
     assert rep["samples"] == 3 and rep["pass"]
+
+
+# shared evaluation inside verify_structure_constants
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_reports_unchanged_without_shared_values(suite, monkeypatch):
+    # every report, counts included, is the same text whether or not the
+    # observables' values are shared across the call
+    shared = {(seed, samples): run_suite(suite, samples=samples, seed=seed)
+              for seed in range(8) for samples in (1, 7, 200)}
+    monkeypatch.setattr(symplectic, "_shared_values", contextlib.nullcontext)
+    for (seed, samples), report in shared.items():
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            run_suite(suite, samples=samples, seed=seed),
+            sort_keys=True), (seed, samples)
+
+
+class _EinsumCounter:
+    """Stands in for NumPy inside `systems`, recording each quadratic leaf's
+    evaluation (the leaves' only einsum) as (state batch, s @ P/2)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, spec, s, sp):
+        self.calls.append((id(s), sp.tobytes()))
+        return np.einsum(spec, s, sp)
+
+
+# distinct (quadratic leaf, state batch) pairs of each suite at 200 samples;
+# without sharing, rescaled-so4 evaluates its leaves 150 times
+SUITE_LEAVES = {
+    "kepler-algebra": 6,
+    "oscillator-u4": 8,
+    "oscillator-jq": 11,
+    "commutant-su2xsu2": 0,
+    "reduction-criterion": 5,
+    "rescaled-so4": 22,
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_each_quadratic_leaf_evaluated_once_per_state_batch(suite, monkeypatch):
+    counter = _EinsumCounter()
+    monkeypatch.setattr(systems, "np", counter)
+    assert run_suite(suite, samples=200, seed=5)["pass"]
+    assert len(counter.calls) == len(set(counter.calls))
+    assert len(counter.calls) <= SUITE_LEAVES[suite]
+
+
+def test_shared_values_are_read_only_and_end_with_the_scope():
+    s = sample_chart_states(6, seed=79)
+    J1, E = OBSERVABLES["J1"], OBSERVABLES["chart_energy"]
+    with _shared_values(s):
+        v = J1.fn(s)
+        assert J1.fn(s) is v and J1(s) is v
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+        # an equal array that is not the scope's batch is not shared
+        assert J1.fn(s.copy()) is not v
+        assert np.array_equal(E.fn(s), E.fn(s.copy()))
+    after = J1.fn(s)
+    assert after is not v and after.flags.writeable
+    assert np.array_equal(after, v)
+
+
+def test_values_outside_a_scope_follow_changes_to_the_states():
+    s = sample_chart_states(6, seed=83)
+    E = OBSERVABLES["chart_energy"]
+    before = E.fn(s)
+    s[:, 4:] *= 2.0
+    assert not np.array_equal(E.fn(s), before)
+    assert np.array_equal(E.fn(s), E.fn(s.copy()))
+
+
+def test_verify_leaves_the_callers_states_writeable():
+    s = sample_states3(10, seed=89)
+    rep = verify_structure_constants(kepler_structure(), OBSERVABLES,
+                                     kepler_expected(), states=s)
+    assert rep["pass"] and s.flags.writeable

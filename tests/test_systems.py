@@ -258,7 +258,10 @@ _PARAMETERS = {
     "oscillator-E": ("E", completed_oscillator_field),
     "oscillator-k": ("k", lambda x: completed_oscillator_field(-0.5, k=x)),
     "kepler-k": ("k", lambda x: kepler_field(k=x)),
+    "kepler-r_min": ("r_min", lambda x: kepler_field(r_min=x)),
     "conformal-k": ("k", lambda x: conformal_kepler_field(k=x)),
+    "conformal-R_min": ("R_min", lambda x: conformal_kepler_field(R_min=x)),
+    "invariant-E": ("E", oscillator_invariant),
     "reparametrized-k": ("k", lambda x: reparametrized_field(k=x)),
     "observables-k": ("k", observables),
 }
