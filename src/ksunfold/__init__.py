@@ -23,7 +23,6 @@ from .phase_geometry import (
     fiber_act,
     fiber_matrix,
     fiber_momentum,
-    from_oscillator_chart,
     ks_lift,
     ks_project,
     ks_tangent,
@@ -42,7 +41,6 @@ from .systems import (
     conformal_kepler_field,
     free3d_field,
     kepler_field,
-    observable,
     observables,
     oscillator_invariant,
     radial_reduced_field,
@@ -51,9 +49,7 @@ from .systems import (
 )
 from .symplectic import (
     SUITES,
-    BracketTable,
     SymplecticStructure,
-    bracket_table,
     chart_structure,
     commutant_basis,
     kepler_structure,
@@ -76,8 +72,6 @@ from .reduction import (
     check_equivariance,
     kepler_period_from_unfold,
     kepler_setup,
-    project_constants,
-    projection_ratio,
     radial_setup,
     reduce_calogero,
     unfold_kepler,

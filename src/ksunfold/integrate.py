@@ -254,18 +254,11 @@ def _require_finite_positive(name, value):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
-    initial_step: Optional[float] = None
     max_steps: int = 10_000_000
 
     def __post_init__(self):
         _require_finite_positive("rel_tol", self.rel_tol)
         _require_finite_positive("abs_tol", self.abs_tol)
-        if self.initial_step is not None:
-            _require_finite_positive("initial_step", self.initial_step)
-        if not self.max_step > 0:  # NaN fails too; inf means no limit
-            raise ValueError(f"max_step must be positive (inf for no limit), "
-                             f"got {self.max_step!r}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -290,14 +283,6 @@ class Trajectory:
     dense: Optional[np.ndarray] = None
     state_names: tuple = ()
     stats: dict = field(default_factory=dict)
-
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
 
     def _locate(self, t):
         """For times t inside the span (to 1e-12), the index i of the step
@@ -364,8 +349,6 @@ def _monitor_values(system, monitors, states):
 def _initial_step(f, y0, f0, t_end, cfg):
     """Hairer-Norsett-Wanner starting-step heuristic, clipped to the span;
     returns the step and whether its rhs probe raised DomainError."""
-    if cfg.initial_step is not None:
-        return min(cfg.initial_step, t_end), False
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -379,7 +362,7 @@ def _initial_step(f, y0, f0, t_end, cfg):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end, cfg.max_step), False
+    return min(100 * h0, h1, t_end), False
 
 
 def _stats(nfev, rejected, retries) -> dict:
@@ -420,7 +403,7 @@ def integrate(
     k0 = f(y)  # a bad initial state surfaces immediately
 
     h, probe_failed = _initial_step(f, y, k0, t_end - t0, cfg)
-    nfev = 1 + (cfg.initial_step is None)
+    nfev = 2  # k0 and the step-size probe
     rejected = 0
     retries = int(probe_failed)
     ts = [t]
@@ -446,9 +429,8 @@ def integrate(
             raise _failure(
                 f"step size {h:.3g} underflowed at t={t:.6g}{detail}",
                 t, y, _stats(nfev, rejected, retries), nonfinite)
-        h_eff = min(h, cfg.max_step)
-        clamped = t + h_eff >= t_end
-        h_step = t_end - t if clamped else h_eff
+        clamped = t + h >= t_end
+        h_step = t_end - t if clamped else h
         K[0] = k0
         try:
             for i, (row, Ki) in enumerate(stages, 1):

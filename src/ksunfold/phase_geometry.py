@@ -7,7 +7,7 @@ axes, so y may be shaped (4,), (N, 4), etc.
 
 Besides the map and its tangent lift this module provides the U(1) fiber
 rotation, a two-chart section for lifting 3-D states onto the zero level of
-the fiber momentum, and the chart change (y, u) <-> (Y, U) = (y, 2R^2 u) to
+the fiber momentum, and the chart change (y, u) -> (Y, U) = (y, 2R^2 u) to
 oscillator coordinates.
 """
 
@@ -27,7 +27,6 @@ __all__ = [
     "ks_lift",
     "fiber_momentum",
     "to_oscillator_chart",
-    "from_oscillator_chart",
 ]
 
 
@@ -171,13 +170,3 @@ def to_oscillator_chart(y, u):
     if np.any(r2 <= 0.0):
         raise DomainError("oscillator chart requires |y| > 0", state=(y, u))
     return y.copy(), 2.0 * r2[..., None] * u
-
-
-def from_oscillator_chart(Y, U):
-    """Inverse chart change: y = Y, u = U / (2 |Y|^2)."""
-    Y = np.asarray(Y, dtype=float)
-    U = np.asarray(U, dtype=float)
-    r2 = np.sum(Y * Y, axis=-1)
-    if np.any(r2 <= 0.0):
-        raise DomainError("inverse chart requires |Y| > 0", state=(Y, U))
-    return Y.copy(), U / (2.0 * r2[..., None])

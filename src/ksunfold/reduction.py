@@ -30,9 +30,7 @@ from .integrate import (
     integrate,
     write_table,
 )
-from .phase_geometry import fiber_act, ks_lift, ks_tangent, to_oscillator_chart
-from .sampling import rng_from_seed, sample_states3
-from .symplectic import _positive_count, chart_structure, poisson_bracket
+from .phase_geometry import ks_lift, ks_tangent, to_oscillator_chart
 from .systems import (
     _CALOGERO_GAP,
     DynamicalSystem,
@@ -60,14 +58,12 @@ __all__ = [
     "unfold_sweep",
     "kepler_period_from_unfold",
     "reduce_calogero",
-    "project_constants",
-    "projection_ratio",
     "project_tangent_state",
 ]
 
 
-# points of the uniform comparison grids of `check_equivariance` and of the
-# unfold's direct comparison leg
+# intervals of the uniform comparison grids of `check_equivariance`,
+# `reduce_calogero` and the unfold's direct comparison leg
 _GRID_POINTS = 512
 
 
@@ -125,16 +121,16 @@ def radial_setup(E: float) -> ReductionSetup:
     )
 
 
-def kepler_setup(k: float = 1.0) -> ReductionSetup:
+def kepler_setup() -> ReductionSetup:
     """Conformal Kepler flow on the zero level of the fiber momentum,
     projected through the tangent map onto the Kepler flow (same physical
     time on both legs)."""
     return ReductionSetup(
-        upstairs=conformal_kepler_field(k=k),
+        upstairs=conformal_kepler_field(),
         constraint=OBSERVABLES["h_yu"],
         target=0.0,
         projection=project_tangent_state,
-        downstairs=kepler_field(k=k),
+        downstairs=kepler_field(),
     )
 
 
@@ -165,7 +161,7 @@ def check_equivariance(
         "tolerance": float(tol),
     }
     if T == 0.0:
-        report.update(max_divergence=0.0, samples=0)
+        report.update(max_divergence=0.0, grid_points=0)
         report["pass"] = True
         return report
     up = integrate(setup.upstairs, s0, T, config=config)
@@ -174,7 +170,7 @@ def check_equivariance(
     path_up = setup.projection(up.eval(grid))
     path_down = down.eval(grid)
     div = float(np.max(np.linalg.norm(path_up - path_down, axis=-1)))
-    report.update(max_divergence=div, samples=len(grid))
+    report.update(max_divergence=div, grid_points=len(grid))
     report["pass"] = div <= tol
     return report
 
@@ -601,7 +597,6 @@ def reduce_calogero(
     X0,
     V0,
     T: float,
-    n_grid: int = 512,
     tol: float = 1e-6,
     config: Optional[IntegratorConfig] = None,
 ) -> dict:
@@ -613,7 +608,7 @@ def reduce_calogero(
     l = -Tr(M sigma)/2.  For l != 0, X(t) is never a multiple of the
     identity ([X(t), V0] = M != 0), so the eigenvalues never cross and
     ascending order labels them continuously; a gap below 1e-9 anywhere on
-    the grid is reported as a degeneracy.
+    the grid of _GRID_POINTS intervals is reported as a degeneracy.
     """
     X0 = np.asarray(X0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
@@ -623,7 +618,6 @@ def reduce_calogero(
     T = float(T)
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be finite and >= 0, got {T!r}")
-    n_grid = _positive_count("n_grid", n_grid)
     M = X0 @ V0 - V0 @ X0
     l = -0.5 * float(np.trace(M @ _SIGMA))
 
@@ -635,7 +629,7 @@ def reduce_calogero(
         )
     qd0 = np.diag(G.T @ V0 @ G)
 
-    grid = np.linspace(0.0, T, n_grid + 1)
+    grid = np.linspace(0.0, T, _GRID_POINTS + 1)
     Xt = X0 + grid[:, None, None] * V0
     m_drift = float(np.max(np.abs((Xt @ V0 - V0 @ Xt) - M)))
     eigs = np.linalg.eigh(Xt)[0]
@@ -659,91 +653,11 @@ def reduce_calogero(
     return {
         "l": l,
         "T": T,
-        "n_grid": n_grid,
+        "n_grid": _GRID_POINTS,
         "max_divergence": div,
         "commutator_drift": m_drift,
         "tolerance": float(tol),
         "pass": bool(div <= tol),
         "initial_q": [float(v) for v in q0],
         "initial_qdot": [float(v) for v in qd0],
-    }
-
-
-# ---------------------------------------------------------------------------
-# projecting constants of motion
-# ---------------------------------------------------------------------------
-
-def project_constants(
-    obs: Observable,
-    samples: int = 100,
-    seed: int = 0,
-) -> Observable:
-    """Turn a chart observable that commutes with the fiber momentum into a
-    function of the downstairs state: f_down(p) = f(lift(p)).
-
-    Commutation {f, h} = 0 and fiber-invariance are verified numerically at
-    random states first; a failing observable is rejected with the measured
-    residual, since without those properties the value would depend on the
-    choice of lift.
-    """
-    samples = _positive_count("samples", samples)
-    tol = 1e-10
-    struct = chart_structure()
-    states = np.asarray(
-        sample_states3(samples, seed=seed), dtype=float
-    )
-    lam = rng_from_seed(seed + 1).uniform(0.0, 2.0 * np.pi, size=samples)
-    y, u = ks_lift(states[:, :3], states[:, 3:], lam)
-    chart = np.concatenate(to_oscillator_chart(y, u), axis=1)
-
-    resid = float(np.max(np.abs(
-        poisson_bracket(struct, obs, OBSERVABLES["h"], chart)
-    )))
-    if resid > tol:
-        raise ValueError(
-            f"{obs.name} does not commute with the fiber momentum "
-            f"(max residual {resid:.3e} > {tol:g})"
-        )
-    lam2 = rng_from_seed(seed + 2).uniform(0.0, 2.0 * np.pi, size=samples)
-    chart2 = np.concatenate(to_oscillator_chart(*fiber_act(y, u, lam2)), axis=1)
-    fiber_dev = float(np.max(np.abs(obs.fn(chart) - obs.fn(chart2))))
-    if fiber_dev > tol:
-        raise ValueError(
-            f"{obs.name} is not constant along fibers "
-            f"(max deviation {fiber_dev:.3e} > {tol:g})"
-        )
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        lift = to_oscillator_chart(*ks_lift(s[..., :3], s[..., 3:6]))
-        return obs.fn(np.concatenate(lift, axis=-1))
-
-    return Observable(f"{obs.name}_down", 6, fn)
-
-
-def projection_ratio(
-    up_names,
-    down_names,
-    samples: int = 200,
-    seed: int = 0,
-) -> dict:
-    """Least-squares constant c with f_up(lift(p)) = c * f_down(p) across
-    random downstairs states and all listed components; reports the fitted c
-    and the worst absolute residual, which is small only if a single global
-    constant works for every component at every state."""
-    states = sample_states3(samples, seed=seed)
-    ups, downs = [], []
-    for un, dn in zip(up_names, down_names):
-        f_down = project_constants(OBSERVABLES[un], samples=50, seed=seed)
-        ups.append(f_down.fn(states))
-        downs.append(OBSERVABLES[dn].fn(states))
-    up = np.concatenate(ups)
-    down = np.concatenate(downs)
-    c = float(np.dot(up, down) / np.dot(down, down))
-    resid = float(np.max(np.abs(up - c * down)))
-    return {
-        "pairs": list(zip(up_names, down_names)),
-        "ratio": c,
-        "max_residual": resid,
-        "samples": samples,
     }

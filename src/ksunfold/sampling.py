@@ -47,11 +47,10 @@ def sample_states_sigma0(n: int, seed: int = 0):
     return np.concatenate([y, u], axis=1)
 
 
-def sample_chart_states(n: int, seed: int = 0, energy_sign: int | None = None,
-                        k: float = 1.0):
+def sample_chart_states(n: int, seed: int = 0, energy_sign: int | None = None):
     """n oscillator-chart states (Y, U) as an (n, 8) array.
 
-    energy_sign=-1 restricts |U| so that E = (|U|^2/2 - k)/|Y|^2 < 0,
+    energy_sign=-1 restricts |U| so that E = (|U|^2/2 - 1)/|Y|^2 < 0,
     energy_sign=+1 forces |U| large enough that E > 0, None leaves the
     magnitude unconstrained.  |Y| is kept in [0.7, 1.5] in all cases.
     """
@@ -64,11 +63,10 @@ def sample_chart_states(n: int, seed: int = 0, energy_sign: int | None = None,
     if energy_sign is None:
         U *= rng.uniform(0.1, 2.5, size=(n, 1))
     elif energy_sign < 0:
-        # |U|^2/2 < k  =>  E < 0 regardless of |Y|
-        U *= rng.uniform(0.1, 1.2 * np.sqrt(2.0 * k) / np.sqrt(2.0), size=(n, 1))
-        assert np.all(0.5 * np.sum(U * U, axis=1) < k)
+        # |U|^2/2 < 1  =>  E < 0 regardless of |Y|
+        U *= rng.uniform(0.1, 1.2, size=(n, 1))
+        assert np.all(0.5 * np.sum(U * U, axis=1) < 1.0)
     else:
-        U *= rng.uniform(1.05 * np.sqrt(2.0 * k), 2.5 * np.sqrt(2.0 * k),
-                         size=(n, 1))
-        assert np.all(0.5 * np.sum(U * U, axis=1) > k)
+        U *= rng.uniform(1.05 * np.sqrt(2.0), 2.5 * np.sqrt(2.0), size=(n, 1))
+        assert np.all(0.5 * np.sum(U * U, axis=1) > 1.0)
     return np.concatenate([Y, U], axis=1)

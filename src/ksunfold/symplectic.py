@@ -45,11 +45,8 @@ __all__ = [
     "lagrangian_matrix",
     "lagrangian_matrix_inverse",
     "poisson_bracket",
-    "BracketTable",
-    "bracket_table",
     "quadratic_from_matrix",
     "quadratic_observable",
-    "bracket_matrix",
     "commutant_basis",
     "CommutantBasis",
     "verify_structure_constants",
@@ -211,12 +208,6 @@ def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
 # quadratic observables and the matrix <-> quadratic-form correspondence
 # ---------------------------------------------------------------------------
 
-def bracket_matrix(P: np.ndarray, Q: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of {f_P, f_Q} for quadratics under a constant
-    bivector B = -M^{-1}:  {f_P, f_Q} = f_R with R = P B Q - Q B P."""
-    return P @ B @ Q - Q @ B @ P
-
-
 def quadratic_from_matrix(C: np.ndarray, kappa: float,
                           name: str = "F") -> Observable:
     """Real quadratic observable of an antihermitian matrix C at frequency
@@ -278,42 +269,13 @@ def commutant_basis() -> CommutantBasis:
 # structure-constant verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BracketTable:
-    """All pairwise brackets of a list of observables at sampled states.
-    values[i, j, n] = {f_i, f_j}(s_n); antisymmetric with zero diagonal."""
-
-    observables: tuple
-    states: np.ndarray
-    values: np.ndarray
-
-    def antisymmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.values + np.swapaxes(self.values, 0, 1))))
-
-
-def bracket_table(struct, observables, states) -> BracketTable:
-    names = tuple(observables)
-    obs = [OBSERVABLES[n] if isinstance(n, str) else n for n in names]
-    states = np.asarray(states, dtype=float)
-    m = len(obs)
-    vals = np.zeros((m, m, states.shape[0]))
-    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-    values, _ = _table_brackets(struct, [(obs[i], obs[j]) for i, j in pairs],
-                                states)
-    for (i, j), v in zip(pairs, values):
-        vals[i, j] = v
-    names = tuple(o.name for o in obs)
-    return BracketTable(observables=names, states=states, values=vals)
-
-
 def _rhs_values(rhs, states):
-    if rhs is None or (np.isscalar(rhs) and rhs == 0):
-        return np.zeros(states.shape[:-1])
+    """A table's right-hand side, 0 or an Observable, at the states."""
     if isinstance(rhs, Observable):
         return rhs.fn(states)
-    if callable(rhs):
-        return np.asarray(rhs(states), dtype=float)
-    return np.full(states.shape[:-1], float(rhs))
+    if rhs != 0:
+        raise TypeError(f"a right-hand side is 0 or an Observable, got {rhs!r}")
+    return np.zeros(states.shape[:-1])
 
 
 def _positive_count(name: str, value) -> int:
@@ -347,9 +309,9 @@ def verify_structure_constants(
     states: Optional[np.ndarray] = None,
 ) -> dict:
     """Compare {f, g} against the expected right-hand side pointwise at
-    sampled states.  Right-hand sides may be 0, scalars, Observables, or
-    callables of the state batch (for energy-dependent tables); nothing is
-    fitted, so energy dependence cannot be masked.
+    sampled states.  Right-hand sides are 0 or Observables (energy-dependent
+    ones included); nothing is fitted, so energy dependence cannot be
+    masked.
     """
     samples = _positive_count("samples", samples)
     if states is None:

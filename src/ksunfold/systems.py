@@ -44,7 +44,6 @@ __all__ = [
     "reparametrized_field",
     "radial_reduced_field",
     "calogero_moser_field",
-    "observable",
     "OBSERVABLES",
     "CONSERVED",
     "oscillator_invariant",
@@ -652,6 +651,14 @@ def oscillator_invariant(E: float) -> Observable:
 def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:
     """Qhat_i = Q_i / sqrt(-2E) for sign=-1 (bound states) or Q_i / sqrt(2E)
     for sign=+1 (scattering states); only valid where sign*E > 0."""
+    reg = observables(k)
+    Qhat = reg[f"Q{i + 1}"] * _energy_rescaling(sign, float(k))
+    return replace(Qhat, name=f"Qhat{i + 1}")
+
+
+@functools.cache
+def _energy_rescaling(sign: int, k: float) -> Observable:
+    """1/sqrt(2 sign E) of the chart energy, one node that all Qhat_i share."""
 
     def scale(E):
         arg = 2.0 * sign * E
@@ -664,9 +671,7 @@ def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:
     def d_scale(E):
         return -sign * scale(E) ** 3
 
-    reg = observables(k)
-    Qhat = reg[f"Q{i + 1}"] * reg["chart_energy"].compose(scale, d_scale)
-    return replace(Qhat, name=f"Qhat{i + 1}")
+    return observables(k)["chart_energy"].compose(scale, d_scale)
 
 
 OBSERVABLES: Mapping[str, Observable] = observables(1.0)
@@ -682,11 +687,3 @@ CONSERVED = {
         "chart_energy", "h", "J1", "J2", "J3", "Q1", "Q2", "Q3",
     ),
 }
-
-
-def observable(name: str) -> Observable:
-    """Look up a registered observable by name."""
-    try:
-        return OBSERVABLES[name]
-    except KeyError:
-        raise KeyError(f"unknown observable {name!r}") from None

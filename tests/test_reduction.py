@@ -18,15 +18,15 @@ from ksunfold import (
     kepler_period_from_unfold,
     kepler_setup,
     ks_lift,
-    project_constants,
-    projection_ratio,
     radial_setup,
     reduce_calogero,
+    to_oscillator_chart,
     unfold_kepler,
     unfold_sweep,
+    verify_structure_constants,
 )
 from ksunfold.integrate import integrate
-from ksunfold.symplectic import quadratic_observable
+from ksunfold.symplectic import chart_structure, quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
 from ksunfold.systems import DynamicalSystem, kepler_field, scaling_preset
 
@@ -61,6 +61,14 @@ def test_equivariance_zero_horizon():
     setup = radial_setup(E=0.5)
     rep = check_equivariance(setup, np.array([1.0, 0, 0, 0, 1.0, 0]), T=0.0)
     assert rep["pass"] and rep["max_divergence"] == 0.0
+    assert rep["grid_points"] == 0
+
+
+def test_equivariance_reports_grid_intervals_and_points():
+    rep = check_equivariance(radial_setup(E=0.5),
+                             np.array([1.0, 0, 0, 0, 1.0, 0]), T=1.0)
+    assert (rep["n_grid"], rep["grid_points"]) == (512, 513)
+    assert "samples" not in rep
 
 
 def test_equivariance_rejects_off_level_states():
@@ -660,7 +668,7 @@ def test_calogero_eigenvalues_hand_oracle():
     X0 = np.diag([0.0, 1.0])
     V0 = np.array([[0.0, a], [a, 0.0]])
     sys = calogero_moser_field(a)
-    rep = reduce_calogero(X0, V0, T=2.0, n_grid=1000)
+    rep = reduce_calogero(X0, V0, T=2.0)
     traj = integrate(sys, np.array(rep["initial_q"] + rep["initial_qdot"]), 2.0)
     q_end = traj.states[-1][:2]
     assert np.max(np.abs(np.sort(q_end) - np.array([-1.0, 2.0]))) < 1e-6
@@ -694,72 +702,69 @@ def test_calogero_input_validation():
         reduce_calogero(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
 
 
-@pytest.mark.parametrize("T, n_grid, name", [
-    (np.nan, 512, "T"),
-    (np.inf, 512, "T"),
-    (-1.0, 512, "T"),
-    (1.0, -5, "n_grid"),
-    (1.0, 0, "n_grid"),
-    (1.0, 2.5, "n_grid"),
-])
-def test_calogero_rejects_bad_horizon_and_grid(T, n_grid, name):
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_calogero_rejects_bad_horizon(T):
     X0 = np.diag([0.0, 1.0])
     V0 = np.array([[0.0, 0.5], [0.5, 0.0]])
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        reduce_calogero(X0, V0, T=T, n_grid=n_grid)
+    with pytest.raises(ValueError, match="^T must be"):
+        reduce_calogero(X0, V0, T=T)
 
 
 def test_calogero_zero_horizon_compares_the_initial_state():
     X0 = np.diag([0.0, 1.0])
     V0 = np.array([[0.0, 0.5], [0.5, 0.0]])
-    rep = reduce_calogero(X0, V0, T=0.0, n_grid=4)
+    rep = reduce_calogero(X0, V0, T=0.0)
     assert rep["pass"] and rep["max_divergence"] == 0.0
 
 
 # --- descent of constants ----------------------------------------------------
 
+def _lifted_chart(states):
+    """Oscillator-chart states of the gauge-0 lift of Kepler states."""
+    y, u = ks_lift(states[:, :3], states[:, 3:])
+    return np.concatenate(to_oscillator_chart(y, u), axis=1)
+
+
+def _assert_half_of_downstairs(up_names, down_names, seed):
+    # f_up(chart(lift(p))) == f_down(p) / 2, component by component, and
+    # the least-squares factor over all components is one half
+    states = sample_states3(100, seed=seed)
+    chart = _lifted_chart(states)
+    up = np.concatenate([OBSERVABLES[n](chart) for n in up_names])
+    down = np.concatenate([OBSERVABLES[n](states) for n in down_names])
+    assert np.max(np.abs(up - 0.5 * down)) < 1e-9
+    assert abs(np.dot(up, down) / np.dot(down, down) - 0.5) < 1e-10
+
+
 def test_projected_angular_momentum_is_proportional_to_downstairs():
-    rep = projection_ratio(
-        ("J1", "J2", "J3"), ("L1", "L2", "L3"), samples=100, seed=5
-    )
-    assert rep["max_residual"] < 1e-9
-    # the global factor is exactly one half
-    assert abs(rep["ratio"] - 0.5) < 1e-10
+    _assert_half_of_downstairs(("J1", "J2", "J3"), ("L1", "L2", "L3"), seed=5)
 
 
 def test_projected_runge_lenz_same_factor():
-    rep = projection_ratio(
-        ("Q1", "Q2", "Q3"), ("A1", "A2", "A3"), samples=100, seed=7
-    )
-    assert rep["max_residual"] < 1e-9
-    assert abs(rep["ratio"] - 0.5) < 1e-10
+    _assert_half_of_downstairs(("Q1", "Q2", "Q3"), ("A1", "A2", "A3"), seed=7)
 
 
 def test_gauge_momentum_projects_to_zero():
-    f = project_constants(OBSERVABLES["h"], samples=50, seed=9)
     pts = sample_states3(50, seed=11)
-    assert np.max(np.abs(f.fn(pts))) < 1e-10
+    assert np.max(np.abs(OBSERVABLES["h"](_lifted_chart(pts)))) < 1e-10
 
 
 def test_chart_energy_projects_to_kepler_energy():
-    f = project_constants(OBSERVABLES["chart_energy"], samples=50, seed=13)
     pts = sample_states3(50, seed=15)
-    assert np.max(np.abs(f.fn(pts) - OBSERVABLES["kepler_energy"](pts))) < 1e-10
+    lifted = OBSERVABLES["chart_energy"](_lifted_chart(pts))
+    assert np.max(np.abs(lifted - OBSERVABLES["kepler_energy"](pts))) < 1e-10
 
 
 def test_non_commuting_observable_is_rejected():
-    # a random quadratic form does not commute with the gauge momentum
+    # a random quadratic form does not commute with the gauge momentum, so
+    # the descent check {f, h} = 0 of the reduction criterion fails for it
     rng = rng_from_seed(17)
     P = rng.normal(size=(8, 8))
     bad = quadratic_observable(P + P.T, "bad_quadratic")
-    with pytest.raises(ValueError, match="commute"):
-        project_constants(bad, samples=30, seed=19)
-
-
-@pytest.mark.parametrize("samples", [0, -3, 2.5])
-def test_project_constants_rejects_bad_samples(samples):
-    with pytest.raises(ValueError, match="samples"):
-        project_constants(OBSERVABLES["J1"], samples=samples)
+    rep = verify_structure_constants(
+        chart_structure(), {"bad": bad, "h": OBSERVABLES["h"]},
+        {("bad", "h"): 0}, samples=30, seed=19, tolerance=1e-10)
+    assert not rep["pass"]
 
 
 def test_tangency_of_conformal_field_to_gauge_level():

@@ -12,7 +12,6 @@ from ksunfold import (
     OBSERVABLES,
     Observable,
     SUITES,
-    bracket_table,
     chart_structure,
     commutant_basis,
     conformal_kepler_field,
@@ -26,11 +25,10 @@ from ksunfold import (
 )
 from ksunfold.symplectic import (
     EPS_CYCLES,
-    BracketTable,
     SymplecticStructure,
     _rhs_values,
     _suite_commutant,
-    bracket_matrix,
+    _table_brackets,
     canonical_structure,
     chart_jq_expected,
     kepler_expected,
@@ -150,7 +148,8 @@ def test_quadratic_observable_and_bracket_matrix():
     st = chart_structure()
     B = -np.asarray(st.inv)  # bivector of the engine: {f,g} = grad f . B grad g
     fP, fQ = quadratic_observable(P, "fP"), quadratic_observable(Q, "fQ")
-    fR = quadratic_observable(bracket_matrix(P, Q, B), "fR")
+    # {f_P, f_Q} = f_R with R = P B Q - Q B P
+    fR = quadratic_observable(P @ B @ Q - Q @ B @ P, "fR")
     s = rng.normal(size=(60, 8))
     assert np.max(np.abs(poisson_bracket(st, fP, fQ, s) - fR(s))) < 1e-11
 
@@ -165,11 +164,11 @@ def test_quadratic_jacobi_identity_fixed_matrices():
         P = rng.normal(size=(8, 8))
         mats.append(P + P.T)
     P, Q, R = mats
-    cyc = (
-        bracket_matrix(P, bracket_matrix(Q, R, B), B)
-        + bracket_matrix(Q, bracket_matrix(R, P, B), B)
-        + bracket_matrix(R, bracket_matrix(P, Q, B), B)
-    )
+
+    def br(X, Y):
+        return X @ B @ Y - Y @ B @ X
+
+    cyc = br(P, br(Q, R)) + br(Q, br(R, P)) + br(R, br(P, Q))
     assert np.max(np.abs(cyc)) < 1e-12 * max(1.0, np.max(np.abs(P)) ** 3)
 
 
@@ -320,14 +319,29 @@ def test_commutant_basis_doubled_entries_are_exact():
         assert np.all(re == np.round(re)) and np.all(im == np.round(im)), key
 
 
+def _table(struct, names, s):
+    """{(f, g): {f, g}(s)} over the ordered pairs of distinct registered
+    observables in `names`, from one bracket table."""
+    keys = [(f, g) for f in names for g in names if f != g]
+    values, _ = _table_brackets(
+        struct, [(OBSERVABLES[f], OBSERVABLES[g]) for f, g in keys], s)
+    return dict(zip(keys, values))
+
+
 def test_bracket_table_antisymmetry():
     s = sample_chart_states(20, seed=41)
-    tbl = bracket_table(chart_structure(), ("J1", "J2", "J3", "h"), s)
-    assert tbl.antisymmetry_residual() < 1e-12
-    assert np.max(np.abs(np.diagonal(tbl.values, axis1=0, axis2=1))) == 0.0
+    table = _table(chart_structure(), ("J1", "J2", "J3", "h"), s)
+    for (f, g), v in table.items():
+        assert np.max(np.abs(v + table[g, f])) < 1e-12
     # spot value: {J1, J2} = J3
     j3 = OBSERVABLES["J3"](s)
-    assert np.max(np.abs(tbl.values[0, 1] - j3)) < 1e-12
+    assert np.max(np.abs(table["J1", "J2"] - j3)) < 1e-12
+
+
+def test_verify_rejects_a_right_hand_side_that_is_not_0_or_an_observable():
+    with pytest.raises(TypeError, match="right-hand side"):
+        verify_structure_constants(kepler_structure(), OBSERVABLES,
+                                   {("L1", "L2"): 1.0}, samples=5)
 
 
 def test_verify_rejects_wrong_tables():
@@ -508,17 +522,9 @@ def test_bracket_table_equals_per_pair_oracle(make, names, sampler):
     struct = make()
     for seed in range(8):
         s = sampler(50, seed=seed)
-        tbl = bracket_table(struct, names, s)
-        m = len(names)
-        ref = np.zeros((m, m, s.shape[0]))
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    ref[i, j] = _oracle_bracket(struct, OBSERVABLES[names[i]],
-                                                OBSERVABLES[names[j]], s)
-        assert np.array_equal(tbl.values, ref)
-        oracle = BracketTable(tbl.observables, s, ref)
-        assert tbl.antisymmetry_residual() == oracle.antisymmetry_residual()
+        for (f, g), value in _table(struct, names, s).items():
+            assert np.array_equal(value, _oracle_bracket(
+                struct, OBSERVABLES[f], OBSERVABLES[g], s))
 
 
 @pytest.mark.parametrize("make, names, sampler", TABLE_CASES)
@@ -559,7 +565,7 @@ def test_state_dependent_structure_still_raises_degenerate():
     msg, state = _raised(lambda: _oracle_bracket(st, f, g, s))
     for call in (
         lambda: poisson_bracket(st, f, g, s),
-        lambda: bracket_table(st, ("J1_yu", "J2_yu"), s),
+        lambda: _table_brackets(st, [(f, g), (g, f)], s),
         lambda: verify_structure_constants(
             st, OBSERVABLES, {("J1_yu", "J2_yu"): 0}, states=s),
     ):
@@ -581,18 +587,18 @@ def test_constant_structure_with_general_inverse_agrees_to_roundoff():
     assert np.count_nonzero(st.inv) == 64
     names = ("J1", "J2", "Q1", "h", "chart_energy")
     s = sample_chart_states(40, seed=61)
-    tbl = bracket_table(st, names, s)
+    table = _table(st, names, s)
     eps = np.finfo(float).eps
-    for i, f in enumerate(names):
-        for j, g in enumerate(names):
+    for f in names:
+        for g in names:
             gf, gg = OBSERVABLES[f].gradient(s), OBSERVABLES[g].gradient(s)
             scale = np.einsum("...i,ij,...j->...", np.abs(gf), np.abs(st.inv),
                               np.abs(gg))
             ref = -np.einsum("...i,ij,...j->...", gf, st.inv, gg)
             one = poisson_bracket(st, OBSERVABLES[f], OBSERVABLES[g], s)
             assert np.all(np.abs(one - ref) <= 64 * eps * scale), (f, g)
-            if i != j:
-                assert np.array_equal(tbl.values[i, j], one)
+            if f != g:
+                assert np.array_equal(table[f, g], one)
 
 
 def _counting(obs, counts):
@@ -619,10 +625,10 @@ def test_each_observable_gradient_evaluated_once_per_table():
 
     counts.clear()
     s = sample_states3(30, seed=71)
-    tbl = bracket_table(kepler_structure(),
-                        [wrapped[n] for n in names], s)
-    assert counts == {n: 1 for n in names}
-    assert tbl.observables == names
+    _, gradient_evals = _table_brackets(
+        kepler_structure(),
+        [(wrapped[f], wrapped[g]) for f in names for g in names if f != g], s)
+    assert counts == {n: 1 for n in names} and gradient_evals == 7
 
 
 def test_table_cache_tells_apart_observables_sharing_a_name():
@@ -631,8 +637,10 @@ def test_table_cache_tells_apart_observables_sharing_a_name():
     s = sample_chart_states(20, seed=73)
     twin = [Observable("same", 8, OBSERVABLES[n].fn, OBSERVABLES[n].grad)
             for n in ("J1", "J2", "J3")]
-    tbl = bracket_table(st, twin, s)
-    assert np.array_equal(tbl.values[0, 1], poisson_bracket(st, *twin[:2], s))
+    values, gradient_evals = _table_brackets(
+        st, [(twin[0], twin[1]), (twin[1], twin[2])], s)
+    assert gradient_evals == 3
+    assert np.array_equal(values[0], poisson_bracket(st, *twin[:2], s))
     rep = verify_structure_constants(
         st, {"a": twin[0], "b": twin[1]}, {("a", "b"): OBSERVABLES["J3"]},
         samples=20, seed=73)
@@ -695,19 +703,17 @@ def test_suite_reports_unchanged_without_shared_values(suite, monkeypatch):
             sort_keys=True), (seed, samples)
 
 
-class _EinsumCounter:
-    """Stands in for NumPy inside `systems`, recording each quadratic leaf's
-    evaluation (the leaves' only einsum) as (state batch, s @ P/2)."""
+class _NumpyCalls:
+    """Stands in for NumPy inside `systems`, recording the arguments of each
+    call to the NumPy function `name`."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, name):
+        self.name, self.calls = name, []
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def einsum(self, spec, s, sp):
-        self.calls.append((id(s), sp.tobytes()))
-        return np.einsum(spec, s, sp)
+    def __getattr__(self, attr):
+        if attr != self.name:
+            return getattr(np, attr)
+        return lambda *args: self.calls.append(args) or getattr(np, attr)(*args)
 
 
 # distinct (quadratic leaf, state batch) pairs of each suite at 200 samples;
@@ -724,11 +730,23 @@ SUITE_LEAVES = {
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_quadratic_leaf_evaluated_once_per_state_batch(suite, monkeypatch):
-    counter = _EinsumCounter()
+    # a quadratic leaf's evaluation is its only einsum: (state batch, s @ P/2)
+    counter = _NumpyCalls("einsum")
     monkeypatch.setattr(systems, "np", counter)
     assert run_suite(suite, samples=200, seed=5)["pass"]
-    assert len(counter.calls) == len(set(counter.calls))
-    assert len(counter.calls) <= SUITE_LEAVES[suite]
+    leaves = [(id(s), sp.tobytes()) for _, s, sp in counter.calls]
+    assert len(leaves) == len(set(leaves))
+    assert len(leaves) <= SUITE_LEAVES[suite]
+
+
+def test_rescaled_family_shares_one_energy_rescaling(monkeypatch):
+    # per half: the shared 1/sqrt(2 sign E) once, and once in each of the
+    # three Qhat gradients (gradients are not shared); 12 with one rescaling
+    # per Qhat_i
+    counter = _NumpyCalls("sqrt")
+    monkeypatch.setattr(systems, "np", counter)
+    assert run_suite("rescaled-so4", samples=200, seed=5)["pass"]
+    assert len(counter.calls) == 8
 
 
 def test_shared_values_are_read_only_and_end_with_the_scope():

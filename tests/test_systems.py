@@ -14,7 +14,6 @@ from ksunfold import (
     kepler_field,
     ks_lift,
     ks_tangent,
-    observable,
     oscillator_invariant,
     radial_reduced_field,
     reparametrized_field,
@@ -349,9 +348,9 @@ def test_rescaled_runge_lenz_value_and_gradient():
 
 
 def test_observable_lookup():
-    assert observable("kepler_energy").name == "kepler_energy"
+    assert OBSERVABLES["kepler_energy"].name == "kepler_energy"
     with pytest.raises(KeyError):
-        observable("not_a_thing")
+        OBSERVABLES["not_a_thing"]
 
 
 def test_registry_dims_are_consistent():
