@@ -10,6 +10,7 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .integrate import IntegratorConfig, integrate
 from .reduction import (
+    DIRECT_LEG_CONFIG,
     check_equivariance,
     radial_setup,
     reduce_calogero,
@@ -231,8 +233,10 @@ def _out_dir(cfg) -> str:
     return out
 
 
-def _integrator_config(cfg) -> IntegratorConfig:
-    return IntegratorConfig(**{d: cfg[d] for d in _INTEGRATOR if d in cfg})
+def _integrator_config(cfg, base=IntegratorConfig()) -> IntegratorConfig:
+    """`base` with the integrator flags given in `cfg`."""
+    return dataclasses.replace(
+        base, **{d: cfg[d] for d in _INTEGRATOR if d in cfg})
 
 
 def _echo(cfg: dict) -> dict:
@@ -341,7 +345,7 @@ def cmd_unfold(cfg: dict) -> int:
     results = []
     sweep = unfold_sweep(
         np.concatenate([x, v]), tau_end, gauges, scaling=scaling,
-        config=_integrator_config(cfg), k=k,
+        config=_integrator_config(cfg, DIRECT_LEG_CONFIG), k=k,
         n_samples=cfg.get("samples", 512),
     )
     start = time.perf_counter()

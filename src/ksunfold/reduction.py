@@ -66,6 +66,14 @@ __all__ = [
 # `reduce_calogero` and the unfold's direct comparison leg
 _GRID_POINTS = 512
 
+# The unfold's direct Kepler leg when no config is given: DOP853 at
+# rel_tol 1e-11.  Against an exact universal-variable solution it errs by
+# at most about 1e-9 on the gallery orbits (DP5 at the default 1e-10: 3.5e-9)
+# in a fifth of DP5's steps; at rel_tol 1e-10 DOP853 misses the eccentric
+# orbit by 1e-8, so equal tolerance is not equal error.
+DIRECT_LEG_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12,
+                                     method="dop853")
+
 
 # ---------------------------------------------------------------------------
 # setups and the equivariance checker
@@ -286,8 +294,15 @@ class OscillatorFlow:
 
     def eval(self, tau):
         """States (Y, U, t), shape (..., 9), at tau (scalar or array)."""
+        t, Y, c, s = self._clock(tau)
+        return np.concatenate([Y, c * self.U0 + (2.0 * self.g * self.E * s)
+                               * self.Y0, t[..., None]], axis=-1)
+
+    def _clock(self, tau):
+        """(t, Y, c, s) at tau: the clock, Y = c Y0 + g s U0, and c and s
+        with a trailing axis, which U = c U0 + 2 g E s Y0 takes."""
         tau = np.asarray(tau, dtype=float)
-        g, E = self.g, self.E
+        g = self.g
         alpha, A, B, C = self._coeffs
         z = alpha * tau * tau
         c2, c3 = _stumpff(z)
@@ -297,9 +312,7 @@ class OscillatorFlow:
         S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
         t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
         c, s = c[..., None], s[..., None]
-        return np.concatenate([c * self.Y0 + (g * s) * self.U0,
-                               c * self.U0 + (2.0 * g * E * s) * self.Y0,
-                               t[..., None]], axis=-1)
+        return t, c * self.Y0 + (g * s) * self.U0, c, s
 
     def deriv(self, tau):
         """d(Y, U, t)/dtau at tau, from the vector field itself."""
@@ -377,9 +390,8 @@ class UnfoldResult:
         j = np.clip(np.searchsorted(nodes, target), 1, len(nodes) - 1)
 
         def fdf(tau):
-            state = up.eval(tau)
-            return (state[..., 8] - target,
-                    2.0 * up.g * np.sum(state[..., :4] ** 2, axis=-1))
+            t, Y, _, _ = up._clock(tau)  # U is not needed
+            return t - target, 2.0 * up.g * np.sum(Y ** 2, axis=-1)
 
         return _safeguarded_newton(fdf, up.times[j - 1], up.times[j],
                                    np.interp(target, nodes, up.times),
@@ -400,6 +412,7 @@ class UnfoldResult:
             "gauge_lambda": self.gauge,
             "scaling": self.scaling,
             "collision": self.collision,
+            "method": self.config.method,
             "rel_tol": self.config.rel_tol,
             "abs_tol": self.config.abs_tol,
             "tau_end": float(self.taus[-1]),
@@ -434,7 +447,8 @@ def unfold_kepler(
 ) -> UnfoldResult:
     """Lift a Kepler state, flow the completed oscillator field and its
     physical-time clock in tau in closed form (`OscillatorFlow`), and project
-    back downstairs.  `config` sets only the direct comparison leg.
+    back downstairs.  `config` sets only the direct comparison leg
+    (default `DIRECT_LEG_CONFIG`).
 
     `p0` is the 6-vector (x, v); anything else raises ValueError.  The
     returned result samples everything on a uniform tau grid of n_samples+1
@@ -449,7 +463,7 @@ def unfold_kepler(
             p0, tau_end, [gauge], scaling=scaling, config=config, k=k,
             n_samples=n_samples,
         ))
-    cfg = config or IntegratorConfig()
+    cfg = config or DIRECT_LEG_CONFIG
     x0, v0 = _split_state(p0)
     y0, u0 = ks_lift(x0, v0, gauge)
     Y0, U0 = to_oscillator_chart(y0, u0)
@@ -493,9 +507,9 @@ def unfold_sweep(
     with the first gauge, over that gauge's physical-time span (cut short
     when that gauge's closed form meets a collision), and every gauge is
     compared against it on the grid up to the shorter of its own span and
-    the leg's.
+    the leg's.  `config` sets the leg (default `DIRECT_LEG_CONFIG`).
     """
-    cfg = config or IntegratorConfig()
+    cfg = config or DIRECT_LEG_CONFIG
     x0, v0 = _split_state(p0)
     leg = None
     for gauge in gauges:

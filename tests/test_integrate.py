@@ -235,8 +235,9 @@ def test_config_validation():
 
 
 def test_config_has_only_the_tolerances_and_the_step_cap():
+    # `method` is set by a shipped caller: the unfold's direct leg
     assert [f.name for f in dataclasses.fields(IntegratorConfig)] == [
-        "rel_tol", "abs_tol", "max_steps"]
+        "rel_tol", "abs_tol", "max_steps", "method"]
 
 
 @pytest.mark.parametrize("name, value", [
@@ -247,6 +248,26 @@ def test_config_has_only_the_tolerances_and_the_step_cap():
 def test_config_rejects_a_bad_field_by_name(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be .*positive"):
         IntegratorConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [
+    np.nan, np.inf, 2.5, 1e6, 0, -3, True, "100", None])
+def test_config_rejects_a_max_steps_that_is_not_a_positive_integer(value):
+    # a NaN cap used to switch the cap off: attempts > nan is never true
+    with pytest.raises(ValueError, match=r"^max_steps must be a positive "
+                                         r"integer"):
+        IntegratorConfig(max_steps=value)
+
+
+def test_config_takes_a_numpy_integer_max_steps():
+    assert IntegratorConfig(max_steps=np.int64(10)).max_steps == 10
+
+
+@pytest.mark.parametrize("value", ["rk45", "DOP853", "", None, 5])
+def test_config_rejects_an_unknown_method(value):
+    with pytest.raises(ValueError, match=r"^method must be 'dp5' or "
+                                         r"'dop853'"):
+        IntegratorConfig(method=value)
 
 
 @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])

@@ -25,7 +25,8 @@ from ksunfold import (
     unfold_sweep,
     verify_structure_constants,
 )
-from ksunfold.integrate import integrate
+from ksunfold.integrate import IntegratorConfig, integrate
+from ksunfold.reduction import DIRECT_LEG_CONFIG
 from ksunfold.symplectic import chart_structure, quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
 from ksunfold.systems import DynamicalSystem, kepler_field, scaling_preset
@@ -503,28 +504,50 @@ def test_collision_horizon_matches_the_failing_dp5_attempt(p0):
     assert res.divergence["t_compared"] == 0.95 * t_col
 
 
-def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
+def _near_radial_retries(monkeypatch, config):
     p0 = np.array([1.0, 0, 0, -0.5, 1e-6, 0])
     assert unfold_kepler(p0, 6.0, compare=False).upstairs.collision_time() is None
     calls = _count_direct_legs(monkeypatch)
-    res = unfold_kepler(p0, 6.0)
+    res = unfold_kepler(p0, 6.0, config=config)
     assert len(calls) == 2
     assert res.collision
     assert res.direct_leg["horizon"] == "span"
     assert res.direct_leg["attempts"] == 2
 
 
-def test_direct_leg_record_counts_the_failed_attempt():
+def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
+    _near_radial_retries(monkeypatch, IntegratorConfig())
+
+
+def test_near_radial_orbit_gets_no_horizon_and_retries_dop853(monkeypatch):
+    _near_radial_retries(monkeypatch, None)
+
+
+def _failed_attempt_record(config, failed, record):
     p0 = np.array([1.0, 0, 0, -0.5, 1e-6, 0])
-    res = unfold_kepler(p0, 6.0)
+    res = unfold_kepler(p0, 6.0, config=config)
     with pytest.raises(IntegrationError) as exc:
-        integrate(kepler_field(), p0, float(res.ts[-1]))
-    assert exc.value.stats == {"rhs_evals": 3746, "rejected_steps": 0,
-                               "domain_retries": 0}
+        integrate(kepler_field(), p0, float(res.ts[-1]),
+                  config=config or DIRECT_LEG_CONFIG)
+    assert exc.value.stats == failed
     assert res.sidecar()["direct_leg"] == {
-        "horizon": "span", "attempts": 2, "failed_rhs_evals": 3746,
-        "failed_rejected_steps": 0, "failed_domain_retries": 0,
-        "rhs_evals": 374, "accepted_steps": 62, "rejected_steps": 0}
+        "horizon": "span", "attempts": 2,
+        **{f"failed_{key}": count for key, count in failed.items()},
+        **record}
+
+
+def test_direct_leg_record_counts_the_failed_attempt():
+    _failed_attempt_record(
+        IntegratorConfig(),
+        {"rhs_evals": 3746, "rejected_steps": 0, "domain_retries": 0},
+        {"rhs_evals": 374, "accepted_steps": 62, "rejected_steps": 0})
+
+
+def test_direct_leg_record_counts_the_failed_attempt_dop853():
+    _failed_attempt_record(
+        None,
+        {"rhs_evals": 6551, "rejected_steps": 242, "domain_retries": 0},
+        {"rhs_evals": 614, "accepted_steps": 24, "rejected_steps": 21})
 
 
 @pytest.mark.parametrize("orbit, record", [
@@ -535,13 +558,33 @@ def test_direct_leg_record_counts_the_failed_attempt():
 ])
 def test_sidecar_records_the_direct_leg(orbit, record):
     p0, tau_end = _ORBITS[orbit]
-    res = unfold_kepler(np.array(p0), tau_end)
+    res = unfold_kepler(np.array(p0), tau_end, config=IntegratorConfig())
     assert res.sidecar()["direct_leg"] == record
+    assert (res.sidecar()["method"], res.sidecar()["rel_tol"]) == ("dp5", 1e-10)
     # 2 set-up calls, then 6 per accepted or rejected step
     assert record["rhs_evals"] == 2 + 6 * (record["accepted_steps"]
                                            + record["rejected_steps"])
     assert unfold_kepler(np.array(p0), tau_end,
                          compare=False).sidecar()["direct_leg"] is None
+
+
+@pytest.mark.parametrize("orbit, record", [
+    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 1082,
+                  "accepted_steps": 72, "rejected_steps": 0}),
+    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 614,
+                   "accepted_steps": 24, "rejected_steps": 21}),
+])
+def test_sidecar_records_the_direct_leg_dop853(orbit, record):
+    p0, tau_end = _ORBITS[orbit]
+    side = unfold_kepler(np.array(p0), tau_end).sidecar()
+    assert side["direct_leg"] == record
+    assert (side["method"], side["rel_tol"], side["abs_tol"]) == (
+        "dop853", 1e-11, 1e-12)
+    # 2 set-up calls, 12 per accepted or rejected step, and 3 dense-output
+    # stages per accepted step
+    assert record["rhs_evals"] == 2 + 12 * (record["accepted_steps"]
+                                            + record["rejected_steps"]
+                                            ) + 3 * record["accepted_steps"]
 
 
 @pytest.mark.parametrize("v, tau_end", [([0, 2.0, 0], 1000.0),
