@@ -8,15 +8,28 @@ ratio t(full)/t(half) which should be exactly 2.
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from ksunfold import kepler_period_from_unfold, unfold_kepler
 
 
+def _semi_major_axis(text):
+    """argparse type: a finite positive number, else exit 2."""
+    try:
+        a = float(text)
+    except ValueError:
+        a = math.nan
+    if not 0.0 < a < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return a
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--a", type=float, nargs="+",
+    ap.add_argument("--a", type=_semi_major_axis, nargs="+",
                     default=[0.5, 1.0, 2.0, 4.0, 8.0])
     args = ap.parse_args()
 

@@ -21,10 +21,22 @@ GALLERY = {
 }
 
 
+def _positive_int(text):
+    """argparse type: a positive integer, else exit 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return n
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out/gallery")
-    ap.add_argument("--samples", type=int, default=512)
+    ap.add_argument("--samples", type=_positive_int, default=512)
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 

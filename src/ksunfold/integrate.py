@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, _positive_count
 
 __all__ = [
     "IntegratorConfig",
@@ -441,11 +441,7 @@ class IntegratorConfig:
     def __post_init__(self):
         _require_finite_positive("rel_tol", self.rel_tol)
         _require_finite_positive("abs_tol", self.abs_tol)
-        if (isinstance(self.max_steps, bool)
-                or not isinstance(self.max_steps, (int, np.integer))
-                or self.max_steps <= 0):
-            raise ValueError(f"max_steps must be a positive integer, got "
-                             f"{self.max_steps!r}")
+        _positive_count("max_steps", self.max_steps)
         if not isinstance(self.method, str) or self.method not in _TABLEAUS:
             raise ValueError(f"method must be 'dp5' or 'dop853', got "
                              f"{self.method!r}")
@@ -697,14 +693,15 @@ def find_return_time(
 
     # flow direction at the reference: interpolant derivative where the
     # trajectory is closest to it (the start, in every supported use)
-    dist_nodes = np.linalg.norm(traj.states[:, comp] - refc, axis=1)
+    diff_nodes = traj.states[:, comp] - refc
+    dist_nodes = np.linalg.norm(diff_nodes, axis=1)
     w = traj.deriv(traj.times[int(np.argmin(dist_nodes))])[comp]
     wn = np.linalg.norm(w)
     if wn == 0.0:
         raise ValueError("flow direction vanishes at the reference")
     w = w / wn
 
-    g_nodes = (traj.states[:, comp] - refc) @ w
+    g_nodes = diff_nodes @ w
     departed = dist_nodes > max(4.0 * tol, 0.25 * float(np.max(dist_nodes)))
     if not np.any(departed):
         raise ValueError("trajectory never leaves the reference neighbourhood")

@@ -38,6 +38,7 @@ from .systems import (
     Observable,
     OBSERVABLES,
     _chart_energy,
+    _positive_count,
     calogero_moser_field,
     conformal_kepler_field,
     free3d_field,
@@ -192,6 +193,13 @@ def check_equivariance(
 _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
                             for n in reversed(range(9))])
 
+# the same coefficients as Python floats, rows of (c2, c3), for one tau
+_STUMPFF_ROWS = tuple(map(tuple, _STUMPFF_SERIES.tolist()))
+
+# the single-tau route takes |z| below this: there w = sqrt|z| < 700, so
+# cosh and sinh stay finite and no Stumpff denominator overflows
+_SCALAR_Z_MAX = 700.0 ** 2
+
 # a zero of Y . Y0 is a collision when |Y|^2 there is below this times
 # |Y0|^2: zero up to rounding (about 1e-32), while a near-radial orbit's
 # pericentre r = |Y|^2 is of order |x0 x v0|^2
@@ -269,7 +277,8 @@ class OscillatorFlow:
             g * float(self.Y0 @ self.U0),
             g * g * float(self.U0 @ self.U0),
         ))
-        times = np.linspace(0.0, float(self.tau_end), int(self.n_samples) + 1)
+        n = _positive_count("n_samples", self.n_samples)
+        times = np.linspace(0.0, float(self.tau_end), n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             states = self.eval(times)
         finite = np.all(np.isfinite(states), axis=-1)
@@ -296,12 +305,19 @@ class OscillatorFlow:
         """States (Y, U, t), shape (..., 9), at tau (scalar or array)."""
         t, Y, c, s = self._clock(tau)
         return np.concatenate([Y, c * self.U0 + (2.0 * self.g * self.E * s)
-                               * self.Y0, t[..., None]], axis=-1)
+                               * self.Y0, np.asarray(t)[..., None]], axis=-1)
 
     def _clock(self, tau):
         """(t, Y, c, s) at tau: the clock, Y = c Y0 + g s U0, and c and s
-        with a trailing axis, which U = c U0 + 2 g E s Y0 takes."""
+        with a trailing axis, which U = c U0 + 2 g E s Y0 takes.  A single
+        tau (0-d) takes `_scalar_clock`, with float t, c and s, unless it
+        declines; arrays, and the taus it declines, take the array path,
+        which is its test oracle."""
         tau = np.asarray(tau, dtype=float)
+        if tau.ndim == 0:
+            clock = self._scalar_clock(float(tau))
+            if clock is not None:
+                return clock
         g = self.g
         alpha, A, B, C = self._coeffs
         z = alpha * tau * tau
@@ -312,6 +328,37 @@ class OscillatorFlow:
         S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
         t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
         c, s = c[..., None], s[..., None]
+        return t, c * self.Y0 + (g * s) * self.U0, c, s
+
+    def _scalar_clock(self, tau):
+        """`_clock` at one tau in Python floats, with t, c and s floats: the
+        array path's operations in its order, and NumPy's own cos, sin,
+        cosh and sinh, so every bit agrees.  None, for the array path to
+        redo with its NaNs and warnings, unless |z| < _SCALAR_Z_MAX and t,
+        c and s are finite (a float overflows silently)."""
+        g = self.g
+        alpha, A, B, C = self._coeffs
+        z = alpha * tau * tau
+        if not abs(z) < _SCALAR_Z_MAX:
+            return None
+        if abs(z) < 1.0:
+            c2, c3 = _STUMPFF_ROWS[0]
+            for k2, k3 in _STUMPFF_ROWS[1:]:
+                c2, c3 = k2 - z * c2, k3 - z * c3
+        elif z > 0.0:
+            w = math.sqrt(z)
+            c2 = (1.0 - float(np.cos(w))) / (w * w)
+            c3 = (w - float(np.sin(w))) / (w * w * w)
+        else:
+            w = math.sqrt(-z)
+            c2 = (float(np.cosh(w)) - 1.0) / (w * w)
+            c3 = (float(np.sinh(w)) - w) / (w * w * w)
+        c = 1.0 - z * c2
+        s = tau * (1.0 - z * c3)
+        S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
+        t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
+        if not (math.isfinite(t) and math.isfinite(c) and math.isfinite(s)):
+            return None
         return t, c * self.Y0 + (g * s) * self.U0, c, s
 
     def deriv(self, tau):
@@ -471,7 +518,7 @@ def unfold_kepler(
     scaling = scaling or scaling_preset("unit")
     g = float(scaling(E))
 
-    up = OscillatorFlow(Y0, U0, E, g, float(tau_end), k, int(n_samples))
+    up = OscillatorFlow(Y0, U0, E, g, float(tau_end), k, n_samples)
     chart = up.states[:, :8]
     xs, vs = _downstairs(chart)
 
@@ -588,16 +635,22 @@ def kepler_period_from_unfold(result: UnfoldResult) -> dict:
     """Extract periods from an unfold: the upstairs tau-period (first return
     of the chart state) and the physical times of the half and full
     tau-period.  The flow downstairs closes after HALF the upstairs period
-    (the lift double-covers the orbit), so `t_half` is the Kepler period."""
-    tau_period = find_return_time(
-        result.upstairs,
-        result.upstairs.states[0],
-        tol=1e-6,
-        components=range(8),
-    )
-    t_half, t_full = result.t_of(np.array([tau_period / 2.0, tau_period]))
-    return {"tau_period": tau_period, "t_half": float(t_half),
-            "t_full": float(t_full)}
+    (the lift double-covers the orbit), so `t_half` is the Kepler period.
+
+    Raises ValueError for E >= 0, which has no period, and for a `tau_end`
+    shorter than the tau-period 2 pi / (g sqrt(-2E))."""
+    up = result.upstairs
+    if not up.E < 0.0:
+        raise ValueError(f"an orbit with E = {up.E!r} >= 0 has no period")
+    tau_ref = 2.0 * math.pi / (up.g * math.sqrt(-2.0 * up.E))
+    if up.tau_end < tau_ref:
+        raise ValueError(f"tau_end = {up.tau_end!r} is shorter than the "
+                         f"tau-period 2 pi / (g sqrt(-2E)) = {tau_ref!r}")
+    tau_period = find_return_time(up, up.states[0], tol=1e-6,
+                                  components=range(8))
+    return {"tau_period": tau_period,
+            "t_half": float(result.t_of(tau_period / 2.0)),
+            "t_full": float(result.t_of(tau_period))}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ All evaluators broadcast over a leading batch axis of states.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -30,6 +29,7 @@ from .systems import (
     Observable,
     S_KS,
     _finite,
+    _positive_count,
     _shared_values,
     quadratic_observable,
     rescaled_runge_lenz,
@@ -276,16 +276,6 @@ def _rhs_values(rhs, states):
     if rhs != 0:
         raise TypeError(f"a right-hand side is 0 or an Observable, got {rhs!r}")
     return np.zeros(states.shape[:-1])
-
-
-def _positive_count(name: str, value) -> int:
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = 0
-    if n <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return n
 
 
 def _entry(pair: str, samples: int, residual: float, tolerance: float) -> dict:

@@ -22,6 +22,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -268,6 +269,18 @@ def _finite(name, value):
             else np.isfinite(value).all()):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _positive_count(name: str, value) -> int:
+    """value as an int once it is checked a positive integer (not a bool);
+    ValueError naming the parameter otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n <= 0 or isinstance(value, bool):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n
 
 
 # dtype of the states `kepler_field`'s rhs evaluates in Python floats

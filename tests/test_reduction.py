@@ -636,6 +636,25 @@ def test_unfold_period_family():
         assert abs(periods["t_full"] - 2 * T_kepler) < 1e-6 * T_kepler
 
 
+@pytest.mark.parametrize("p0, tau_end, match", [
+    ([1.0, 0, 0, 0, 2.0, 0.3], 2.0, r"E = .* >= 0 has no period"),
+    ([1.0, 0, 0, 0, 0.8, 0], 0.9 * 2 * np.pi / np.sqrt(1.36),
+     r"tau_end = .* is shorter than the tau-period"),
+])
+def test_period_names_why_there_is_none(p0, tau_end, match):
+    res = unfold_kepler(np.array(p0), tau_end, compare=False)
+    with pytest.raises(ValueError, match=match):
+        kepler_period_from_unfold(res)
+
+
+def test_period_found_just_past_one_tau_period():
+    p0, E = np.array([1.0, 0, 0, 0, 0.8, 0]), -0.68
+    tau_ref = 2 * np.pi / np.sqrt(-2 * E)
+    res = unfold_kepler(p0, 1.01 * tau_ref, compare=False)
+    assert abs(res.E - E) < 1e-15
+    assert abs(kepler_period_from_unfold(res)["tau_period"] - tau_ref) < 1e-8
+
+
 def test_unfold_through_collision():
     # radial infall: direct integration dies, the unfolded flow continues
     p0 = np.array([1.0, 0, 0, -0.5, 0, 0])
@@ -687,6 +706,29 @@ def test_unfold_rejects_origin():
 def test_unfold_rejects_p0_that_is_not_six_finite_numbers(p0, run):
     with pytest.raises(ValueError, match="p0 must be 6 finite numbers"):
         run(p0)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5, 4.0, "8", None, True])
+@pytest.mark.parametrize("run", [
+    lambda n: unfold_kepler(np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0,
+                            n_samples=n, compare=False),
+    lambda n: unfold_kepler(np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0,
+                            n_samples=n),
+    lambda n: next(unfold_sweep(np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0,
+                                [0.0, 1.0], n_samples=n)),
+], ids=["unfold", "unfold-compare", "sweep"])
+def test_unfold_rejects_a_bad_n_samples(n_samples, run):
+    with pytest.raises(ValueError,
+                       match="n_samples must be a positive integer"):
+        run(n_samples)
+
+
+def test_unfold_takes_any_positive_integer_n_samples():
+    p0 = np.array([1.0, 0, 0, 0, 1.0, 0])
+    for n in (1, np.int64(3)):
+        res = unfold_kepler(p0, 1.0, n_samples=n)
+        assert len(res.taus) == n + 1
+        assert res.divergence["compared"]
 
 
 # --- Calogero-Moser ----------------------------------------------------------

@@ -663,7 +663,8 @@ def test_suite_reports_count_brackets_and_gradients(suite):
     assert (rep["brackets"], rep["gradient_evals"]) == SUITE_COUNTS[suite]
 
 
-@pytest.mark.parametrize("samples", [0, -3, 2.5, "7", None, np.float64(4.0)])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, "7", None, np.float64(4.0),
+                                     True])
 def test_non_positive_integer_samples_rejected(samples):
     with pytest.raises(ValueError, match="samples"):
         verify_structure_constants(kepler_structure(), OBSERVABLES,
