@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ksunfold import kepler_period_from_unfold, unfold_kepler
+from ksunfold import KSUnfoldError, kepler_period_from_unfold, unfold_kepler
 
 
 def _semi_major_axis(text):
@@ -33,16 +33,26 @@ def main():
                     default=[0.5, 1.0, 2.0, 4.0, 8.0])
     args = ap.parse_args()
 
-    hdr = (f"{'a':>6} {'E':>9} {'tau_period':>13} {'2pi/sqrt(-2E)':>14} "
-           f"{'t_half':>13} {'2pi a^1.5':>13} {'t_full/t_half':>14}")
-    print(hdr)
-    print("-" * len(hdr))
+    # every orbit first, so that an --a the unfold cannot represent exits 2
+    # before anything is printed
+    rows = []
     for a in args.a:
         E = -0.5 / a
         p0 = np.array([a, 0.0, 0.0, 0.0, 1.0 / np.sqrt(a), 0.0])
         tau_ref = 2 * np.pi / np.sqrt(-2 * E)
-        res = unfold_kepler(p0, 2.2 * tau_ref, compare=False)
-        per = kepler_period_from_unfold(res)
+        try:
+            res = unfold_kepler(p0, 2.2 * tau_ref, compare=False)
+            per = kepler_period_from_unfold(res)
+        except (ValueError, KSUnfoldError) as exc:
+            ap.error(f"argument --a: cannot unfold the orbit of a = {a:g}: "
+                     f"{exc}")
+        rows.append((a, E, per, tau_ref))
+
+    hdr = (f"{'a':>6} {'E':>9} {'tau_period':>13} {'2pi/sqrt(-2E)':>14} "
+           f"{'t_half':>13} {'2pi a^1.5':>13} {'t_full/t_half':>14}")
+    print(hdr)
+    print("-" * len(hdr))
+    for a, E, per, tau_ref in rows:
         T = 2 * np.pi * a**1.5
         print(f"{a:6.2f} {E:9.4f} {per['tau_period']:13.8f} {tau_ref:14.8f} "
               f"{per['t_half']:13.6f} {T:13.6f} "

@@ -1,13 +1,16 @@
 """Symplectic structures, a numeric Poisson-bracket engine, and
 structure-constant verification suites.
 
-A structure is its coefficient matrix M(s) in the chart basis, so that
-omega(a, b) = a^T M(s) b for tangent vectors a, b.  The bracket engine then
-evaluates {f, g}(s) = -grad(f)^T M(s)^{-1} grad(g) using the closed-form
-gradients attached to the observables; a bracket table evaluates each
-observable's gradient once, and `verify_structure_constants` each
-observable's value once per batch of states.  Sign convention (fixed
-once, here): for the canonical structure on (Y, U) this yields
+A structure is its Poisson bivector W(s) = M(s)^{-1}, M(s) the coefficient
+matrix of the 2-form in the chart basis: omega(a, b) = a^T M(s) b.  W is a
+constant array or a closed-form function of the state (the Lagrangian side,
+which also gives the closed-form condition number of M(s)).  One kernel
+evaluates {f, g}(s) = -grad(f)^T W(s) grad(g) from the observables'
+closed-form gradients: a bracket table checks the condition number and
+forms W(s) once per batch, takes each observable's gradient and each right
+factor's image W grad(g) once, and `verify_structure_constants` each
+observable's value once per batch of states.  Sign convention (fixed once,
+here): for the canonical structure on (Y, U) this yields
 {Y_a, U_b} = +delta_ab.
 
 All evaluators broadcast over a leading batch axis of states.
@@ -16,7 +19,7 @@ All evaluators broadcast over a leading batch axis of states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -42,7 +45,6 @@ __all__ = [
     "canonical_structure",
     "lagrangian_structure",
     "pullback_chart_structure",
-    "lagrangian_matrix",
     "lagrangian_matrix_inverse",
     "poisson_bracket",
     "quadratic_from_matrix",
@@ -59,28 +61,21 @@ __all__ = [
 # (i, j, k) with eps_ijk = +1
 EPS_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+# the largest condition number of M(s) at which a bracket is evaluated
+_COND_MAX = 1e12
+
 
 @dataclass(frozen=True)
 class SymplecticStructure:
-    """Matrix-valued 2-form evaluator.  Exactly one of `matrix` (constant
-    structure, inverse precomputed) or `matrix_fn` (state-dependent) is set."""
+    """A structure as the bracket engine reads it: its bivector `inv` =
+    M^{-1}, a constant (dim, dim) array or a function of a batch of states,
+    and for a state-dependent one `cond`, the 2-norm condition number of
+    M(s) at each state."""
 
     name: str
     dim: int
-    matrix: Optional[np.ndarray] = None
-    matrix_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inv: Optional[np.ndarray] = None
-    cond_max: float = 1e12
-
-    @property
-    def constant(self) -> bool:
-        return self.matrix is not None
-
-    def matrix_at(self, s) -> np.ndarray:
-        if self.constant:
-            s = np.asarray(s, dtype=float)
-            return np.broadcast_to(self.matrix, s.shape[:-1] + (self.dim, self.dim))
-        return self.matrix_fn(np.asarray(s, dtype=float))
+    inv: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+    cond: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def canonical_structure(pairs: int, name: str) -> SymplecticStructure:
@@ -89,7 +84,7 @@ def canonical_structure(pairs: int, name: str) -> SymplecticStructure:
     n = int(pairs)
     M = np.zeros((2 * n, 2 * n))
     M[:n, n:], M[n:, :n] = np.eye(n), -np.eye(n)
-    return SymplecticStructure(name=name, dim=2 * n, matrix=M, inv=-M)
+    return SymplecticStructure(name=name, dim=2 * n, inv=-M)
 
 
 def kepler_structure() -> SymplecticStructure:
@@ -102,31 +97,14 @@ def chart_structure() -> SymplecticStructure:
     return canonical_structure(4, "omega_tilde")
 
 
-def _lagrangian_blocks(s):
-    """(b, A) of the Lagrangian 2-form: b = 4R^2, A = -8 (y u^T - u y^T)."""
+def lagrangian_matrix_inverse(s) -> np.ndarray:
+    """Bivector of the Lagrangian 2-form on (y, u), whose coefficient matrix
+    is M = [[A, b I], [-b I, 0]] with b = 4|y|^2, A = -8 (y u^T - u y^T):
+    in closed form, M^{-1} = [[0, -I/b], [I/b, A/b^2]]."""
     s = np.asarray(s, dtype=float)
     y, u = s[..., :4], s[..., 4:8]
     b = 4.0 * np.sum(y * y, axis=-1)
     A = -8.0 * (y[..., :, None] * u[..., None, :] - u[..., :, None] * y[..., None, :])
-    return b, A
-
-
-def lagrangian_matrix(s) -> np.ndarray:
-    """Coefficient matrix of the Lagrangian 2-form on (y, u):
-    M = [[A, b I], [-b I, 0]] with `_lagrangian_blocks`' (b, A)."""
-    b, A = _lagrangian_blocks(s)
-    M = np.zeros(b.shape + (8, 8))
-    M[..., :4, :4] = A
-    idx = np.arange(4)
-    M[..., idx, idx + 4] = b[..., None]
-    M[..., idx + 4, idx] = -b[..., None]
-    return M
-
-
-def lagrangian_matrix_inverse(s) -> np.ndarray:
-    """Closed-form inverse of `lagrangian_matrix`:
-    M^{-1} = [[0, -I/b], [I/b, A/b^2]]."""
-    b, A = _lagrangian_blocks(s)
     W = np.zeros(b.shape + (8, 8))
     idx = np.arange(4)
     W[..., idx, idx + 4] = (-1.0 / b)[..., None]
@@ -135,10 +113,28 @@ def lagrangian_matrix_inverse(s) -> np.ndarray:
     return W
 
 
+def _lagrangian_cond(s) -> np.ndarray:
+    """2-norm condition number of the Lagrangian coefficient matrix: with
+    b = 4|y|^2 and a = 8|y ^ u| the nonzero singular value of A, it is
+    (a^2 + 2b^2 + a sqrt(a^2 + 4b^2)) / (2b^2); inf at y = 0 and NaN at a
+    state that is not finite."""
+    s = np.asarray(s, dtype=float)
+    y, u = s[..., :4], s[..., 4:8]
+    yy = np.sum(y * y, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # |y ^ u|^2 summed over the 2x2 minors, not as the Gram determinant
+        # |y|^2 |u|^2 - (y.u)^2: that keeps half the digits where u || y
+        m = y[..., :, None] * u[..., None, :] - u[..., :, None] * y[..., None, :]
+        a = 8.0 * np.sqrt(0.5 * np.sum(m * m, axis=(-2, -1)))
+        b2 = 16.0 * yy * yy
+        cond = (a * a + 2.0 * b2 + a * np.sqrt(a * a + 4.0 * b2)) / (2.0 * b2)
+    return np.where(yy == 0.0, np.inf, cond)
+
+
 def lagrangian_structure() -> SymplecticStructure:
-    return SymplecticStructure(
-        name="omega_L", dim=8, matrix_fn=lagrangian_matrix
-    )
+    return SymplecticStructure(name="omega_L", dim=8,
+                               inv=lagrangian_matrix_inverse,
+                               cond=_lagrangian_cond)
 
 
 def pullback_chart_structure() -> SymplecticStructure:
@@ -147,7 +143,8 @@ def pullback_chart_structure() -> SymplecticStructure:
     return SymplecticStructure(
         name="pullback_omega_tilde",
         dim=8,
-        matrix_fn=lambda s: 0.5 * lagrangian_matrix(s),
+        inv=lambda s: 2.0 * lagrangian_matrix_inverse(s),
+        cond=_lagrangian_cond,
     )
 
 
@@ -158,33 +155,37 @@ def _contract(gf, wg):
     return -np.add.accumulate(gf * wg, axis=-1)[..., -1]
 
 
-def _bracket(struct: SymplecticStructure, gf, gg, s):
-    """{f, g}(s) from the gradients gf = grad f(s), gg = grad g(s) under a
-    state-dependent structure: check its condition number, then solve."""
-    M = struct.matrix_at(s)
-    cond = np.linalg.cond(M)
-    if np.any(cond > struct.cond_max):
-        bad = np.argmax(cond) if cond.ndim else ()
-        raise DegenerateStructureError(
-            f"{struct.name} condition number {np.max(cond):.3g} exceeds "
-            f"{struct.cond_max:.3g}",
-            state=s[bad] if cond.ndim else s,
-        )
-    sol = np.linalg.solve(M, gg[..., None])[..., 0]
-    return -np.einsum("...i,...i->...", gf, sol)
-
-
 def poisson_bracket(struct: SymplecticStructure, f: Observable, g: Observable, s):
-    """{f, g}(s) = -grad(f)^T M(s)^{-1} grad(g); broadcasts over batches."""
+    """{f, g}(s) = -grad(f)^T W(s) grad(g); broadcasts over batches."""
     s = np.asarray(s, dtype=float)
     return _table_brackets(struct, [(f, g)], s)[0][0]
 
 
 def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
-    """{f, g}(s) for every (f, g) in `pairs`, computing each distinct
-    observable's gradient once and, for a constant structure, each right
-    factor's image gg @ inv.T once.  Returns the list of values and the
-    number of gradients computed."""
+    """{f, g}(s) for every (f, g) in `pairs`: a state-dependent structure's
+    condition number is checked and W(s) formed once, each distinct
+    observable's gradient and each right factor's image W gg computed once.
+    Returns the list of values and the number of gradients computed."""
+    if s.ndim == 0 or s.shape[-1] != struct.dim:
+        raise ValueError(f"states must have {struct.dim} coordinates under "
+                         f"{struct.name} (dim {struct.dim}), got shape {s.shape}")
+    for o in (o for pair in pairs for o in pair):
+        if o.dim != struct.dim:
+            raise ValueError(f"observable {o.name!r} has dim {o.dim}, but "
+                             f"{struct.name} has dim {struct.dim}")
+    if struct.cond is None:
+        image = lambda gg: gg @ struct.inv.T
+    else:
+        cond = struct.cond(s)
+        if not np.all(cond <= _COND_MAX):  # a NaN fails too
+            raise DegenerateStructureError(
+                f"{struct.name} condition number {np.max(cond):.3g} exceeds "
+                f"{_COND_MAX:.3g}",
+                state=s[np.unravel_index(np.argmax(cond), cond.shape)])
+        W = struct.inv(s)
+        # summed in index order, as `_contract` sums
+        image = lambda gg: np.add.accumulate(
+            W * gg[..., None, :], axis=-1)[..., -1]
     grads, images = {}, {}
 
     def gradient(o):
@@ -195,11 +196,8 @@ def _table_brackets(struct: SymplecticStructure, pairs, s) -> tuple:
     values = []
     for f, g in pairs:
         gf = gradient(f)
-        if not struct.constant:
-            values.append(_bracket(struct, gf, gradient(g), s))
-            continue
         if id(g) not in images:
-            images[id(g)] = gradient(g) @ struct.inv.T
+            images[id(g)] = image(gradient(g))
         values.append(_contract(gf, images[id(g)]))
     return values, len(grads)
 
@@ -243,26 +241,20 @@ def quadratic_from_matrix(C: np.ndarray, kappa: float,
 @dataclass(frozen=True)
 class CommutantBasis:
     """Basis M_1..3, D_1..3 of the subalgebra of u(4) commuting with the
-    gauge generator N3, plus N3 itself.  `doubled` holds the 2x versions,
-    whose entries are exactly 0, +-1, +-i, so all the bracket relations can
-    be checked in exact arithmetic."""
+    gauge generator N3, plus N3 itself.  The entries of 2M_i, 2D_i and N3
+    are exactly 0, +-1, +-i, so all the bracket relations can be checked in
+    exact arithmetic."""
 
     M: tuple
     D: tuple
     N3: np.ndarray
-    doubled: dict
 
 
 def commutant_basis() -> CommutantBasis:
     M = tuple((-0.5 * K).astype(complex) for K in K_J)
     D = tuple(0.5j * S.astype(complex) for S in S_KS)
     N3 = (-2.0 * K_H).astype(complex)
-    doubled = {}
-    for i in range(3):
-        doubled[f"2M{i + 1}"] = (-K_J[i]).astype(complex)
-        doubled[f"2D{i + 1}"] = 1j * S_KS[i].astype(complex)
-    doubled["N3"] = N3.copy()
-    return CommutantBasis(M=M, D=D, N3=N3, doubled=doubled)
+    return CommutantBasis(M=M, D=D, N3=N3)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +304,9 @@ def verify_structure_constants(
         else:
             raise ValueError("no default sampler for this dimension")
     states = np.asarray(states, dtype=float)
-    if states.size == 0:
-        raise ValueError(f"states must hold at least one state, got shape "
-                         f"{states.shape}")
+    if states.ndim != 2 or states.shape[0] == 0:
+        raise ValueError(f"states must be an (n, {struct.dim}) batch of at "
+                         f"least one state, got shape {states.shape}")
     n = states.shape[0]
     # a read-only view, so nothing inside the scope changes the shared batch
     states = states.view()
@@ -401,9 +393,10 @@ def _suite_commutant() -> dict:
     [m_i, d_j] = 2 eps d_k, and a_i = (m_i+d_i)/2, b_i = (m_i-d_i)/2 give
     commuting su(2) factors."""
     basis = commutant_basis()
-    m = [basis.doubled[f"2M{i + 1}"] for i in range(3)]
-    d = [basis.doubled[f"2D{i + 1}"] for i in range(3)]
-    n3 = basis.doubled["N3"]
+    # doubling is exact
+    m = [2.0 * M for M in basis.M]
+    d = [2.0 * D for D in basis.D]
+    n3 = basis.N3
     # halved twice: A_i = (M_i + D_i)/2 = (m_i + d_i)/4 in the doubled basis
     a = [(m[i] + d[i]) / 4.0 for i in range(3)]
     b = [(m[i] - d[i]) / 4.0 for i in range(3)]

@@ -73,6 +73,9 @@ def test_gallery_writes_a_csv_and_json_per_orbit(tmp_path):
     ("period_family.py", "--a", "0"),
     ("period_family.py", "--a", "-1"),
     ("period_family.py", "--a", "nan"),
+    # finite and positive, but past what the unfold can represent
+    ("period_family.py", "--a", "1e300"),
+    ("period_family.py", "--a", "1e-300"),
     ("run_unfold_gallery.py", "--samples", "0"),
     ("run_unfold_gallery.py", "--samples", "-3"),
 ])

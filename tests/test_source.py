@@ -103,13 +103,31 @@ def test_shared_value_scope_is_set_only_by_its_opener():
 
 
 
+# generic dense linear algebra the package leaves to the tests' oracles:
+# the bracket engine contracts closed-form bivectors and checks closed-form
+# condition numbers
+_GENERIC_LINALG = {"solve", "inv", "cond", "svd"}
+
+
+def test_no_generic_solve_inverse_or_condition_number():
+    found = []
+    for path in _SRC:
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}" for _, line in _calls(
+            tree, lambda call, name: name in _GENERIC_LINALG and getattr(
+                getattr(call.func, "value", None), "attr", None) == "linalg")]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and "linalg" in (node.module or "")]
+    assert found == []
+
+
 # exports that no command, suite, script, benchmark or README example
 # reaches, each kept for a reason: the tangent-bundle (Lagrangian) side is
 # the paper's headline claim, and acceptance criteria 4 and 5 name the last
 # two
 _KEPT_EXPORTS = {"lagrangian_structure", "pullback_chart_structure",
-                 "lagrangian_matrix_inverse", "reparametrized_field",
-                 "kepler_setup"}
+                 "reparametrized_field", "kepler_setup"}
 _ROOT = _SRC[0].parents[2]
 
 

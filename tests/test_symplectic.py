@@ -1,7 +1,9 @@
 """Bracket engine, structure matrices, u(4) correspondence, verification suites."""
 
 import contextlib
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ksunfold import (
     verify_structure_constants,
 )
 from ksunfold.symplectic import (
+    _COND_MAX,
     EPS_CYCLES,
     SymplecticStructure,
     _rhs_values,
@@ -32,7 +35,6 @@ from ksunfold.symplectic import (
     canonical_structure,
     chart_jq_expected,
     kepler_expected,
-    lagrangian_matrix,
     lagrangian_matrix_inverse,
     quadratic_observable,
     reduction_expected,
@@ -40,6 +42,22 @@ from ksunfold.symplectic import (
 )
 from ksunfold.sampling import rng_from_seed, sample_chart_states, sample_states3
 from ksunfold.systems import _shared_values
+
+
+def lagrangian_matrix(s):
+    """Coefficient matrix of the Lagrangian 2-form on (y, u):
+    M = [[A, b I], [-b I, 0]] with b = 4|y|^2, A = -8 (y u^T - u y^T); the
+    engine reads only its closed-form inverse."""
+    s = np.asarray(s, dtype=float)
+    y, u = s[..., :4], s[..., 4:8]
+    b = 4.0 * np.sum(y * y, axis=-1)
+    M = np.zeros(b.shape + (8, 8))
+    M[..., :4, :4] = -8.0 * (y[..., :, None] * u[..., None, :]
+                             - u[..., :, None] * y[..., None, :])
+    idx = np.arange(4)
+    M[..., idx, idx + 4] = b[..., None]
+    M[..., idx + 4, idx] = -b[..., None]
+    return M
 
 
 def _coord(i, dim):
@@ -83,9 +101,9 @@ def test_bracket_antisymmetry_and_self():
 
 def test_canonical_structure_inverse():
     st = canonical_structure(3, "test")
-    assert np.allclose(st.matrix @ st.inv, np.eye(6))
-    assert st.constant
-    assert st.matrix_at(np.zeros((5, 6))).shape == (5, 6, 6)
+    M = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+    assert np.allclose(M @ st.inv, np.eye(6))
+    assert st.cond is None and st.inv.shape == (6, 6)
 
 
 def test_lagrangian_matrix_antisymmetric():
@@ -314,7 +332,11 @@ def test_quadratic_from_matrix_gradient():
 
 def test_commutant_basis_doubled_entries_are_exact():
     basis = commutant_basis()
-    for key, mat in basis.doubled.items():
+    doubled = {"N3": basis.N3}
+    for i in range(3):
+        doubled[f"2M{i + 1}"] = 2.0 * basis.M[i]
+        doubled[f"2D{i + 1}"] = 2.0 * basis.D[i]
+    for key, mat in doubled.items():
         re, im = mat.real, mat.imag
         assert np.all(re == np.round(re)) and np.all(im == np.round(im)), key
 
@@ -389,25 +411,31 @@ def test_unknown_suite():
 # the oracle for the table kernel
 # ---------------------------------------------------------------------------
 
+def _ordered_sum(terms):
+    """The terms added left to right, the first one as it is."""
+    return functools.reduce(operator.add, terms)
+
+
 def _oracle_bracket(struct, f, g, s):
     """Both gradients recomputed, three-operand einsum for a constant
-    structure, per-state condition check and solve otherwise."""
+    structure; otherwise the condition check and W(s) per pair, and
+    gf . (W gg) summed term by term in index order."""
     s = np.asarray(s, dtype=float)
     gf = f.gradient(s)
     gg = g.gradient(s)
-    if struct.constant:
+    if struct.cond is None:
         return -np.einsum("...i,ij,...j->...", gf, struct.inv, gg)
-    M = struct.matrix_at(s)
-    cond = np.linalg.cond(M)
-    if np.any(cond > struct.cond_max):
-        bad = np.argmax(cond) if cond.ndim else ()
+    cond = struct.cond(s)
+    if not np.all(cond <= _COND_MAX):
+        bad = np.unravel_index(np.argmax(cond), cond.shape)
         raise DegenerateStructureError(
             f"{struct.name} condition number {np.max(cond):.3g} exceeds "
-            f"{struct.cond_max:.3g}",
-            state=s[bad] if cond.ndim else s,
-        )
-    sol = np.linalg.solve(M, gg[..., None])[..., 0]
-    return -np.einsum("...i,...i->...", gf, sol)
+            f"{_COND_MAX:.3g}", state=s[bad])
+    W = struct.inv(s)
+    dim = struct.dim
+    wg = [_ordered_sum(W[..., i, j] * gg[..., j] for j in range(dim))
+          for i in range(dim)]
+    return -_ordered_sum(gf[..., i] * wg[i] for i in range(dim))
 
 
 def _oracle_verify(struct, observables, expected, seed, tolerance, states):
@@ -575,6 +603,100 @@ def test_state_dependent_structure_still_raises_degenerate():
         assert np.array_equal(got_state, s[3])
 
 
+# the generic route the engine replaced: M(s) of each state-dependent
+# structure, its condition number by an SVD per state, and a solve per pair
+STRUCTURE_MATRICES = {
+    "omega_L": lagrangian_matrix,
+    "pullback_omega_tilde": lambda s: 0.5 * lagrangian_matrix(s),
+}
+
+
+def _solve_bracket(struct, f, g, s):
+    M = STRUCTURE_MATRICES[struct.name](s)
+    sol = np.linalg.solve(M, g.gradient(s)[..., None])[..., 0]
+    return -np.einsum("...i,...i->...", f.gradient(s), sol)
+
+
+def _near_degenerate_states():
+    # y = r e_0 transverse to u = e_5: the condition number is about 4/r^2
+    s = np.zeros((3, 8))
+    s[:, 0], s[:, 5] = (1e-1, 1e-3, 1e-5), 1.0
+    return s
+
+
+def _parallel_states():
+    # u = c y, where |y|^2 |u|^2 - (y.u)^2 rounds to either sign of 0
+    s = sample_chart_states(60, seed=101)
+    s[:, 4:] = rng_from_seed(103).normal(size=(60, 1)) * s[:, :4]
+    return s
+
+
+@pytest.mark.parametrize("make", [lagrangian_structure,
+                                  pullback_chart_structure])
+def test_closed_form_agrees_with_svd_and_solve(make):
+    struct = make()
+    eps = np.finfo(float).eps
+    names = ("J1_yu", "J2_yu", "Q2_yu", "h_yu", "conformal_energy")
+    for s in (sample_chart_states(200, seed=97), _near_degenerate_states(),
+              _parallel_states()):
+        cond = struct.cond(s)
+        svd = np.linalg.cond(STRUCTURE_MATRICES[struct.name](s))
+        assert np.all(cond <= _COND_MAX)
+        # the SVD's own error grows as eps * cond
+        assert np.all(np.abs(cond - svd) <= 64 * eps * cond * cond)
+        for f in names:
+            for g in names:
+                fo, go = OBSERVABLES[f], OBSERVABLES[g]
+                assert np.max(np.abs(poisson_bracket(struct, fo, go, s)
+                                     - _solve_bracket(struct, fo, go, s))) \
+                    <= 1e-12, (f, g)
+    s = _degenerate_batch()
+    assert struct.cond(s)[3] > _COND_MAX
+    assert np.linalg.cond(STRUCTURE_MATRICES[struct.name](s))[3] > _COND_MAX
+
+
+@pytest.mark.parametrize("make", [lagrangian_structure,
+                                  pullback_chart_structure])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("coord", [0, 5])  # a y and a u coordinate
+def test_non_finite_state_raises_degenerate(make, value, coord):
+    s = sample_chart_states(4, seed=107)
+    s[2, coord] = value
+    msg, state = _raised(lambda: poisson_bracket(
+        make(), OBSERVABLES["J1_yu"], OBSERVABLES["J2_yu"], s))
+    assert "condition number nan exceeds" in msg
+    assert np.array_equal(state, s[2], equal_nan=True)
+
+
+@pytest.mark.parametrize("make, width", [
+    (lagrangian_structure, 6), (chart_structure, 6), (kepler_structure, 8)])
+def test_states_of_the_wrong_width_rejected(make, width):
+    struct = make()
+    f = OBSERVABLES["J1" if struct.dim == 8 else "L1"]
+    for s in (np.ones((5, width)), np.ones(width), np.float64(1.0)):
+        with pytest.raises(ValueError, match=rf"^states .*\(dim {struct.dim}\)"):
+            poisson_bracket(struct, f, f, s)
+
+
+def test_observables_of_another_dimension_rejected():
+    s = sample_chart_states(5, seed=109)
+    L1, J1 = OBSERVABLES["L1"], OBSERVABLES["J1"]
+    for pair in ((L1, J1), (J1, L1)):
+        with pytest.raises(ValueError, match="^observable 'L1' has dim 6, "
+                                             "but omega_tilde has dim 8$"):
+            poisson_bracket(chart_structure(), *pair, s)
+    with pytest.raises(ValueError, match="^observable 'L1' has dim 6"):
+        verify_structure_constants(chart_structure(), OBSERVABLES,
+                                   kepler_expected(), samples=5)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 3, 8), ()])
+def test_verify_rejects_states_that_are_not_one_batch(shape):
+    with pytest.raises(ValueError, match=r"^states must be an \(n, 8\) batch"):
+        verify_structure_constants(chart_structure(), OBSERVABLES,
+                                   chart_jq_expected(), states=np.ones(shape))
+
+
 def test_constant_structure_with_general_inverse_agrees_to_roundoff():
     # a constant symplectic matrix whose inverse is dense: the ordered sum
     # runs over the image gg @ inv.T, not the einsum's terms, so only
@@ -582,8 +704,8 @@ def test_constant_structure_with_general_inverse_agrees_to_roundoff():
     # absolute sum of the terms)
     rng = rng_from_seed(59)
     A = rng.normal(size=(8, 8))
-    M = A @ chart_structure().matrix @ A.T
-    st = SymplecticStructure("dense", 8, matrix=M, inv=np.linalg.inv(M))
+    M = A @ -chart_structure().inv @ A.T
+    st = SymplecticStructure("dense", 8, inv=np.linalg.inv(M))
     assert np.count_nonzero(st.inv) == 64
     names = ("J1", "J2", "Q1", "h", "chart_energy")
     s = sample_chart_states(40, seed=61)
