@@ -16,7 +16,7 @@ class DomainError(KSUnfoldError):
 
 
 class LiftError(KSUnfoldError):
-    """A 3-D state cannot be lifted (|x| = 0)."""
+    """A 3-D state cannot be lifted (|x| = 0, or its lift is not finite)."""
 
 
 class IntegrationError(KSUnfoldError):

@@ -13,6 +13,8 @@ oscillator coordinates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, LiftError
@@ -126,6 +128,12 @@ def fiber_momentum(y, u):
     return 4.0 * r2 * w
 
 
+# the single-state route of `ks_lift` lifts 1e-100 < |x| < 1e100 with every
+# |v_i| < 1e100 only: there no square, product or quotient it forms
+# overflows, and |x|^2 does not underflow
+_SCALAR_R_MIN, _SCALAR_R_MAX = 1e-100, 1e100
+
+
 def ks_lift(x, v, lam=0.0):
     """Section of the KS fibration: lift (x, v) to (y, u) with h = 0, then
     move along the fiber by lam.
@@ -135,37 +143,96 @@ def ks_lift(x, v, lam=0.0):
     larger).  The velocity solves the linear system v = 2 M(y) u together
     with the gauge row w = 0, i.e. u = M(y)^T (v1, v2, v3, 0) / (2 R^2).
     Round trip: ks_tangent(ks_lift(x, v, lam)) == (x, v) for any lam.
+
+    One state, x and v of shape (3,), takes `_scalar_lift` unless it
+    declines; batches, and the states it declines, take the array path,
+    which is its test oracle.  A state whose lift is not finite (|x| = 0,
+    or a value too large or not finite) raises LiftError naming it.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    if np.any(r <= 0.0):
-        raise LiftError("cannot lift a state with |x| = 0")
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-
-    y = np.empty(x.shape[:-1] + (4,))
-    upper = x3 >= 0.0
-    # chart A (x3 >= 0): y2 = 0
-    a = np.sqrt(np.where(upper, (r + x3) / 2.0, 1.0))
-    ya = np.stack([a, np.zeros_like(a), x1 / (2.0 * a), -x2 / (2.0 * a)], axis=-1)
-    # chart B (x3 < 0): y0 = 0
-    b = np.sqrt(np.where(upper, 1.0, (r - x3) / 2.0))
-    yb = np.stack([x1 / (2.0 * b), x2 / (2.0 * b), b, np.zeros_like(b)], axis=-1)
-    y = np.where(upper[..., None], ya, yb)
-
-    vt = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-    M = lift_frame(y)
-    u = np.einsum("...ji,...j->...i", M, vt) / (2.0 * r[..., None])
-
+    lift = _scalar_lift(x, v) if x.shape == v.shape == (3,) else None
+    y, u = _array_lift(x, v) if lift is None else lift
     if np.any(np.asarray(lam) != 0.0):
         y, u = fiber_act(y, u, lam)
     return y, u
 
 
+def _array_lift(x, v):
+    """`ks_lift` at lam = 0 on arrays of states."""
+    # |x| = 0 or out of range makes a NaN or an inf, which the check below
+    # reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = np.linalg.norm(x, axis=-1)
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+
+        upper = x3 >= 0.0
+        # chart A (x3 >= 0): y2 = 0
+        a = np.sqrt(np.where(upper, (r + x3) / 2.0, 1.0))
+        ya = np.stack([a, np.zeros_like(a), x1 / (2.0 * a), -x2 / (2.0 * a)],
+                      axis=-1)
+        # chart B (x3 < 0): y0 = 0
+        b = np.sqrt(np.where(upper, 1.0, (r - x3) / 2.0))
+        yb = np.stack([x1 / (2.0 * b), x2 / (2.0 * b), b, np.zeros_like(b)],
+                      axis=-1)
+        y = np.where(upper[..., None], ya, yb)
+
+        vt = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+        M = lift_frame(y)
+        u = np.einsum("...ji,...j->...i", M, vt) / (2.0 * r[..., None])
+    finite = np.isfinite(y).all(axis=-1) & np.isfinite(u).all(axis=-1)
+    if not finite.all():
+        xb, vb = np.broadcast_arrays(x, v)
+        i = np.unravel_index(np.argmin(finite), finite.shape)
+        raise LiftError(f"cannot lift x = {xb[i].tolist()}, "
+                        f"v = {vb[i].tolist()}: its lift is not finite (|x| "
+                        f"is 0, or a value is too large or not finite)",
+                        state=(xb[i], vb[i]))
+    return y, u
+
+
+def _scalar_lift(x, v):
+    """`_array_lift` of one state in Python floats: the array path's
+    operations in its order, so every bit agrees (|x|^2 summed left to
+    right, as np.add.reduce sums 3 terms, and u_i = sum_j M[j][i] vt[j]
+    accumulated from 0.0, as einsum does).  None, for the array path to
+    redo, unless _SCALAR_R_MIN < |x| < _SCALAR_R_MAX and every |v_i| is
+    below _SCALAR_R_MAX."""
+    x1, x2, x3 = x.tolist()
+    v1, v2, v3 = v.tolist()
+    r = math.sqrt((x1 * x1 + x2 * x2) + x3 * x3)
+    if not (_SCALAR_R_MIN < r < _SCALAR_R_MAX and abs(v1) < _SCALAR_R_MAX
+            and abs(v2) < _SCALAR_R_MAX and abs(v3) < _SCALAR_R_MAX):
+        return None
+    if x3 >= 0.0:  # chart A: y2 = 0
+        a = math.sqrt((r + x3) / 2.0)
+        y1, y2, y3, y0 = a, 0.0, x1 / (2.0 * a), -x2 / (2.0 * a)
+    else:  # chart B: y0 = 0
+        b = math.sqrt((r - x3) / 2.0)
+        y1, y2, y3, y0 = x1 / (2.0 * b), x2 / (2.0 * b), b, 0.0
+    # the columns of lift_frame(y) against (v1, v2, v3); the fourth term,
+    # times vt[3] = 0, adds a zero to a sum that is never -0.0
+    d = 2.0 * r
+    u = [(((0.0 + y3 * v1) + -y0 * v2) + y1 * v3) / d,
+         (((0.0 + y0 * v1) + y3 * v2) + y2 * v3) / d,
+         (((0.0 + y1 * v1) + y2 * v2) + -y3 * v3) / d,
+         (((0.0 + y2 * v1) + -y1 * v2) + -y0 * v3) / d]
+    return np.array([y1, y2, y3, y0]), np.array(u)
+
+
 def to_oscillator_chart(y, u):
-    """Chart change to oscillator coordinates: Y = y, U = 2 |y|^2 u."""
+    """Chart change to oscillator coordinates: Y = y, U = 2 |y|^2 u.  One
+    state, y and u of shape (4,), takes Python floats (|y|^2 summed left to
+    right, as np.add.reduce sums 4 terms) unless |y|^2 is 0 or U is not
+    finite; the array path, its oracle, redoes those with its warnings."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
+    if y.shape == u.shape == (4,):
+        y1, y2, y3, y0 = y.tolist()
+        d = 2.0 * (((y1 * y1 + y2 * y2) + y3 * y3) + y0 * y0)
+        U = [d * c for c in u.tolist()]
+        if d > 0.0 and all(map(math.isfinite, U)):
+            return y.copy(), np.array(U)
     r2 = np.sum(y * y, axis=-1)
     if np.any(r2 <= 0.0):
         raise DomainError("oscillator chart requires |y| > 0", state=(y, u))

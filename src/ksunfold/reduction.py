@@ -404,19 +404,26 @@ class UnfoldResult:
     parameter, and projected back with the accumulated physical time.
     Sampled columns live on a uniform tau grid."""
 
-    E: float
     gauge: float
     scaling: str
-    taus: np.ndarray                  # (n,)
-    ts: np.ndarray                    # (n,) accumulated physical time
-    chart: np.ndarray                 # (n, 8) chart states on the grid
-    xs: np.ndarray                    # (n, 3)
-    vs: np.ndarray                    # (n, 3)
     upstairs: OscillatorFlow          # closed-form (Y, U, t) flow
     divergence: dict
     collision: bool
     config: IntegratorConfig          # of the direct comparison leg
     direct_leg: Optional[dict] = None  # what the direct leg did
+
+    # views of the flow: (n,) taus and physical times ts, (n, 8) chart
+    # states (Y, U); (n, 3) xs and vs, projected downstairs on first read
+    E = property(lambda self: self.upstairs.E)
+    taus = property(lambda self: self.upstairs.times)
+    ts = property(lambda self: self.upstairs.states[:, 8])
+    chart = property(lambda self: self.upstairs.states[:, :8])
+    xs = property(lambda self: self._projected[0])
+    vs = property(lambda self: self._projected[1])
+
+    @functools.cached_property
+    def _projected(self) -> tuple:
+        return _downstairs(self.chart)
 
     def t_of(self, tau):
         """Physical time at oscillator parameter tau."""
@@ -518,20 +525,10 @@ def unfold_kepler(
     scaling = scaling or scaling_preset("unit")
     g = float(scaling(E))
 
-    up = OscillatorFlow(Y0, U0, E, g, float(tau_end), k, n_samples)
-    chart = up.states[:, :8]
-    xs, vs = _downstairs(chart)
-
     return UnfoldResult(
-        E=E,
         gauge=float(gauge),
         scaling=scaling.name,
-        taus=up.times,
-        ts=up.states[:, 8],
-        chart=chart,
-        xs=xs,
-        vs=vs,
-        upstairs=up,
+        upstairs=OscillatorFlow(Y0, U0, E, g, float(tau_end), k, n_samples),
         divergence={"compared": False},
         collision=False,
         config=cfg,
@@ -646,8 +643,11 @@ def kepler_period_from_unfold(result: UnfoldResult) -> dict:
     if up.tau_end < tau_ref:
         raise ValueError(f"tau_end = {up.tau_end!r} is shorter than the "
                          f"tau-period 2 pi / (g sqrt(-2E)) = {tau_ref!r}")
-    tau_period = find_return_time(up, up.states[0], tol=1e-6,
-                                  components=range(8))
+    # the return tolerance is relative to the orbit's scale: at |(Y0, U0)|
+    # of 1e9 and more, rounding alone puts the first return beyond 1e-6
+    start = up.states[0]
+    tol = 1e-6 * max(1.0, float(np.linalg.norm(start[:8])))
+    tau_period = find_return_time(up, start, tol=tol, components=range(8))
     return {"tau_period": tau_period,
             "t_half": float(result.t_of(tau_period / 2.0)),
             "t_full": float(result.t_of(tau_period))}

@@ -655,6 +655,53 @@ def test_period_found_just_past_one_tau_period():
     assert abs(kepler_period_from_unfold(res)["tau_period"] - tau_ref) < 1e-8
 
 
+@pytest.mark.parametrize("a, k", [
+    (1e18, 1.0),
+    (1e20, 1.0),
+    (1.495978707e11, 1.32712440018e20),  # the Earth's orbit in SI units
+], ids=["a1e18", "a1e20", "earth-si"])
+def test_period_of_a_wide_orbit_is_its_first_return(a, k):
+    # |(Y0, U0)| is 1e9 and more: rounding alone puts the first return
+    # further than 1e-6 from the start
+    p0 = np.array([a, 0, 0, 0, np.sqrt(k / a), 0])
+    tau_ref = 2 * np.pi / np.sqrt(k / a)
+    res = unfold_kepler(p0, 2.2 * tau_ref, k=k, compare=False)
+    periods = kepler_period_from_unfold(res)
+    T_kepler = 2 * np.pi * np.sqrt(a**3 / k)
+    assert abs(periods["tau_period"] - tau_ref) < 1e-10 * tau_ref
+    assert abs(periods["t_half"] - T_kepler) < 1e-10 * T_kepler
+    assert abs(periods["t_full"] - 2 * T_kepler) < 1e-10 * T_kepler
+
+
+def test_unfold_projects_downstairs_only_what_is_read(monkeypatch, tmp_path):
+    from ksunfold.cli import main
+
+    projected = []
+    downstairs = reduction._downstairs
+
+    def counting(chart):
+        projected.append(len(chart))
+        return downstairs(chart)
+
+    monkeypatch.setattr(reduction, "_downstairs", counting)
+    res = unfold_kepler(np.array([1.0, 0, 0, 0, 0.8, 0]), 10.0,
+                        compare=False)
+    kepler_period_from_unfold(res)
+    res.sidecar()
+    assert projected == []
+    xs = res.xs
+    assert projected == [513]
+    assert res.xs is xs and res.vs is res.vs and projected == [513]
+
+    # a sweep: once per gauge on the comparison grid, once per gauge for
+    # the CSV, and the cross-gauge divergence reads the CSV's projection
+    projected.clear()
+    assert main(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
+                 "--lambda", "0..6.28:8", "--samples", "64",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert projected == [513, 65] * 8
+
+
 def test_unfold_through_collision():
     # radial infall: direct integration dies, the unfolded flow continues
     p0 = np.array([1.0, 0, 0, -0.5, 0, 0])
