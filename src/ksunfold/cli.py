@@ -245,9 +245,10 @@ def _echo(cfg: dict) -> dict:
 
 
 def _write_json(path, payload):
+    # one write: `json.dump` with an indent writes each token on its own
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _drifts(traj) -> dict:
@@ -453,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help=_HELP[dest])
             else:
                 sp.add_argument(_flag(dest), dest=dest, help=_HELP.get(dest))
-        sp.set_defaults(func=globals()[f"cmd_{name}"])
     return p
 
 
@@ -470,10 +470,17 @@ def _error_json(exc: Exception, code: int) -> int:
     return code
 
 
+_PARSER = None  # built by the first `main` call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(_merge(args))
+        # looked up on each call, so a replaced `cmd_<name>` is the one run
+        return globals()[f"cmd_{args.command}"](_merge(args))
     except (ConfigError, LiftError, DomainError, KeyError, ValueError) as exc:
         # bad flags, inadmissible initial states, wrong scaling domain
         return _error_json(exc, 2)

@@ -243,12 +243,20 @@ _FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
 # most rows per block in `write_table`: bounds the encoder's working memory
 _CSV_BLOCK = 512
 
-# The `%.16e` encoder scales |v| by 10^k from a table of powers of ten,
-# _POW10_MIN <= k <= _POW10_MAX, each correctly rounded to np.longdouble.
-# The table entry and the product are each rounded once, by at most eps/2
-# relative, so the scaled value s is within 2 eps s of the exact one.
+# The `%.16e` encoder forms s = |v| 10^(16-e), for the decimal exponent e
+# of v, in float64 as hi + lo.  For each _POW10_MIN <= k <= _POW10_MAX,
+# `_pow10_table` holds 2^c, c = floor(log2(10^k) / 2), and a double-double
+# t_hi + t_lo within 2^-106 relative of t = 10^k 2^-c.  Halving the binary
+# exponent between them keeps x = |v| 2^c exact and every product below in
+# the normal range.  Then hi + err = x t_hi exactly (Dekker's TwoProduct)
+# and lo = err + x t_lo.  With u = 2^-53, |err| and |x t_lo| are at most
+# u (1 + u) s, so the table's error (u^2 s), the rounding of x t_lo (u^2 s)
+# and of lo (2 u^2 s), and that of the fraction of lo (2^-54, under
+# 0.46 u^2 s for s >= 1e16) put that fraction within 4.5 u^2 s of exact.
+# _ROUND_EPS is 8 u^2: under 1e-14 for s < 1e17.
 _POW10_MIN, _POW10_MAX = -360, 360
-_ROUND_EPS = 2.0 * float(np.finfo(np.longdouble).eps)
+_ROUND_EPS = 2.0 ** -103
+_VELTKAMP = 2.0 ** 27 + 1.0  # splits a 53-bit significand in two halves
 # exponent e of a value is stored at index e + _EXP_BIAS
 _EXP_BIAS = 400
 _ENCODER_TABLES = None  # built by `_encoder_tables` on first use
@@ -319,14 +327,27 @@ def write_table(path, header, table):
 
 
 def _pow10_table():
-    """10^k for _POW10_MIN <= k <= _POW10_MAX, each rounded to nearest at the
-    precision of np.longdouble by the C library's decimal parser."""
-    return np.array([np.longdouble(f"1e{k}")
-                     for k in range(_POW10_MIN, _POW10_MAX + 1)])
+    """(2^c, t_hi, t_lo) for each _POW10_MIN <= k <= _POW10_MAX, with
+    c = floor(log2(10^k) / 2), t_hi the double nearest t = 10^k 2^-c and t_lo
+    the double nearest t - t_hi, from exact integer ratios (an int / int
+    quotient is correctly rounded)."""
+    scale, t_hi, t_lo = [], [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        n, d = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)  # 10^k = n / d
+        b = n.bit_length() - d.bit_length()
+        b -= (n << max(-b, 0)) < (d << max(b, 0))  # now b = floor(log2 n/d)
+        c = b // 2
+        n, d = (n, d << c) if c >= 0 else (n << -c, d)  # t = n / d
+        hi = n / d
+        m, q = hi.as_integer_ratio()
+        scale.append(math.ldexp(1.0, c))
+        t_hi.append(hi)
+        t_lo.append((n * q - m * d) / (d * q))
+    return np.array(scale), np.array(t_hi), np.array(t_lo)
 
 
 def _encoder_tables():
-    """(powers of ten, 4-digit words, exponent head and tail words) of
+    """(`_pow10_table`, 4-digit words, exponent head and tail words) of
     `_encode_rows`, built once."""
     global _ENCODER_TABLES
     if _ENCODER_TABLES is None:
@@ -342,6 +363,28 @@ def _encoder_tables():
     return _ENCODER_TABLES
 
 
+def _split(x):
+    """Veltkamp's split: x = high + low exactly, each half of 26 bits (the
+    sign carries the 53rd)."""
+    c = x * _VELTKAMP
+    high = c - (c - x)
+    return high, x - high
+
+
+def _scaled(a, k):
+    """s = a 10^k as hi + lo, for positive finite a and integers k in the
+    table: hi is the double nearest s, and hi + lo is within 4.01 u^2 s of s
+    (see _ROUND_EPS)."""
+    scale, t_hi, t_lo = _encoder_tables()[0]
+    i = k - _POW10_MIN
+    x = a * scale.take(i, mode="clip")
+    t = t_hi.take(i, mode="clip")
+    (xh, xl), (th, tl) = _split(x), _split(t)
+    hi = x * t
+    err = ((xh * th - hi) + xh * tl + xl * th) + xl * tl
+    return hi, err + x * t_lo.take(i, mode="clip")
+
+
 def _fallback_text(values):
     """`%.16e` of each value, NUL-padded to 25 bytes."""
     text = np.array(["%.16e" % v for v in values.tolist()], dtype="S25")
@@ -354,37 +397,36 @@ def _encode_rows(block):
     CRLF row ends, gives.
 
     For finite nonzero v with decimal exponent e, s = |v| 10^(16-e) lies in
-    [1e16, 1e17) and is within 2 eps s of exact (_ROUND_EPS), so rounding s
-    to the nearest integer D gives the 17 digits unless the fraction of s is
-    within that bound of 1/2 (exact ties among them).  Those values and the
+    [1e16, 1e17) and `_scaled` gives it as hi + lo with hi an integer and
+    the fraction of lo within _ROUND_EPS s of exact, so the 17 digits are
+    D = hi + floor(lo) + [frac(lo) > 1/2] unless that fraction is within
+    the bound of 1/2 (exact ties among them).  Those values and the
     non-finite ones take `_fallback_text`.  Zero has D = 0 and e = 0.
     """
-    pow10, quads, exp_head, exp_tail = _encoder_tables()
+    _, quads, exp_head, exp_tail = _encoder_tables()
     rows, cols = block.shape
     v = block.reshape(-1)
     finite = np.isfinite(v)
     zero = v == 0.0
     a = np.where(finite & ~zero, np.abs(v), 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    al = a.astype(np.longdouble)
-    # where np.longdouble is a double, the bound exceeds 1/2 (or s
-    # overflows) for every value, and every value falls back
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = al * pow10[16 - _POW10_MIN - e]
-        d = s.astype(np.uint64)
-        # next to a power of ten log10 can miss e by one
-        low, high = d < 10 ** 16, d >= 10 ** 17
-        miss = np.flatnonzero(low | high)
-        if miss.size:
-            e += high
-            e -= low
-            s[miss] = al[miss] * pow10[16 - _POW10_MIN - e[miss]]
-            d[miss] = s[miss].astype(np.uint64)
-        frac = (s - d).astype(np.float64)
-        exact = finite & (d >= 10 ** 16) & (
-            np.abs(frac - 0.5) > _ROUND_EPS * s.astype(np.float64))
-        d += frac > 0.5
-        exact &= d <= 10 ** 17
+    s_hi, s_lo = _scaled(a, 16 - e)
+    floor = np.floor(s_lo)
+    d = s_hi.astype(np.int64) + floor.astype(np.int64)
+    # next to a power of ten log10 can miss e by one
+    low, high = d < 10 ** 16, d >= 10 ** 17
+    miss = np.flatnonzero(low | high)
+    if miss.size:
+        e += high
+        e -= low
+        s_hi[miss], s_lo[miss] = _scaled(a[miss], 16 - e[miss])
+        floor[miss] = np.floor(s_lo[miss])
+        d[miss] = s_hi[miss].astype(np.int64) + floor[miss].astype(np.int64)
+    frac = s_lo - floor
+    exact = finite & (d >= 10 ** 16) & (
+        np.abs(frac - 0.5) > _ROUND_EPS * (s_hi + s_lo))
+    d += frac > 0.5
+    exact &= d <= 10 ** 17
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     e += carry
@@ -402,15 +444,16 @@ def _encode_rows(block):
     w = np.empty((7, v.size), dtype="<u4")
     np.multiply(np.signbit(v), np.uint32(ord("-") << 8), out=w[0])
     w[0] += (lead << 16) + np.uint32(0x2E300000)
+    # every index is in range; "clip" only spares take a checked copy
     q = hi // 10 ** 4
-    np.take(quads, q, out=w[1])
-    np.take(quads, hi - q * 10 ** 4, out=w[2])
+    np.take(quads, q, out=w[1], mode="clip")
+    np.take(quads, hi - q * 10 ** 4, out=w[2], mode="clip")
     q = lo // 10 ** 4
-    np.take(quads, q, out=w[3])
-    np.take(quads, lo - q * 10 ** 4, out=w[4])
+    np.take(quads, q, out=w[3], mode="clip")
+    np.take(quads, lo - q * 10 ** 4, out=w[4], mode="clip")
     e += _EXP_BIAS
-    np.take(exp_head, e, out=w[5])
-    np.take(exp_tail, e, out=w[6])
+    np.take(exp_head, e, out=w[5], mode="clip")
+    np.take(exp_tail, e, out=w[6], mode="clip")
     sep = np.full(cols, ord(",") << 8, dtype="<u4")
     sep[-1] = 0x0A0D00
     w[6].reshape(rows, cols)[:] += sep
@@ -418,7 +461,7 @@ def _encode_rows(block):
     bad = np.flatnonzero(~exact)
     if bad.size:
         out[bad, :25] = _fallback_text(v[bad])
-    return out[out != 0]
+    return np.frombuffer(out.tobytes().translate(None, b"\0"), np.uint8)
 
 
 def _require_finite_positive(name, value):

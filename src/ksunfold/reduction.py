@@ -573,11 +573,13 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     """Integrate Kepler directly over [0, t_total], or over 95% of
     t_collision when the closed form has located a collision; after any
     failure retry up to 95% of the time reached.  Returns (trajectory or
-    None, time reached, whether a collision cut the leg short, record).
-    The record holds where the horizon came from, the number of attempts,
-    the counts of the integration the comparison uses and, when attempts
-    failed, their summed counts (`failed_rhs_evals`,
-    `failed_rejected_steps`, `failed_domain_retries`)."""
+    None, time reached, whether a collision cut the leg short, record,
+    its values on each comparison grid by the grid's end, which
+    `_compare_downstairs` fills).  The record holds where the horizon came
+    from, the number of attempts, the counts of the integration the
+    comparison uses and, when attempts failed, their summed counts
+    (`failed_rhs_evals`, `failed_rejected_steps`,
+    `failed_domain_retries`)."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
     collision = t_collision is not None
@@ -601,21 +603,23 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
         record.update(rhs_evals=traj.stats["rhs_evals"],
                       accepted_steps=len(traj.times) - 1,
                       rejected_steps=traj.stats["rejected_steps"])
-        return traj, t_cmp, collision, record
-    return None, 0.0, True, record
+        return traj, t_cmp, collision, record, {}
+    return None, 0.0, True, record, {}
 
 
 def _compare_downstairs(result, leg):
     """Measure the divergence of the projected unfold from the direct leg
-    on a shared physical-time grid."""
-    direct, t_leg, collision, _ = leg
+    on a shared physical-time grid; the leg is evaluated once per grid."""
+    direct, t_leg, collision, _, on_grid = leg
     if direct is None:
         return {"compared": False, "collision": True, "t_compared": 0.0}
 
     t_cmp = min(float(result.ts[-1]), t_leg)
     grid = np.linspace(0.0, t_cmp, _GRID_POINTS + 1)
     xs, vs = _downstairs(result.upstairs.eval(result.tau_of(grid)))
-    down = direct.eval(grid)
+    if t_cmp not in on_grid:
+        on_grid[t_cmp] = direct.eval(grid)
+    down = on_grid[t_cmp]
     dx = np.linalg.norm(down[:, :3] - xs, axis=-1)
     dv = np.linalg.norm(down[:, 3:6] - vs, axis=-1)
     return {

@@ -456,6 +456,25 @@ def test_key_error_message_is_plain_text(tmp_path, capsys):
     assert err["exit_code"] == 2
 
 
+def test_two_main_calls_build_one_parser(monkeypatch, tmp_path, capsys):
+    import ksunfold.cli as cli
+
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argv = ["verify", "--suite", "kepler-algebra", "--samples", "5",
+            "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    assert run(argv) == 0
+    assert len(built) == 1
+
+
 def test_catch_all_key_error_message_is_plain_text(monkeypatch, capsys):
     import ksunfold.cli as cli
 

@@ -63,7 +63,7 @@ def test_each_command_takes_exactly_its_listed_flags(command, capsys):
     parser = cli.build_parser()
     listed = set(cli._COMMANDS[command][1])
     parsed = vars(parser.parse_args([command]))
-    assert set(parsed) - {"command", "func", "config"} == listed
+    assert set(parsed) - {"command", "config"} == listed
     for dest in sorted(set(cli._FLAGS) - {"demo"}):
         argv = [command, f"{cli._flag(dest)}=1"]
         if dest in listed:

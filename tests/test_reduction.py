@@ -25,7 +25,7 @@ from ksunfold import (
     unfold_sweep,
     verify_structure_constants,
 )
-from ksunfold.integrate import IntegratorConfig, integrate
+from ksunfold.integrate import IntegratorConfig, Trajectory, integrate
 from ksunfold.reduction import DIRECT_LEG_CONFIG
 from ksunfold.symplectic import chart_structure, quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
@@ -457,6 +457,43 @@ def test_sweep_integrates_the_direct_leg_once(monkeypatch, orbit, legs):
     assert len(results) == 3
     assert len(calls) == legs
     assert all(r.collision is (orbit == "collision") for r in results)
+
+
+def _sweep_divergences(p0, tau_end):
+    """The comparisons of an 8-angle gauge sweep, as `ksunfold unfold
+    --lambda 0..6.28:8` runs it."""
+    return [r.divergence for r in unfold_sweep(
+        np.array(p0), tau_end, np.linspace(0.0, 6.28, 8))]
+
+
+@pytest.mark.parametrize("orbit", sorted(_ORBITS))
+def test_sweep_evaluates_the_direct_leg_once_per_grid(monkeypatch, orbit):
+    p0, tau_end = _ORBITS[orbit]
+    # each comparison as if the leg had not been evaluated before it
+    compare = reduction._compare_downstairs
+
+    def afresh(result, leg):
+        leg[4].clear()
+        return compare(result, leg)
+
+    monkeypatch.setattr(reduction, "_compare_downstairs", afresh)
+    fresh = _sweep_divergences(p0, tau_end)
+    monkeypatch.setattr(reduction, "_compare_downstairs", compare)
+
+    evals = []
+    eval_ = Trajectory.eval
+
+    def counting(self, t):
+        evals.append(float(t[-1]))
+        return eval_(self, t)
+
+    monkeypatch.setattr(Trajectory, "eval", counting)
+    divergences = _sweep_divergences(p0, tau_end)
+    assert divergences == fresh  # bit for bit
+    grids = {d["t_compared"] for d in divergences}
+    assert sorted(evals) == sorted(grids)
+    if orbit == "collision":  # every gauge is cut at the leg's end
+        assert len(evals) == 1
 
 
 def test_direct_leg_computes_no_monitors(monkeypatch):
