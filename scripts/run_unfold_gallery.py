@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from ksunfold import unfold_kepler
+from ksunfold.integrate import overwrite
 
 GALLERY = {
     # name: (x0, v0, tau_end)
@@ -47,9 +48,9 @@ def main():
         csv_path = os.path.join(args.out_dir, f"{name}.csv")
         res.to_csv(csv_path)
         side = res.sidecar()
-        with open(os.path.join(args.out_dir, f"{name}.json"), "w") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        overwrite(os.path.join(args.out_dir, f"{name}.json"),
+                  [(json.dumps(side, indent=2, sort_keys=True)
+                    + "\n").encode()])
         div = side["divergence"]
         tail = (
             f"max divergence {div['max_position_divergence']:.3e}"

@@ -2,9 +2,10 @@
 
 Every run is determined by its effective config (flags over config-file
 values over defaults) plus one explicit seed; CSV outputs are bit-identical
-across reruns.  Errors exit with code 2 (bad config), 3 (integration
-failure), or 1 (a verification/demo tolerance failed), with a JSON error
-object on stderr.
+across reruns, and every output file is rewritten in place
+(`integrate.overwrite`).  Errors exit with code 2 (bad config, or an output
+path that cannot be written), 3 (integration failure), or 1 (a
+verification/demo tolerance failed), with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     IntegrationError,
     LiftError,
 )
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate, overwrite
 from .reduction import (
     DIRECT_LEG_CONFIG,
     check_equivariance,
@@ -246,9 +247,8 @@ def _echo(cfg: dict) -> dict:
 
 def _write_json(path, payload):
     # one write: `json.dump` with an indent writes each token on its own
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    overwrite(path, [(json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n").encode()])
 
 
 def _drifts(traj) -> dict:
@@ -393,11 +393,9 @@ def cmd_verify(cfg: dict) -> int:
     report = run_suite(suite, samples=cfg.get("samples", 100),
                        seed=cfg.get("seed", 0))
     report["config"] = _echo(cfg.raw)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if cfg.get("out"):
-        with open(os.path.join(_out_dir(cfg), cfg["out"]), "w") as fh:
-            fh.write(text + "\n")
+        _write_json(os.path.join(_out_dir(cfg), cfg["out"]), report)
     return 0 if report["pass"] else 1
 
 
@@ -486,6 +484,10 @@ def main(argv=None) -> int:
         return _error_json(exc, 2)
     except (IntegrationError, DegenerateStructureError) as exc:
         return _error_json(exc, 3)
+    except OSError as exc:
+        # an output directory or file that cannot be made or written; the
+        # message names its path
+        return _error_json(exc, 2)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,11 @@ with the offending time and state.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -35,6 +39,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "find_return_time",
+    "overwrite",
     "write_table",
 ]
 
@@ -243,6 +248,10 @@ _FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
 # most rows per block in `write_table`: bounds the encoder's working memory
 _CSV_BLOCK = 512
 
+# how `overwrite` opens a file: no O_TRUNC, so a file that exists keeps its
+# blocks; O_BINARY (Windows only) turns off newline translation
+_OVERWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
 # The `%.16e` encoder forms s = |v| 10^(16-e), for the decimal exponent e
 # of v, in float64 as hi + lo.  For each _POW10_MIN <= k <= _POW10_MAX,
 # `_pow10_table` holds 2^c, c = floor(log2(10^k) / 2), and a double-double
@@ -310,20 +319,45 @@ def _up_crossings(times, g, fdf):
             fdf, lo, hi, lo + (hi - lo) * (g0 / (g0 - g1)), _ROOT_TOL))
 
 
+def overwrite(path, chunks):
+    """Write the byte chunks to `path` in order over the bytes it holds,
+    then cut a regular file to their total length.
+
+    The file is not truncated first: on a file that exists, that frees its
+    blocks and allocates them again, and ext4 flushes it on close.  A new
+    file gets the permission bits `open(path, "w")` gives (0o666 less the
+    umask).  A target that is not a regular file, such as /dev/null or a
+    FIFO, is written and not cut.  A write that fails part way leaves the
+    new bytes over the old ones, and nothing is fsynced.  An OSError names
+    `path`."""
+    try:
+        with open(os.open(path, _OVERWRITE_FLAGS, 0o666), "wb") as fh:
+            # holds no chunk while the next one is made
+            fh.writelines(chunks)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        if exc.filename is None:  # a failed write or close names no file
+            exc.filename = path
+        raise
+
+
 def write_table(path, header, table):
-    """CSV of a float table: the header through `csv.writer`, then every
-    value as `%.16e` (17 significant digits, as f"{v:.16e}"), CRLF line
-    ends, encoded by `_encode_rows` in blocks of at most _CSV_BLOCK rows of
-    nearly equal size."""
+    """CSV of a float table: the header as `csv.writer` writes it, then
+    every value as `%.16e` (17 significant digits, as f"{v:.16e}"), CRLF
+    line ends, encoded by `_encode_rows` in blocks of at most _CSV_BLOCK
+    rows of nearly equal size, each written by `overwrite` as it is
+    encoded."""
     table = np.asarray(table, dtype=float)
     n = len(table)
     blocks = -(-n // _CSV_BLOCK)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.flush()  # the body goes to the byte stream under the text layer
-        for i in range(blocks):
-            fh.buffer.write(_encode_rows(
-                table[i * n // blocks:(i + 1) * n // blocks]))
+    line = io.StringIO()
+    csv.writer(line).writerow(header)
+    # the column names are ASCII, so these are the bytes a text file in any
+    # ASCII-compatible encoding holds
+    overwrite(path, itertools.chain([line.getvalue().encode()], (
+        _encode_rows(table[i * n // blocks:(i + 1) * n // blocks])
+        for i in range(blocks))))
 
 
 def _pow10_table():

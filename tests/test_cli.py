@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism, config files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -551,3 +552,66 @@ def test_demo_non_positive_tol_exits_2_naming_the_flag(tmp_path, capsys, tol):
     assert err["error"] == "ConfigError"
     assert err["message"] == f"--tol must be positive, got {tol!r}"
     assert not out.exists()
+
+
+_SIMULATE_X = ["simulate", "--system", "kepler", "--x", "1,0,0",
+               "--v", "0,1,0", "--t-end", "1", "--prefix", "x"]
+_IS_ROOT = getattr(os, "geteuid", lambda: -1)() == 0
+
+
+def _write_error(capsys, path):
+    # the whole of stderr is one JSON object: no traceback
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert str(path) in err["message"]
+    return err
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.json"])
+def test_output_path_that_is_a_directory_exits_2_naming_it(
+        tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert run(_SIMULATE_X + ["--out-dir", str(tmp_path)]) == 2
+    assert _write_error(capsys, tmp_path / name)["error"] == \
+        "IsADirectoryError"
+
+
+def test_out_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "out").write_text("a file\n")
+    assert run(_SIMULATE_X + ["--out-dir", str(tmp_path / "out")]) == 2
+    _write_error(capsys, tmp_path / "out")
+
+
+@pytest.mark.skipif(_IS_ROOT, reason="root writes read-only files")
+def test_read_only_output_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "x.json").write_text("{}\n")
+    (tmp_path / "x.json").chmod(0o444)
+    assert run(_SIMULATE_X + ["--out-dir", str(tmp_path)]) == 2
+    assert _write_error(capsys, tmp_path / "x.json")["error"] == \
+        "PermissionError"
+
+
+@pytest.mark.skipif(_IS_ROOT, reason="root writes in read-only directories")
+def test_read_only_out_dir_exits_2_naming_the_file(tmp_path, capsys):
+    (tmp_path / "out").mkdir(mode=0o555)
+    code = run(["verify", "--suite", "kepler-algebra", "--samples", "5",
+                "--out", "rep.json", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    _write_error(capsys, tmp_path / "out" / "rep.json")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_that_fills_the_device_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "rep.json").symlink_to("/dev/full")
+    code = run(["verify", "--suite", "kepler-algebra", "--samples", "5",
+                "--out", "rep.json", "--out-dir", str(tmp_path)])
+    assert code == 2
+    _write_error(capsys, tmp_path / "rep.json")
+
+
+def test_outputs_symlinked_to_dev_null_are_written(tmp_path, capsys):
+    for name in ("x.csv", "x.json"):
+        (tmp_path / name).symlink_to(os.devnull)
+    assert run(_SIMULATE_X + ["--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_symlink()) == \
+        ["x.csv", "x.json"]

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in scripts/, each run as its own process."""
 
+import io
 import json
 import math
 import os
@@ -67,6 +68,22 @@ def test_gallery_writes_a_csv_and_json_per_orbit(tmp_path):
             if line.split()[0] in names}
     assert rows["collision"].endswith("[collision regularized]")
     assert "regularized" not in rows["circular"] + rows["eccentric"]
+
+
+def test_gallery_sidecars_are_json_dump_and_a_newline_over_stale_files(
+        tmp_path):
+    names = ("circular", "eccentric", "collision")
+    for name in names:
+        (tmp_path / f"{name}.json").write_bytes(b"{stale}\n" * 10000)
+    proc = _run_script("run_unfold_gallery.py", "--samples", "32",
+                       "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name in names:
+        text = (tmp_path / f"{name}.json").read_text()
+        ref = io.StringIO()
+        json.dump(json.loads(text), ref, indent=2, sort_keys=True)
+        ref.write("\n")
+        assert text == ref.getvalue()
 
 
 @pytest.mark.parametrize("script, flag, value", [

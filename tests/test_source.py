@@ -191,3 +191,38 @@ def test_every_export_is_reached_outside_the_tests():
                 reached.add(name)
                 todo.append(name)
     assert sorted(exports - reached) == []
+
+
+def _write_mode(call, name):
+    """Whether a call opens a file to write it: `os.open` (flags, not a
+    mode), `Path.write_text` and `write_bytes`, and `open`, `io.open`,
+    `os.fdopen` and `Path.open` with a mode that writes, appends, creates or
+    updates, or one not spelled out."""
+    owner = getattr(getattr(call.func, "value", None), "id", None)
+    if name in ("write_text", "write_bytes") or (name, owner) == ("open",
+                                                                  "os"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    # the mode is the second argument, or the first of `Path.open`
+    at = 1 if isinstance(call.func, ast.Name) or owner in ("io", "os") else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_files_are_written_only_by_the_one_writer():
+    # every output goes through `integrate.overwrite`, which rewrites a file
+    # in place; nothing truncates a file on open
+    found = {}
+    for path in [*_SRC, *sorted(_ROOT.glob("scripts/*.py"))]:
+        tree = ast.parse(path.read_text())
+        for names, line in _calls(tree, _write_mode):
+            found.setdefault((path.name, names), []).append(line)
+        assert not [node.lineno for node in ast.walk(tree)
+                    if getattr(node, "attr", getattr(node, "id", None))
+                    == "O_TRUNC"], path.name
+    assert set(found) == {("integrate.py", ("overwrite",))}, found
