@@ -13,9 +13,22 @@ One step loop drives two embedded explicit pairs, chosen by
   that costs 3 more calls per accepted step.  The unfold's direct Kepler
   comparison leg runs it (`reduction.DIRECT_LEG_CONFIG`).
 
+The loop does a step's elementwise work in Python floats and keeps in
+NumPy what fixes the bits: the BLAS dots (each stage's a . K and the
+error estimate's, whose summation order no float loop reproduces).  An
+rhs with a float route (`rhs.floats`, as the Kepler field's has) gets each
+stage state y + h (a . K) formed in floats, with the same roundings; any
+other rhs is called on the array expression, as before.  The error scale
+and DP5's RMS norm are floats for both.  The accepted steps' stage rows
+are kept, and the dense output is formed from them 256 steps at a time,
+in batched products that give each step's own bits.  Every trajectory is
+the one the array loop (kept in the tests as their oracle) gives, bit for
+bit.
+
 A step whose right-hand side evaluation lands in a forbidden region
 (DomainError) is retried at half the step before the failure is surfaced
-with the offending time and state.
+with the offending time and state.  A step below 16 eps max(|t|, min(1,
+t_end - t0)) has underflowed: relative to the span when that is short.
 """
 
 from __future__ import annotations
@@ -188,34 +201,73 @@ _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0  # DP5's step-size exponent
 
 
+def _numpy_sum(values):
+    """The sum of a list of floats in the order `np.add.reduce` sums a
+    contiguous float64 array: left to right below 8 terms, else pairwise
+    (8 accumulators over blocks of at most 128 terms, then halves)."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    tail = n - n % 8
+    acc = values[:8]
+    for i in range(8, tail, 8):
+        acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+        (acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
 def _dp5_error(K, h, scale):
-    z = (h * _E.dot(K)) / scale
+    """RMS of the scaled DP5 error estimate h E.K / scale, in Python floats
+    around the BLAS dot; a result that is not finite is formed again in
+    NumPy, which gives its NaN and its warnings."""
+    e = _E.dot(K)
+    z = [h * v / s for v, s in zip(e.tolist(), scale)]
+    err = math.sqrt(_numpy_sum([v * v for v in z]) / len(z))
+    if math.isfinite(err):
+        return err
+    z = (h * e) / np.array(scale)
     return math.sqrt(np.add.reduce(z * z) / z.size)
 
 
-def _dp5_dense(K, h, y, y_new):
-    return h * K.T.dot(_P)
+def _dp5_dense(Ks, h, states):
+    out = np.matmul(Ks.transpose(0, 2, 1), _P)
+    out *= h[:, None, None]
+    return out
 
 
 def _dop853_error(K, h, scale):
     """The DOP853 code's norm: the 5th-order error estimate, scaled by
     |err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) against the 3rd-order one."""
+    scale = np.asarray(scale)
     err5 = _E5.dot(K[:13]) / scale
     err3 = _E3.dot(K[:13]) / scale
     e5, e3 = err5.dot(err5), err3.dot(err3)
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
-    return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+    # a Python float, so that the step size stays one
+    return float(h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size))
 
 
-def _dop853_dense(K, h, y, y_new):
-    dy = y_new - y
-    F = np.empty((7, y.size))
-    F[0] = dy
-    F[1] = h * K[0] - dy
-    F[2] = 2.0 * dy - h * (K[12] + K[0])
-    F[3:] = h * _D8.dot(K)
-    return F.T.dot(_DOP853_POWERS)
+def _dop853_dense(Ks, h, states):
+    dy = states[1:] - states[:-1]
+    hk = h[:, None]
+    F = np.empty((len(h), 7, dy.shape[1]))
+    F[:, 0] = dy
+    F[:, 1] = hk * Ks[:, 0] - dy
+    F[:, 2] = 2.0 * dy - hk * (Ks[:, 12] + Ks[:, 0])
+    F[:, 3:] = np.matmul(_D8, Ks)
+    F[:, 3:] *= h[:, None, None]
+    return np.matmul(F.transpose(0, 2, 1), _DOP853_POWERS)
 
 
 class _Tableau(NamedTuple):
@@ -223,9 +275,12 @@ class _Tableau(NamedTuple):
     forms stage i from K[:i]; the last row forms y_new, whose rhs is the
     next step's K[0] (FSAL).  `extra` rows form the stages that only the
     dense output of an accepted step needs.  `error(K, h, scale)` is the
-    RMS norm of the scaled error estimate, `dense(K, h, y, y_new)` the
-    step's interpolant coefficients of theta, ..., theta^m, shape (dim, m),
-    and `exponent` is -1 / (q + 1) for an error estimate of order q."""
+    RMS norm of the scaled error estimate, for `scale` a list of floats.
+    `dense(Ks, h, states)` forms every accepted step's interpolant at once,
+    from the steps' stage rows Ks (n, stages, dim), lengths h (n,) and the
+    n + 1 states: coefficients of theta, ..., theta^m, shape (n, dim, m),
+    bit for bit what each step's own product gives.  `exponent` is
+    -1 / (q + 1) for an error estimate of order q."""
 
     stages: tuple
     extra: tuple
@@ -242,7 +297,10 @@ _TABLEAUS = {
                        _dop853_error, _dop853_dense, -1.0 / 8.0),
 }
 
-# a step below this times max(|t|, 1) has underflowed
+# accepted steps per batch of dense output
+_BLOCK = 256
+
+# a step below this times max(|t|, min(1, t_end - t0)) has underflowed
 _FLOOR_EPS = 16.0 * float(np.finfo(float).eps)
 
 # most rows per block in `write_table`: bounds the encoder's working memory
@@ -651,7 +709,15 @@ def integrate(
     t0: float = 0.0,
 ) -> Trajectory:
     """Integrate ds/dt = rhs(s) from t0 to t_end with the pair that
-    `config.method` names (DP5 by default)."""
+    `config.method` names (DP5 by default).
+
+    Where the rhs has `rhs.floats` (a list of floats in, a list out, or
+    None to decline, as `kepler_field`'s does), each stage state is formed
+    in Python floats around its BLAS dot and passed to it, and to
+    rhs(np.array(state)) where it declines; a stage state that holds inf
+    or NaN is formed again in NumPy, for its warnings.  Any other rhs is
+    called on the array expression, so a wrapper (a tracer, a counter)
+    sees every call.  Each value is the one the array loop gives."""
     cfg = config or IntegratorConfig()
     tab = _TABLEAUS[cfg.method]
     t0, t_end = float(t0), float(t_end)
@@ -661,28 +727,38 @@ def integrate(
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    y = np.array(s0, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"initial state must be finite, got {y}")
+    y0 = np.array(s0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"initial state must be finite, got {y0}")
     f = system.rhs
-    t = t0
-    k0 = f(y)  # a bad initial state surfaces immediately
+    k0 = f(y0)  # a bad initial state surfaces immediately
 
-    h, probe_failed = _initial_step(f, y, k0, t_end - t0, cfg, tab.exponent)
+    h, probe_failed = _initial_step(f, y0, k0, t_end - t0, cfg, tab.exponent)
+    h = float(h)
+    floats = getattr(f, "floats", None)
     nfev = 2  # k0 and the step-size probe
     rejected = 0
     retries = int(probe_failed)
-    ts = [t]
-    ys = [y.copy()]
-    dense = []
     n_main = len(tab.stages)
-    K = np.empty((1 + n_main + len(tab.extra), y.size))
+    K = np.empty((1 + n_main + len(tab.extra), y0.size))
+    K[0] = k0
     # each stage row with the view of K it combines; views stay current
-    stages = [(row, K[:i]) for i, row in enumerate(tab.stages, 1)]
-    extra = [(row, K[:i]) for i, row in enumerate(tab.extra, n_main + 1)]
-    error_norm, dense_of, exponent = tab.error, tab.dense, tab.exponent
+    stages = [(i, row, K[:i]) for i, row in enumerate(tab.stages, 1)]
+    extra = [(i, row, K[:i]) for i, row in enumerate(tab.extra, n_main + 1)]
+    # the accepted states, in an array that doubles when full, and the
+    # stage rows and lengths of the last accepted steps, whose dense output
+    # is formed when _BLOCK of them are in
+    states = np.empty((64, y0.size))
+    states[0] = y0
+    n = 0  # accepted steps
+    Ks = np.empty((_BLOCK,) + K.shape)
+    ts, hs, dense = [t0], [], []
+    error_norm, exponent = tab.error, tab.exponent
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    abs_y = np.abs(y)
+    # below a span of 1 the step floor is relative to the span
+    unit = min(1.0, t_end - t0)
+    t, y = t0, y0.tolist()
+    abs_y = list(map(abs, y))
     attempts = 0
     nonfinite = 0  # rejected attempts whose error norm was inf or NaN
     last_domain_error = None
@@ -691,27 +767,47 @@ def integrate(
         attempts += 1
         if attempts > cfg.max_steps:
             raise _failure(f"step count exceeded max_steps={cfg.max_steps}",
-                           t, y, _stats(nfev, rejected, retries), nonfinite)
-        if h < _FLOOR_EPS * max(abs(t), 1.0):
+                           t, states[n].copy(),
+                           _stats(nfev, rejected, retries), nonfinite)
+        if h < _FLOOR_EPS * max(abs(t), unit):
             detail = (f": rhs domain error persisted ({last_domain_error})"
                       if last_domain_error is not None else "")
             raise _failure(
                 f"step size {h:.3g} underflowed at t={t:.6g}{detail}",
-                t, y, _stats(nfev, rejected, retries), nonfinite)
+                t, states[n].copy(), _stats(nfev, rejected, retries),
+                nonfinite)
         clamped = t + h >= t_end
         h_step = t_end - t if clamped else h
-        K[0] = k0
         # K[i] is the attempt's i-th rhs call, so i counts them
         try:
-            for i, (row, Ki) in enumerate(stages, 1):
-                y_new = y + h_step * row.dot(Ki)
-                K[i] = f(y_new)
-            abs_new = np.abs(y_new)
-            scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
-            err = error_norm(K, h_step, scale)
+            for i, row, Ki in stages:
+                d = row.dot(Ki)
+                if floats:
+                    y_new = [a + h_step * b for a, b in zip(y, d.tolist())]
+                    if not math.isfinite(sum(y_new)):
+                        states[n] + h_step * d  # NumPy's warnings
+                    K[i] = floats(y_new) or f(np.array(y_new))
+                else:
+                    y_new = states[n] + h_step * d
+                    K[i] = f(y_new)
+            if not floats:
+                y_new = y_new.tolist()
+            abs_new = list(map(abs, y_new))
+            # the larger of each pair, NaN from abs_new kept (abs_y has
+            # none: a NaN state is never accepted)
+            err = error_norm(K, h_step, [
+                abs_tol + rel_tol * (a if a >= b else b)
+                for a, b in zip(abs_y, abs_new)])
             if extra and err <= 1.0:
-                for i, (row, Ki) in enumerate(extra, n_main + 1):
-                    K[i] = f(y + h_step * row.dot(Ki))
+                for i, row, Ki in extra:
+                    d = row.dot(Ki)
+                    if floats:
+                        s = [a + h_step * b for a, b in zip(y, d.tolist())]
+                        if not math.isfinite(sum(s)):
+                            states[n] + h_step * d
+                        K[i] = floats(s) or f(np.array(s))
+                    else:
+                        K[i] = f(states[n] + h_step * d)
         except DomainError as exc:
             nfev += i
             retries += 1
@@ -721,10 +817,19 @@ def integrate(
         nfev += i
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
-            dense.append(dense_of(K, h_step, y, y_new))
+            if n + 1 == len(states):
+                states = np.concatenate((states, np.empty_like(states)))
+            Ks[len(hs)] = K
+            hs.append(h_step)
+            n += 1
+            states[n] = y_new
             ts.append(t_new)
-            ys.append(y_new)
-            t, y, k0, abs_y = t_new, y_new, K[n_main].copy(), abs_new
+            if len(hs) == _BLOCK:
+                dense.append(tab.dense(Ks, np.array(hs),
+                                       states[n - _BLOCK:n + 1]))
+                hs = []
+            K[0] = K[n_main]
+            t, y, abs_y = t_new, y_new, abs_new
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err**exponent
             )
@@ -734,13 +839,15 @@ def integrate(
             nonfinite += not math.isfinite(err)
             h = h_step * max(_MIN_FACTOR, _SAFETY * err**exponent)
 
-    times = np.array(ts)
-    states = np.array(ys)
+    if hs:
+        dense.append(tab.dense(Ks[:len(hs)], np.array(hs),
+                               states[n - len(hs):n + 1]))
+    states = states[:n + 1].copy()
     return Trajectory(
-        times=times,
+        times=np.array(ts),
         states=states,
         monitors=_monitor_values(system, monitors, states),
-        dense=np.array(dense),
+        dense=np.concatenate(dense),
         state_names=system.state_names,
         stats=_stats(nfev, rejected, retries),
     )

@@ -304,29 +304,39 @@ def _r2(y):
 # ---------------------------------------------------------------------------
 
 def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
-    """Kepler: dx/dt = v, dv/dt = -k x / r^3.  Rejects r < r_min."""
+    """Kepler: dx/dt = v, dv/dt = -k x / r^3.  Rejects r < r_min.
+
+    For |k| <= 1e100 its rhs carries `rhs.floats`, the rhs of one state as
+    a list of six Python floats, which `integrate`'s step loop calls."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
     small_k = abs(k) <= 1e100
 
+    def floats(s):
+        # In Python floats with NumPy's roundings: r's sum runs left to
+        # right, as np.add.reduce does for three terms, sqrt is correctly
+        # rounded in both, and r^3 is np.power's own (its SIMD loop differs
+        # from math.pow and from r*r*r).  Only where nothing below can
+        # overflow or become 0: with 1e-100 < r < 1e100, r^3 lies in
+        # (1e-300, 1e300) and |k x_i / r^3| <= |k| / r^2 < 1e300 for
+        # |k| <= 1e100.  Every other state (r < r_min, a NaN or infinite
+        # r, not six values, ...) returns None, and the array expression in
+        # `rhs` raises or warns.
+        if len(s) != 6:
+            return None
+        x0, x1, x2, v0, v1, v2 = s
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if 1e-100 < r < 1e100 and r >= r_min:
+            r3 = float(np.power(r, 3.0))
+            return [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3]
+        return None
+
     def rhs(s):
-        # One float64 state, as the step loop passes it, in Python floats
-        # with NumPy's roundings: r's sum runs left to right, as
-        # np.add.reduce does for three terms, sqrt is correctly rounded in
-        # both, and r^3 is np.power's own (its SIMD loop differs from
-        # math.pow and from r*r*r).  Only where nothing below can overflow
-        # or become 0: with 1e-100 < r < 1e100, r^3 lies in (1e-300, 1e300)
-        # and |k x_i / r^3| <= |k| / r^2 < 1e300 for |k| <= 1e100.  Every
-        # other state (r < r_min, a NaN or infinite r, ...) takes the NumPy
-        # expression, which raises or warns.
         if (type(s) is np.ndarray and s.dtype is _F64 and s.shape == (6,)
                 and small_k):
-            x0, x1, x2, v0, v1, v2 = s.tolist()
-            r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-            if 1e-100 < r < 1e100 and r >= r_min:
-                r3 = float(np.power(r, 3.0))
-                return np.array((v0, v1, v2, -k * x0 / r3, -k * x1 / r3,
-                                 -k * x2 / r3))
+            out = floats(s.tolist())
+            if out is not None:
+                return np.array(out)
         s = np.asarray(s, dtype=float)
         x = s[..., :3]
         r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own body
@@ -338,6 +348,8 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         acc = -k * x / r[..., None] ** 3
         return np.concatenate((s[..., 3:6], acc), axis=-1)
 
+    if small_k:
+        rhs.floats = floats
     reg = observables(k)
     return DynamicalSystem(
         name="kepler",

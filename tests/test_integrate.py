@@ -24,6 +24,8 @@ from ksunfold import (
     integrate,
     kepler_field,
     free3d_field,
+    radial_reduced_field,
+    reparametrized_field,
     unfold_kepler,
 )
 from ksunfold.integrate import (
@@ -1046,6 +1048,124 @@ def test_stepper_matches_oracle_in_other_dimensions(system, s0, t_end):
                                    IntegratorConfig(rel_tol=1e-10))
 
 
+def _cube_rotated(s0):
+    """s0 with x and v turned by a rotation of the cube (det +1)."""
+    R = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    return np.concatenate([R @ s0[:3], R @ s0[3:]])
+
+
+@pytest.mark.parametrize("s0", [
+    _apocentre(1.0, 0.0), _apocentre(1.0, 0.6), _apocentre(1.0, 0.9),
+    _cube_rotated(_apocentre(1.0, 0.6)),
+], ids=["e0", "e0.6", "e0.9", "e0.6-rotated"])
+def test_float_route_matches_oracle_bit_for_bit(s0):
+    # kepler_field's own rhs: the loop calls its `floats` kernel
+    cfg = IntegratorConfig(rel_tol=1e-11)
+    system = kepler_field()
+    traj = integrate(system, s0, 4 * np.pi, config=cfg)
+    times, states, dense = _integrate_oracle(_kepler_rhs_oracle, s0,
+                                             4 * np.pi, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.dense, dense)
+    # a replaced rhs (a tracer's, say) has no float route: it sees every
+    # call, and the run gives the same bits and counts
+    counting = _Counted(system.rhs)
+    replaced = integrate(dataclasses.replace(system, rhs=counting), s0,
+                         4 * np.pi, config=cfg)
+    assert counting.calls == traj.stats["rhs_evals"]
+    assert replaced.stats == traj.stats == {
+        "rhs_evals": counting.calls,
+        "rejected_steps": counting.full_attempts - (len(times) - 1),
+        "domain_retries": 0,
+    }
+    assert np.array_equal(replaced.times, traj.times)
+    assert np.array_equal(replaced.states, traj.states)
+    assert np.array_equal(replaced.dense, traj.dense)
+    for name, values in traj.monitors.items():
+        assert np.array_equal(replaced.monitors[name], values)
+
+
+def test_loop_calls_the_float_route_of_an_rhs_that_has_one():
+    # only k0 and the step-size probe take the array rhs
+    rhs = kepler_field().rhs
+    calls = {"array": 0, "floats": 0}
+
+    def counted(s):
+        calls["array"] += 1
+        return rhs(s)
+
+    def counted_floats(s):
+        calls["floats"] += 1
+        return rhs.floats(s)
+
+    counted.floats = counted_floats
+    traj = integrate(DynamicalSystem("kepler", 6, rhs=counted),
+                     _apocentre(1.0, 0.6), 2 * np.pi)
+    assert calls == {"array": 2, "floats": traj.stats["rhs_evals"] - 2}
+    # |k| > 1e100 could overflow in floats: no float route
+    assert hasattr(kepler_field(k=1e100).rhs, "floats")
+    assert not hasattr(kepler_field(k=1e101).rhs, "floats")
+
+
+@pytest.mark.parametrize("r_min", [1e-12, 1e-3])
+def test_float_route_collision_failure_matches_oracle(r_min):
+    # inside r_min the kernel declines and the array rhs raises DomainError
+    s0 = np.array([1.0, 0, 0, -0.5, 0, 0])
+    with pytest.raises(IntegrationError) as new:
+        integrate(kepler_field(r_min=r_min), s0, 2.0)
+    with pytest.raises(IntegrationError) as old:
+        _integrate_oracle(lambda s: _kepler_rhs_oracle(s, r_min=r_min),
+                          s0, 2.0, IntegratorConfig())
+    assert new.value.t == old.value.t
+    assert np.array_equal(new.value.state, old.value.state)
+    assert str(new.value).startswith(f"{old.value} (rhs_evals=")
+    assert (new.value.stats["domain_retries"] > 0) == (r_min > 1e-12)
+
+
+def _linear_field(dim, seed):
+    """ds/dt = A s for a random A with eigenvalues near the imaginary axis."""
+    rng = rng_from_seed(seed)
+    B = rng.normal(size=(dim, dim))
+    A = (B - B.T) + 0.05 * rng.normal(size=(dim, dim))
+
+    def rhs(s):
+        return A @ np.asarray(s, dtype=float)
+
+    return DynamicalSystem(f"linear-{dim}", dim, rhs)
+
+
+@pytest.mark.parametrize("system, s0, t_end", [
+    (radial_reduced_field(E=0.5), np.array([1.0, 0.4]), 5.0),
+    (radial_reduced_field(l=0.7, variant="angular"), np.array([1.0, -0.4]),
+     3.0),
+    (calogero_moser_field(0.4), np.array([-1.0, 1.0, 0.5, -0.2]), 4.0),
+    (free3d_field(), np.array([1.0, -2.0, 0.5, 0.3, 0.1, -0.7]), 5.0),
+    (conformal_kepler_field(), sample_states_sigma0(1, seed=5)[0], 3.0),
+    (reparametrized_field(), sample_states_sigma0(1, seed=6)[0], 3.0),
+    (completed_oscillator_field(E=-0.5),
+     np.array([1.0, 0.2, -0.3, 0.1, 0.0, 0.4, 0.2, -0.1]), 6.0),
+    (_linear_field(9, 1), np.linspace(-1.0, 1.0, 9), 2.0),
+    (_linear_field(16, 2), np.linspace(-1.0, 1.0, 16), 1.0),
+    (_linear_field(17, 3), np.linspace(-1.0, 1.0, 17), 1.0),
+    (_linear_field(130, 4), np.linspace(-1.0, 1.0, 130), 0.05),
+], ids=["radial-2", "radial-angular-2", "calogero-4", "free-6",
+        "conformal-8", "reparametrized-8", "oscillator-8", "linear-9",
+        "linear-16", "linear-17", "linear-130"])
+def test_adapter_matches_oracle_on_every_field(system, s0, t_end):
+    # every field but kepler's is called on array stage states; the error
+    # norm's float sum keeps NumPy's order, left to right below 8 terms and
+    # pairwise from 8 on
+    assert not hasattr(system.rhs, "floats")
+    traj = integrate(system, s0, t_end)
+    times, states, dense = _integrate_oracle(system.rhs, s0, t_end,
+                                             IntegratorConfig())
+    assert len(times) > 5
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.dense, dense)
+    _assert_stepper_matches_oracle(system, s0, t_end, IntegratorConfig())
+
 @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan, -1e300])
 def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
     # an oscillator whose rhs turns non-finite (or overflows the error
@@ -1078,6 +1198,42 @@ def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
     assert new.t == old.t and np.array_equal(new.state, old.state)
     assert str(new).startswith(f"{old} (rhs_evals={counted.calls}, ")
 
+
+@pytest.mark.parametrize("route", ["floats", "array"])
+def test_stage_state_overflow_matches_oracle_with_its_warnings(route):
+    # x' = v from x = v = 1e308: a stage state y + h (a . K) overflows to
+    # inf, which NumPy flags ("overflow encountered in add") where the float
+    # arithmetic does not, so the float route forms that stage again in
+    # NumPy.  The run then accepts the inf state (the error of a linear
+    # drift is 0)
+    def rhs(s):
+        return np.array([s[1], 0.0])
+
+    if route == "floats":
+        rhs.floats = lambda s: [s[1], 0.0]
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn()
+        # `@` and `ndarray.dot` flag an overflow inside the product a
+        # different number of times; the elementwise warnings keep their
+        # order
+        return out, [(w.category, str(w.message)) for w in caught
+                     if not str(w.message).endswith(("dot", "matmul"))]
+
+    s0 = np.array([1e308, 1e308])
+    new, new_warnings = run(lambda: integrate(
+        DynamicalSystem("drift", 2, rhs=rhs), s0, 3.0))
+    (times, states, dense), old_warnings = run(
+        lambda: _integrate_oracle(rhs, s0, 3.0, IntegratorConfig()))
+    assert new_warnings == old_warnings
+    assert ("overflow encountered in add" in
+            [message for _, message in old_warnings])
+    assert np.isinf(states[-1, 0])
+    assert np.array_equal(new.times, times)
+    assert np.array_equal(new.states, states)
+    assert np.array_equal(new.dense, dense)
 
 def _inf_past(x_max):
     def rhs(s):

@@ -710,6 +710,22 @@ def test_period_of_a_wide_orbit_is_its_first_return(a, k):
     assert abs(periods["t_full"] - 2 * T_kepler) < 1e-10 * T_kepler
 
 
+
+@pytest.mark.parametrize("j", [-12, -15, -18])
+def test_direct_leg_of_a_small_orbit_is_compared(j):
+    # x -> 4^j x, v -> 2^-j v, tau -> 2^j tau maps one Kepler orbit (k = 1)
+    # exactly onto another, with t -> 8^j t.  The direct leg's span here is
+    # 1.7e-10 to 6.5e-16; a step floor absolute below t = 1 refused its
+    # first step, and the leg was reported as a collision, not compared
+    p0 = np.array([1.6 * 4.0**j, 0, 0, 0, 0.5 * 2.0**-j, 0])
+    res = unfold_kepler(p0, 6 * 2.0**j)
+    assert not res.collision
+    assert res.divergence["compared"]
+    assert res.divergence["t_compared"] == res.ts[-1] < 1e-9
+    # relative to the orbit's scale, as at j = 0 (4.2e-10 and 1.3e-9)
+    assert res.divergence["max_position_divergence"] < 1e-9 * 4.0**j
+    assert res.divergence["max_velocity_divergence"] < 1e-8 * 2.0**-j
+
 def test_unfold_projects_downstairs_only_what_is_read(monkeypatch, tmp_path):
     from ksunfold.cli import main
 
