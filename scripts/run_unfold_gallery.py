@@ -6,13 +6,12 @@ orbit, and a radial collision orbit that only the unfolded flow can cross.
 """
 
 import argparse
-import json
 import os
 
 import numpy as np
 
 from ksunfold import unfold_kepler
-from ksunfold.integrate import overwrite
+from ksunfold.integrate import write_json
 
 GALLERY = {
     # name: (x0, v0, tau_end)
@@ -48,9 +47,7 @@ def main():
         csv_path = os.path.join(args.out_dir, f"{name}.csv")
         res.to_csv(csv_path)
         side = res.sidecar()
-        overwrite(os.path.join(args.out_dir, f"{name}.json"),
-                  [(json.dumps(side, indent=2, sort_keys=True)
-                    + "\n").encode()])
+        write_json(os.path.join(args.out_dir, f"{name}.json"), side)
         div = side["divergence"]
         tail = (
             f"max divergence {div['max_position_divergence']:.3e}"

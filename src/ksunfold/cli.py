@@ -11,7 +11,6 @@ verification/demo tolerance failed), with a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -27,9 +26,8 @@ from .errors import (
     IntegrationError,
     LiftError,
 )
-from .integrate import IntegratorConfig, integrate, overwrite
+from .integrate import IntegratorConfig, integrate, write_json
 from .reduction import (
-    DIRECT_LEG_CONFIG,
     check_equivariance,
     radial_setup,
     reduce_calogero,
@@ -234,21 +232,14 @@ def _out_dir(cfg) -> str:
     return out
 
 
-def _integrator_config(cfg, base=IntegratorConfig()) -> IntegratorConfig:
-    """`base` with the integrator flags given in `cfg`."""
-    return dataclasses.replace(
-        base, **{d: cfg[d] for d in _INTEGRATOR if d in cfg})
+def _integrator_config(cfg) -> IntegratorConfig:
+    """The default config with the integrator flags given in `cfg`."""
+    return IntegratorConfig(**{d: cfg[d] for d in _INTEGRATOR if d in cfg})
 
 
 def _echo(cfg: dict) -> dict:
     return {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
             for k, v in sorted(cfg.items())}
-
-
-def _write_json(path, payload):
-    # one write: `json.dump` with an indent writes each token on its own
-    overwrite(path, [(json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n").encode()])
 
 
 def _drifts(traj) -> dict:
@@ -318,7 +309,7 @@ def cmd_simulate(cfg: dict) -> int:
         "config": _echo(cfg.raw),
     }
     json_path = os.path.join(out, f"{prefix}.json")
-    _write_json(json_path, summary)
+    write_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -346,7 +337,7 @@ def cmd_unfold(cfg: dict) -> int:
     results = []
     sweep = unfold_sweep(
         np.concatenate([x, v]), tau_end, gauges, scaling=scaling,
-        config=_integrator_config(cfg, DIRECT_LEG_CONFIG), k=k,
+        config=_integrator_config(cfg), k=k,
         n_samples=cfg.get("samples", 512),
     )
     start = time.perf_counter()
@@ -360,7 +351,7 @@ def cmd_unfold(cfg: dict) -> int:
             summary["collision_regularized"] = res.collision
             summary["wall_time_s"] = wall
             summary["config"] = _echo({**cfg.raw, "lam": lam})
-            _write_json(os.path.join(out, f"{stem}.json"), summary)
+            write_json(os.path.join(out, f"{stem}.json"), summary)
             results.append(res)
             print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
             start = time.perf_counter()
@@ -381,7 +372,7 @@ def cmd_unfold(cfg: dict) -> int:
             "max_downstairs_divergence": cross,
             "config": _echo(cfg.raw),
         }
-        _write_json(os.path.join(out, f"{prefix}_sweep.json"), sweep)
+        write_json(os.path.join(out, f"{prefix}_sweep.json"), sweep)
         print(f"gauge sweep downstairs divergence {cross:.3e}")
     return 0
 
@@ -395,7 +386,7 @@ def cmd_verify(cfg: dict) -> int:
     report["config"] = _echo(cfg.raw)
     print(json.dumps(report, indent=2, sort_keys=True))
     if cfg.get("out"):
-        _write_json(os.path.join(_out_dir(cfg), cfg["out"]), report)
+        write_json(os.path.join(_out_dir(cfg), cfg["out"]), report)
     return 0 if report["pass"] else 1
 
 
@@ -427,7 +418,7 @@ def cmd_demo(cfg: dict) -> int:
             X0, V0, t_end, tol=tol, config=_integrator_config(cfg),
         )
     report["config"] = _echo(cfg.raw)
-    _write_json(os.path.join(out, f"{which}.json"), report)
+    write_json(os.path.join(out, f"{which}.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1
 

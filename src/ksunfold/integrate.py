@@ -1,34 +1,28 @@
 """Adaptive Runge-Kutta integration with dense output.
 
-One step loop drives two embedded explicit pairs, chosen by
-`IntegratorConfig.method`:
-
-- "dp5" (the default): Dormand-Prince 5(4), 7 stages with the FSAL
-  property (6 right-hand-side calls a step) and a free quartic interpolant.
-  `simulate`, `demo`, `check_equivariance` and the period search run it.
-- "dop853": Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner, "Solving
-  Ordinary Differential Equations I", Sec. II.10, and their DOP853 code),
-  12 stages with FSAL (12 calls a step), the error of the 5th-order
-  estimate corrected by the 3rd-order one, and a 7th-order interpolant
-  that costs 3 more calls per accepted step.  The unfold's direct Kepler
-  comparison leg runs it (`reduction.DIRECT_LEG_CONFIG`).
+Every integration runs one embedded explicit pair: Dormand-Prince 8(5,3)
+(Hairer, Norsett and Wanner, "Solving Ordinary Differential Equations I",
+Sec. II.10, and their DOP853 code), 12 stages with FSAL (12 right-hand side
+calls a step), the error of the 5th-order estimate corrected by the
+3rd-order one, and a 7th-order interpolant that costs 3 more calls per
+accepted step.
 
 The loop does a step's elementwise work in Python floats and keeps in
-NumPy what fixes the bits: the BLAS dots (each stage's a . K and the
-error estimate's, whose summation order no float loop reproduces).  An
-rhs with a float route (`rhs.floats`, as the Kepler field's has) gets each
-stage state y + h (a . K) formed in floats, with the same roundings; any
-other rhs is called on the array expression, as before.  The error scale
-and DP5's RMS norm are floats for both.  The accepted steps' stage rows
-are kept, and the dense output is formed from them 256 steps at a time,
-in batched products that give each step's own bits.  Every trajectory is
-the one the array loop (kept in the tests as their oracle) gives, bit for
-bit.
+NumPy what fixes the bits: the BLAS dots (each stage's a . K) and the error
+norm.  An rhs with a float route (`rhs.floats`, as the Kepler field's has)
+gets each stage state y + h (a . K) formed in floats, with the same
+roundings; any other rhs is called on the array expression.  The accepted
+steps' stage rows are kept, and the dense output is formed from them 256
+steps at a time, in batched products that give each step's own bits.
+Every trajectory is the one the array loop (kept in the tests as their
+oracle) gives, bit for bit.
 
 A step whose right-hand side evaluation lands in a forbidden region
 (DomainError) is retried at half the step before the failure is surfaced
-with the offending time and state.  A step below 16 eps max(|t|, min(1,
-t_end - t0)) has underflowed: relative to the span when that is short.
+with the offending time and state.  A step whose new state is not finite
+is rejected, and counted with the attempts whose error norm was inf or NaN.
+A step below 16 eps max(|t|, min(1, t_end - t0)) has underflowed: relative
+to the span when that is short.
 """
 
 from __future__ import annotations
@@ -36,11 +30,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import stat
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,36 +48,9 @@ __all__ = [
     "integrate",
     "find_return_time",
     "overwrite",
+    "write_json",
     "write_table",
 ]
-
-# Dormand-Prince 5(4) tableau
-_A = np.zeros((7, 7))
-_A[1, 0] = 1 / 5
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
-
-# dense-output coefficients: y(t0 + theta*h) = y0 + h * K^T P (theta, ..., theta^4)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
 
 # Dormand-Prince 8(5,3), copied from SciPy's
 # scipy/integrate/_ivp/dop853_coefficients.py (from Hairer's DOP853 code).
@@ -195,59 +163,22 @@ _DOP853_POWERS = np.array([
     [0, 0, 0, 1, -3, 3, -1],
 ], dtype=float)
 
+# row i - 1 of _STAGES forms stage i from K[:i]; its last row forms y_new,
+# whose rhs is the next step's K[0] (FSAL).  _EXTRA forms the stages that
+# only the dense output of an accepted step needs
+_STAGES = tuple(_A8[i, :i] for i in range(1, 13))
+_EXTRA = tuple(_A8[i, :i] for i in range(13, 16))
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ORDER_EXP = -1.0 / 5.0  # DP5's step-size exponent
+_EXPONENT = -1.0 / 8.0  # -1 / (q + 1) for the error estimate's order q = 7
 
 
-def _numpy_sum(values):
-    """The sum of a list of floats in the order `np.add.reduce` sums a
-    contiguous float64 array: left to right below 8 terms, else pairwise
-    (8 accumulators over blocks of at most 128 terms, then halves)."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-    tail = n - n % 8
-    acc = values[:8]
-    for i in range(8, tail, 8):
-        acc = [a + v for a, v in zip(acc, values[i:i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
-        (acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in values[tail:]:
-        total += v
-    return total
-
-
-def _dp5_error(K, h, scale):
-    """RMS of the scaled DP5 error estimate h E.K / scale, in Python floats
-    around the BLAS dot; a result that is not finite is formed again in
-    NumPy, which gives its NaN and its warnings."""
-    e = _E.dot(K)
-    z = [h * v / s for v, s in zip(e.tolist(), scale)]
-    err = math.sqrt(_numpy_sum([v * v for v in z]) / len(z))
-    if math.isfinite(err):
-        return err
-    z = (h * e) / np.array(scale)
-    return math.sqrt(np.add.reduce(z * z) / z.size)
-
-
-def _dp5_dense(Ks, h, states):
-    out = np.matmul(Ks.transpose(0, 2, 1), _P)
-    out *= h[:, None, None]
-    return out
-
-
-def _dop853_error(K, h, scale):
+def _error_norm(K, h, scale):
     """The DOP853 code's norm: the 5th-order error estimate, scaled by
-    |err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) against the 3rd-order one."""
+    |err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) against the 3rd-order one,
+    for `scale` a list of floats."""
     scale = np.asarray(scale)
     err5 = _E5.dot(K[:13]) / scale
     err3 = _E3.dot(K[:13]) / scale
@@ -258,7 +189,11 @@ def _dop853_error(K, h, scale):
     return float(h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size))
 
 
-def _dop853_dense(Ks, h, states):
+def _dense(Ks, h, states):
+    """Every accepted step's interpolant at once, from the steps' stage rows
+    Ks (n, 16, dim), lengths h (n,) and the n + 1 states: coefficients of
+    theta, ..., theta^7, shape (n, dim, 7), bit for bit what each step's own
+    product gives."""
     dy = states[1:] - states[:-1]
     hk = h[:, None]
     F = np.empty((len(h), 7, dy.shape[1]))
@@ -269,33 +204,6 @@ def _dop853_dense(Ks, h, states):
     F[:, 3:] *= h[:, None, None]
     return np.matmul(F.transpose(0, 2, 1), _DOP853_POWERS)
 
-
-class _Tableau(NamedTuple):
-    """An embedded pair as the step loop drives it.  Row i - 1 of `stages`
-    forms stage i from K[:i]; the last row forms y_new, whose rhs is the
-    next step's K[0] (FSAL).  `extra` rows form the stages that only the
-    dense output of an accepted step needs.  `error(K, h, scale)` is the
-    RMS norm of the scaled error estimate, for `scale` a list of floats.
-    `dense(Ks, h, states)` forms every accepted step's interpolant at once,
-    from the steps' stage rows Ks (n, stages, dim), lengths h (n,) and the
-    n + 1 states: coefficients of theta, ..., theta^m, shape (n, dim, m),
-    bit for bit what each step's own product gives.  `exponent` is
-    -1 / (q + 1) for an error estimate of order q."""
-
-    stages: tuple
-    extra: tuple
-    error: Callable
-    dense: Callable
-    exponent: float
-
-
-_TABLEAUS = {
-    "dp5": _Tableau(tuple(_A[i, :i] for i in range(1, 6)) + (_B5[:6],), (),
-                    _dp5_error, _dp5_dense, _ORDER_EXP),
-    "dop853": _Tableau(tuple(_A8[i, :i] for i in range(1, 13)),
-                       tuple(_A8[i, :i] for i in range(13, 16)),
-                       _dop853_error, _dop853_dense, -1.0 / 8.0),
-}
 
 # accepted steps per batch of dense output
 _BLOCK = 256
@@ -398,6 +306,14 @@ def overwrite(path, chunks):
         if exc.filename is None:  # a failed write or close names no file
             exc.filename = path
         raise
+
+
+def write_json(path, payload):
+    """`payload` as JSON, indented by 2 with sorted keys and a final
+    newline, in one `overwrite` chunk (`json.dump` with an indent writes
+    each token on its own)."""
+    overwrite(path, [(json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n").encode()])
 
 
 def write_table(path, header, table):
@@ -563,23 +479,17 @@ def _require_finite_positive(name, value):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, the cap on step attempts, and the pair: "dp5" (the
-    default, and what every caller but the unfold's direct leg runs) or
-    "dop853" (that leg's, at rel_tol 1e-11; see `reduction`).  A bad field
-    raises ValueError naming it."""
+    """Tolerances and the cap on step attempts.  A bad field raises
+    ValueError naming it."""
 
-    rel_tol: float = 1e-10
+    rel_tol: float = 1e-11
     abs_tol: float = 1e-12
     max_steps: int = 10_000_000
-    method: str = "dp5"
 
     def __post_init__(self):
         _require_finite_positive("rel_tol", self.rel_tol)
         _require_finite_positive("abs_tol", self.abs_tol)
         _positive_count("max_steps", self.max_steps)
-        if not isinstance(self.method, str) or self.method not in _TABLEAUS:
-            raise ValueError(f"method must be 'dp5' or 'dop853', got "
-                             f"{self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -587,7 +497,7 @@ class Trajectory:
     """Accepted times, states, monitor values, and per-step interpolants.
 
     `dense` holds each step's interpolant in the power basis, shape
-    (n_steps, dim, m) with m = 4 (DP5) or 7 (DOP853), so the state inside
+    (n_steps, dim, m) with m = 7, so the state inside
     step i is states[i] + dense[i] @ (theta, theta^2, ..., theta^m) with
     theta = (t - times[i]) / (times[i+1] - times[i]).
 
@@ -667,10 +577,9 @@ def _monitor_values(system, monitors, states):
     return out
 
 
-def _initial_step(f, y0, f0, t_end, cfg, exponent):
-    """Hairer-Norsett-Wanner starting-step heuristic for an error estimate
-    with step-size `exponent` -1 / (q + 1), clipped to the span; returns
-    the step and whether its rhs probe raised DomainError."""
+def _initial_step(f, y0, f0, t_end, cfg):
+    """Hairer-Norsett-Wanner starting-step heuristic, clipped to the span;
+    returns the step and whether its rhs probe raised DomainError."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -683,7 +592,7 @@ def _initial_step(f, y0, f0, t_end, cfg, exponent):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -exponent
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     return min(100 * h0, h1, t_end), False
 
 
@@ -708,8 +617,7 @@ def integrate(
     monitors: Optional[Sequence] = None,
     t0: float = 0.0,
 ) -> Trajectory:
-    """Integrate ds/dt = rhs(s) from t0 to t_end with the pair that
-    `config.method` names (DP5 by default).
+    """Integrate ds/dt = rhs(s) from t0 to t_end with DOP853.
 
     Where the rhs has `rhs.floats` (a list of floats in, a list out, or
     None to decline, as `kepler_field`'s does), each stage state is formed
@@ -719,7 +627,6 @@ def integrate(
     called on the array expression, so a wrapper (a tracer, a counter)
     sees every call.  Each value is the one the array loop gives."""
     cfg = config or IntegratorConfig()
-    tab = _TABLEAUS[cfg.method]
     t0, t_end = float(t0), float(t_end)
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
@@ -733,18 +640,17 @@ def integrate(
     f = system.rhs
     k0 = f(y0)  # a bad initial state surfaces immediately
 
-    h, probe_failed = _initial_step(f, y0, k0, t_end - t0, cfg, tab.exponent)
+    h, probe_failed = _initial_step(f, y0, k0, t_end - t0, cfg)
     h = float(h)
     floats = getattr(f, "floats", None)
     nfev = 2  # k0 and the step-size probe
     rejected = 0
     retries = int(probe_failed)
-    n_main = len(tab.stages)
-    K = np.empty((1 + n_main + len(tab.extra), y0.size))
+    K = np.empty((1 + len(_STAGES) + len(_EXTRA), y0.size))
     K[0] = k0
     # each stage row with the view of K it combines; views stay current
-    stages = [(i, row, K[:i]) for i, row in enumerate(tab.stages, 1)]
-    extra = [(i, row, K[:i]) for i, row in enumerate(tab.extra, n_main + 1)]
+    stages = [(i, row, K[:i]) for i, row in enumerate(_STAGES, 1)]
+    extra = [(i, row, K[:i]) for i, row in enumerate(_EXTRA, len(stages) + 1)]
     # the accepted states, in an array that doubles when full, and the
     # stage rows and lengths of the last accepted steps, whose dense output
     # is formed when _BLOCK of them are in
@@ -753,7 +659,6 @@ def integrate(
     n = 0  # accepted steps
     Ks = np.empty((_BLOCK,) + K.shape)
     ts, hs, dense = [t0], [], []
-    error_norm, exponent = tab.error, tab.exponent
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     # below a span of 1 the step floor is relative to the span
     unit = min(1.0, t_end - t0)
@@ -795,10 +700,15 @@ def integrate(
             abs_new = list(map(abs, y_new))
             # the larger of each pair, NaN from abs_new kept (abs_y has
             # none: a NaN state is never accepted)
-            err = error_norm(K, h_step, [
+            err = _error_norm(K, h_step, [
                 abs_tol + rel_tol * (a if a >= b else b)
                 for a, b in zip(abs_y, abs_new)])
-            if extra and err <= 1.0:
+            # an inf component's error scale is inf and its error 0: a new
+            # state that overflowed is rejected as a non-finite attempt
+            if err <= 1.0 and not (math.isfinite(sum(y_new))
+                                   or all(map(math.isfinite, y_new))):
+                err = math.inf
+            if err <= 1.0:
                 for i, row, Ki in extra:
                     d = row.dot(Ki)
                     if floats:
@@ -825,23 +735,23 @@ def integrate(
             states[n] = y_new
             ts.append(t_new)
             if len(hs) == _BLOCK:
-                dense.append(tab.dense(Ks, np.array(hs),
-                                       states[n - _BLOCK:n + 1]))
+                dense.append(_dense(Ks, np.array(hs),
+                                    states[n - _BLOCK:n + 1]))
                 hs = []
-            K[0] = K[n_main]
+            K[0] = K[len(stages)]
             t, y, abs_y = t_new, y_new, abs_new
             factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err**exponent
+                _MAX_FACTOR, _SAFETY * err**_EXPONENT
             )
             h = h_step * factor
         else:
             rejected += 1
             nonfinite += not math.isfinite(err)
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err**exponent)
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
 
     if hs:
-        dense.append(tab.dense(Ks[:len(hs)], np.array(hs),
-                               states[n - len(hs):n + 1]))
+        dense.append(_dense(Ks[:len(hs)], np.array(hs),
+                            states[n - len(hs):n + 1]))
     states = states[:n + 1].copy()
     return Trajectory(
         times=np.array(ts),

@@ -67,14 +67,6 @@ __all__ = [
 # `reduce_calogero` and the unfold's direct comparison leg
 _GRID_POINTS = 512
 
-# The unfold's direct Kepler leg when no config is given: DOP853 at
-# rel_tol 1e-11.  Against an exact universal-variable solution it errs by
-# at most about 1e-9 on the gallery orbits (DP5 at the default 1e-10: 3.5e-9)
-# in a fifth of DP5's steps; at rel_tol 1e-10 DOP853 misses the eccentric
-# orbit by 1e-8, so equal tolerance is not equal error.
-DIRECT_LEG_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12,
-                                     method="dop853")
-
 
 # ---------------------------------------------------------------------------
 # setups and the equivariance checker
@@ -466,7 +458,7 @@ class UnfoldResult:
             "gauge_lambda": self.gauge,
             "scaling": self.scaling,
             "collision": self.collision,
-            "method": self.config.method,
+            "method": "dop853",
             "rel_tol": self.config.rel_tol,
             "abs_tol": self.config.abs_tol,
             "tau_end": float(self.taus[-1]),
@@ -501,8 +493,7 @@ def unfold_kepler(
 ) -> UnfoldResult:
     """Lift a Kepler state, flow the completed oscillator field and its
     physical-time clock in tau in closed form (`OscillatorFlow`), and project
-    back downstairs.  `config` sets only the direct comparison leg
-    (default `DIRECT_LEG_CONFIG`).
+    back downstairs.  `config` sets only the direct comparison leg.
 
     `p0` is the 6-vector (x, v); anything else raises ValueError.  The
     returned result samples everything on a uniform tau grid of n_samples+1
@@ -517,7 +508,7 @@ def unfold_kepler(
             p0, tau_end, [gauge], scaling=scaling, config=config, k=k,
             n_samples=n_samples,
         ))
-    cfg = config or DIRECT_LEG_CONFIG
+    cfg = config or IntegratorConfig()
     x0, v0 = _split_state(p0)
     y0, u0 = ks_lift(x0, v0, gauge)
     Y0, U0 = to_oscillator_chart(y0, u0)
@@ -551,9 +542,9 @@ def unfold_sweep(
     with the first gauge, over that gauge's physical-time span (cut short
     when that gauge's closed form meets a collision), and every gauge is
     compared against it on the grid up to the shorter of its own span and
-    the leg's.  `config` sets the leg (default `DIRECT_LEG_CONFIG`).
+    the leg's.  `config` sets the leg.
     """
-    cfg = config or DIRECT_LEG_CONFIG
+    cfg = config or IntegratorConfig()
     x0, v0 = _split_state(p0)
     leg = None
     for gauge in gauges:

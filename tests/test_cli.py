@@ -407,9 +407,11 @@ def test_simulate_sidecar_reports_integrator_counts(tmp_path):
     assert code == 0
     summary = _read_json(tmp_path / "kepler.json")
     assert summary["domain_retries"] == 0
-    # 2 set-up calls, then 6 per accepted or rejected attempt
-    assert summary["rhs_evals"] == 2 + 6 * (summary["accepted_steps"]
-                                            + summary["rejected_steps"])
+    # 2 set-up calls, 12 per accepted or rejected step, and 3 dense-output
+    # stages per accepted step
+    assert summary["rhs_evals"] == 2 + 12 * (summary["accepted_steps"]
+                                             + summary["rejected_steps"]
+                                             ) + 3 * summary["accepted_steps"]
 
 
 def test_simulate_failure_message_carries_counts(tmp_path, capsys):

@@ -12,8 +12,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from ksunfold import integrate, kepler_field, scaling_preset, unfold_kepler
-from ksunfold.reduction import DIRECT_LEG_CONFIG
+from ksunfold import (
+    IntegratorConfig,
+    integrate,
+    kepler_field,
+    scaling_preset,
+    unfold_kepler,
+)
 
 _DPS = 40
 
@@ -136,8 +141,9 @@ def test_unfold_matches_the_exact_solution(name):
 
 
 # The direct leg's own error against the exact solution on its comparison
-# grid (every 32nd point), measured: DOP853 at rel_tol 1e-11 against DP5 at
-# the default 1e-10, positions / velocities
+# grid (every 32nd point), measured: DOP853 at rel_tol 1e-11 (the default)
+# against the DP5 pair this leg once ran, at rel_tol 1e-10, positions /
+# velocities
 #   circular   5.5e-11 / 5.3e-11   against 3.5e-9 / 3.5e-9
 #   eccentric  4.4e-10 / 1.1e-9    against 1.3e-9 / 3.2e-9
 #   collision  3.6e-12 / 1.4e-11   against 7.6e-11 / 1.1e-9
@@ -152,10 +158,10 @@ def test_direct_leg_error_against_the_exact_solution(name, bound,
     p0, k, tau_end, _, _ = _ORBITS[name]
     p0 = np.array(p0)
     res = unfold_kepler(p0, tau_end or _default_tau(p0, k))
-    assert res.config == DIRECT_LEG_CONFIG
+    assert res.config == IntegratorConfig()
     t_cmp = res.divergence["t_compared"]
     grid = np.linspace(0.0, t_cmp, 513)[::_STRIDE]
-    leg = integrate(kepler_field(k=k), p0, t_cmp, config=DIRECT_LEG_CONFIG)
+    leg = integrate(kepler_field(k=k), p0, t_cmp)
     exact = np.array([_exact_state(p0, k, t) for t in grid])
     err = np.max(np.abs(leg.eval(grid) - exact))
     assert err <= bound

@@ -26,7 +26,6 @@ from ksunfold import (
     verify_structure_constants,
 )
 from ksunfold.integrate import IntegratorConfig, Trajectory, integrate
-from ksunfold.reduction import DIRECT_LEG_CONFIG
 from ksunfold.symplectic import chart_structure, quadratic_observable
 from ksunfold.sampling import rng_from_seed, sample_states3
 from ksunfold.systems import DynamicalSystem, kepler_field, scaling_preset
@@ -565,7 +564,7 @@ def _failed_attempt_record(config, failed, record):
     res = unfold_kepler(p0, 6.0, config=config)
     with pytest.raises(IntegrationError) as exc:
         integrate(kepler_field(), p0, float(res.ts[-1]),
-                  config=config or DIRECT_LEG_CONFIG)
+                  config=config or IntegratorConfig())
     assert exc.value.stats == failed
     assert res.sidecar()["direct_leg"] == {
         "horizon": "span", "attempts": 2,
@@ -574,10 +573,11 @@ def _failed_attempt_record(config, failed, record):
 
 
 def test_direct_leg_record_counts_the_failed_attempt():
+    # a given config, not the default, runs both attempts
     _failed_attempt_record(
-        IntegratorConfig(),
-        {"rhs_evals": 3746, "rejected_steps": 0, "domain_retries": 0},
-        {"rhs_evals": 374, "accepted_steps": 62, "rejected_steps": 0})
+        IntegratorConfig(rel_tol=1e-10),
+        {"rhs_evals": 5093, "rejected_steps": 188, "domain_retries": 0},
+        {"rhs_evals": 452, "accepted_steps": 18, "rejected_steps": 15})
 
 
 def test_direct_leg_record_counts_the_failed_attempt_dop853():
@@ -588,19 +588,25 @@ def test_direct_leg_record_counts_the_failed_attempt_dop853():
 
 
 @pytest.mark.parametrize("orbit, record", [
-    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 2198,
-                  "accepted_steps": 362, "rejected_steps": 4}),
-    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 374,
-                   "accepted_steps": 62, "rejected_steps": 0}),
+    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 842,
+                  "accepted_steps": 56, "rejected_steps": 0}),
+    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 452,
+                   "accepted_steps": 18, "rejected_steps": 15}),
 ])
 def test_sidecar_records_the_direct_leg(orbit, record):
+    # a given config runs the leg, and the sidecar records its tolerances
     p0, tau_end = _ORBITS[orbit]
-    res = unfold_kepler(np.array(p0), tau_end, config=IntegratorConfig())
-    assert res.sidecar()["direct_leg"] == record
-    assert (res.sidecar()["method"], res.sidecar()["rel_tol"]) == ("dp5", 1e-10)
-    # 2 set-up calls, then 6 per accepted or rejected step
-    assert record["rhs_evals"] == 2 + 6 * (record["accepted_steps"]
-                                           + record["rejected_steps"])
+    res = unfold_kepler(np.array(p0), tau_end,
+                        config=IntegratorConfig(rel_tol=1e-10))
+    side = res.sidecar()
+    assert side["direct_leg"] == record
+    assert (side["method"], side["rel_tol"], side["abs_tol"]) == (
+        "dop853", 1e-10, 1e-12)
+    # 2 set-up calls, 12 per accepted or rejected step, and 3 dense-output
+    # stages per accepted step
+    assert record["rhs_evals"] == 2 + 12 * (record["accepted_steps"]
+                                            + record["rejected_steps"]
+                                            ) + 3 * record["accepted_steps"]
     assert unfold_kepler(np.array(p0), tau_end,
                          compare=False).sidecar()["direct_leg"] is None
 
