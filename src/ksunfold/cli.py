@@ -11,6 +11,7 @@ verification/demo tolerance failed), with a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -292,7 +293,9 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", system.name)
     start = time.perf_counter()
-    traj = integrate(system, s0, t_end, config=_integrator_config(cfg))
+    # the CSV holds the nodes alone: no dense output
+    traj = integrate(system, s0, t_end, config=dataclasses.replace(
+        _integrator_config(cfg), dense_output=False))
     wall = time.perf_counter() - start
     csv_path = os.path.join(out, f"{prefix}.csv")
     traj.to_csv(csv_path)

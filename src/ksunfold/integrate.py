@@ -4,8 +4,10 @@ Every integration runs one embedded explicit pair: Dormand-Prince 8(5,3)
 (Hairer, Norsett and Wanner, "Solving Ordinary Differential Equations I",
 Sec. II.10, and their DOP853 code), 12 stages with FSAL (12 right-hand side
 calls a step), the error of the 5th-order estimate corrected by the
-3rd-order one, and a 7th-order interpolant that costs 3 more calls per
-accepted step.
+3rd-order one, and a 7th-order interpolant.  With dense output (the
+default) the interpolant costs 3 more calls per accepted step; with
+`IntegratorConfig(dense_output=False)` those stages are not formed and the
+trajectory carries its nodes alone.
 
 The loop does a step's elementwise work in Python floats and keeps in
 NumPy what fixes the bits: the BLAS dots (each stage's a . K) and the error
@@ -479,17 +481,24 @@ def _require_finite_positive(name, value):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and the cap on step attempts.  A bad field raises
-    ValueError naming it."""
+    """Tolerances, the cap on step attempts, and whether to form the dense
+    output.  False skips stages 13-15 of each accepted step and leaves
+    `Trajectory.dense` None; the nodes are the same, unless one of those
+    stages would have raised DomainError and halved the step.  A bad field
+    raises ValueError naming it."""
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-12
     max_steps: int = 10_000_000
+    dense_output: bool = True
 
     def __post_init__(self):
         _require_finite_positive("rel_tol", self.rel_tol)
         _require_finite_positive("abs_tol", self.abs_tol)
         _positive_count("max_steps", self.max_steps)
+        if not isinstance(self.dense_output, bool):
+            raise ValueError(
+                f"dense_output must be a bool, got {self.dense_output!r}")
 
 
 @dataclass(frozen=True)
@@ -499,7 +508,9 @@ class Trajectory:
     `dense` holds each step's interpolant in the power basis, shape
     (n_steps, dim, m) with m = 7, so the state inside
     step i is states[i] + dense[i] @ (theta, theta^2, ..., theta^m) with
-    theta = (t - times[i]) / (times[i+1] - times[i]).
+    theta = (t - times[i]) / (times[i+1] - times[i]).  It is None when the
+    run had no dense output, and then `eval`, `deriv` and `eval_and_deriv`
+    raise ValueError.
 
     `stats` holds the integrator's counts: `rhs_evals` (every right-hand
     side call, failed ones included), `rejected_steps` (error test failed)
@@ -650,14 +661,16 @@ def integrate(
     K[0] = k0
     # each stage row with the view of K it combines; views stay current
     stages = [(i, row, K[:i]) for i, row in enumerate(_STAGES, 1)]
-    extra = [(i, row, K[:i]) for i, row in enumerate(_EXTRA, len(stages) + 1)]
+    dense_output = cfg.dense_output
+    extra = [(i, row, K[:i]) for i, row in enumerate(_EXTRA, len(stages) + 1)
+             ] if dense_output else []
     # the accepted states, in an array that doubles when full, and the
     # stage rows and lengths of the last accepted steps, whose dense output
     # is formed when _BLOCK of them are in
     states = np.empty((64, y0.size))
     states[0] = y0
     n = 0  # accepted steps
-    Ks = np.empty((_BLOCK,) + K.shape)
+    Ks = np.empty((_BLOCK,) + K.shape) if dense_output else None
     ts, hs, dense = [t0], [], []
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     # below a span of 1 the step floor is relative to the span
@@ -729,15 +742,16 @@ def integrate(
             t_new = t_end if clamped else t + h_step
             if n + 1 == len(states):
                 states = np.concatenate((states, np.empty_like(states)))
-            Ks[len(hs)] = K
-            hs.append(h_step)
             n += 1
             states[n] = y_new
             ts.append(t_new)
-            if len(hs) == _BLOCK:
-                dense.append(_dense(Ks, np.array(hs),
-                                    states[n - _BLOCK:n + 1]))
-                hs = []
+            if dense_output:
+                Ks[len(hs)] = K
+                hs.append(h_step)
+                if len(hs) == _BLOCK:
+                    dense.append(_dense(Ks, np.array(hs),
+                                        states[n - _BLOCK:n + 1]))
+                    hs = []
             K[0] = K[len(stages)]
             t, y, abs_y = t_new, y_new, abs_new
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -757,7 +771,7 @@ def integrate(
         times=np.array(ts),
         states=states,
         monitors=_monitor_values(system, monitors, states),
-        dense=np.concatenate(dense),
+        dense=np.concatenate(dense) if dense_output else None,
         state_names=system.state_names,
         stats=_stats(nfev, rejected, retries),
     )

@@ -30,11 +30,12 @@ class Counted:
             raise
 
 
-def call_count(stats, accepted):
+def call_count(stats, accepted, dense_output=True):
     """The rhs calls of a run without domain errors: 2 set-up calls (k0 and
-    the step-size probe), 12 per accepted or rejected step, and 3
-    dense-output stages per accepted step."""
-    return 2 + 12 * (accepted + stats["rejected_steps"]) + 3 * accepted
+    the step-size probe), 12 per accepted or rejected step, and with dense
+    output 3 more stages per accepted step."""
+    return (2 + 12 * (accepted + stats["rejected_steps"])
+            + 3 * accepted * dense_output)
 
 
 def error_oracle(K, h, scale):
@@ -77,11 +78,12 @@ def _initial_step_oracle(f, y0, f0, t_end, cfg):
 
 def integrate_oracle(f, s0, t_end, cfg, t0=0.0):
     """The DOP853 step loop as it was before the step's elementwise work
-    moved to Python floats: (times, states, dense, stats).  A failure
-    raises IntegrationError with the loop's message and counts."""
+    moved to Python floats: (times, states, dense, stats), dense None when
+    `cfg.dense_output` is False (stages 13-15 are then not formed).  A
+    failure raises IntegrationError with the loop's message and counts."""
     A = integrate_module._A8
     stages = [(A[i, :i], i) for i in range(1, 13)]
-    extra = [(A[i, :i], i) for i in range(13, 16)]
+    extra = [(A[i, :i], i) for i in range(13, 16)] if cfg.dense_output else []
     y = np.array(s0, dtype=float).reshape(-1)
     t = t0
     k0 = f(y)
@@ -135,7 +137,8 @@ def integrate_oracle(f, s0, t_end, cfg, t0=0.0):
         nfev += i
         if err <= 1.0:
             t_new = t_end if clamped else t + h_step
-            dense.append(dense_oracle(K, h_step, y, y_new))
+            if cfg.dense_output:
+                dense.append(dense_oracle(K, h_step, y, y_new))
             ts.append(t_new)
             ys.append(y_new)
             t, y, k0, abs_y = t_new, y_new, K[12].copy(), abs_new
@@ -147,4 +150,5 @@ def integrate_oracle(f, s0, t_end, cfg, t0=0.0):
             h = h_step * max(0.2, 0.9 * err**-0.125)
     stats = {"rhs_evals": nfev, "rejected_steps": rejected,
              "domain_retries": retries}
-    return np.array(ts), np.array(ys), np.array(dense), stats
+    return (np.array(ts), np.array(ys),
+            np.array(dense) if cfg.dense_output else None, stats)

@@ -407,11 +407,29 @@ def test_simulate_sidecar_reports_integrator_counts(tmp_path):
     assert code == 0
     summary = _read_json(tmp_path / "kepler.json")
     assert summary["domain_retries"] == 0
-    # 2 set-up calls, 12 per accepted or rejected step, and 3 dense-output
-    # stages per accepted step
+    # 2 set-up calls and 12 per accepted or rejected step: simulate forms no
+    # dense output
     assert summary["rhs_evals"] == 2 + 12 * (summary["accepted_steps"]
-                                             + summary["rejected_steps"]
-                                             ) + 3 * summary["accepted_steps"]
+                                             + summary["rejected_steps"])
+
+
+def test_simulate_runs_through_a_wrapper_with_the_tracer_signature(
+        tmp_path, monkeypatch):
+    # the benchmark's tracer rebinds `integrate` to a wrapper of this exact
+    # signature, which forwards only `config` and `t0`
+    import ksunfold.cli as cli
+
+    seen = []
+    integrate = cli.integrate
+
+    def wrapper(system, s0, t_end, config=None, monitors=None, t0=0.0):
+        seen.append(config)
+        return integrate(system, s0, t_end, config=config, t0=t0)
+
+    monkeypatch.setattr(cli, "integrate", wrapper)
+    assert run(_KEPLER + ["--t-end", "6.2832", "--out-dir",
+                          str(tmp_path)]) == 0
+    assert [config.dense_output for config in seen] == [False]
 
 
 def test_simulate_failure_message_carries_counts(tmp_path, capsys):

@@ -240,9 +240,29 @@ def test_config_validation():
 
 
 def test_config_has_only_the_tolerances_and_the_step_cap():
+    # and the dense-output switch
     assert [(f.name, f.default) for f in dataclasses.fields(
         IntegratorConfig)] == [
-        ("rel_tol", 1e-11), ("abs_tol", 1e-12), ("max_steps", 10_000_000)]
+        ("rel_tol", 1e-11), ("abs_tol", 1e-12), ("max_steps", 10_000_000),
+        ("dense_output", True)]
+
+
+@pytest.mark.parametrize("value", [0, 1, "False", None, np.True_])
+def test_config_rejects_a_dense_output_that_is_not_a_bool(value):
+    with pytest.raises(ValueError, match=r"^dense_output must be a bool"):
+        IntegratorConfig(dense_output=value)
+
+
+def test_trajectory_without_dense_output_refuses_to_interpolate():
+    traj = integrate(kepler_field(), _apocentre(1.0, 0.6), 4 * np.pi,
+                     config=IntegratorConfig(dense_output=False))
+    assert traj.dense is None
+    for call in (lambda: traj.eval(1.0), lambda: traj.deriv(1.0),
+                 lambda: traj.eval_and_deriv(1.0),
+                 lambda: find_return_time(traj, traj.states[0], 1e-6)):
+        with pytest.raises(ValueError, match="^trajectory has no dense "
+                                             "output$"):
+            call()
 
 
 @pytest.mark.parametrize("name, value", [
@@ -386,7 +406,7 @@ def test_return_time_of_dp5_kepler_orbit_matches_brentq(orbit):
     assert abs(t_ret - _find_return_time_brentq(traj, p0, 1e-6)) <= 1e-12
 
 
-def test_return_time_of_dp5_oscillator_matches_brentq():
+def test_return_time_of_dop853_oscillator_matches_brentq():
     osc = completed_oscillator_field(E=-0.5)
     s0 = np.array([1.0, 0.3, 0.5, 0.0, 0.0, 1.0, 0.0, -0.2])
     traj = integrate(osc, s0, 9.0)
@@ -423,7 +443,7 @@ def _find_return_time_node_loop(traj, reference, tol, components=None):
 
 
 def _two_frequency_trajectory(t_end):
-    """DP5 run of two decoupled oscillators at frequencies 1 and 3: before
+    """DOP853 run of two decoupled oscillators at frequencies 1 and 3: before
     it returns at 2 pi it crosses the return hyperplane twice, far from the
     start."""
     def rhs(s):
@@ -1029,6 +1049,74 @@ def test_float_route_collision_failure_matches_oracle(r_min):
     assert np.array_equal(new.value.state, old.value.state)
     assert str(new.value) == str(old.value)
     assert (new.value.stats["domain_retries"] > 0) == (r_min > 1e-12)
+
+
+_NO_DENSE = IntegratorConfig(rel_tol=1e-11, dense_output=False)
+
+
+def _run_with_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("route", ["floats", "array"])
+@pytest.mark.parametrize("e", [0.0, 0.6, 0.9])
+def test_loop_without_dense_output_matches_oracle_bit_for_bit(route, e):
+    # kepler_field's own rhs takes the float route; a replaced one (a
+    # tracer's, say) is called on the array stage states
+    s0 = _apocentre(1.0, e)
+    system = kepler_field()
+    counted = Counted(system.rhs)
+    if route == "array":
+        system = dataclasses.replace(system, rhs=counted)
+    traj, new_warnings = _run_with_warnings(
+        lambda: integrate(system, s0, 4 * np.pi, config=_NO_DENSE))
+    (times, states, dense, stats), old_warnings = _run_with_warnings(
+        lambda: integrate_oracle(_kepler_rhs_oracle, s0, 4 * np.pi,
+                                 _NO_DENSE))
+    assert traj.dense is None and dense is None
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert traj.stats == stats
+    assert new_warnings == old_warnings
+    assert stats["rhs_evals"] == call_count(stats, len(times) - 1,
+                                            dense_output=False)
+    assert counted.calls == (stats["rhs_evals"] if route == "array" else 0)
+
+
+def test_default_integrate_forms_the_dense_output_stages():
+    # 2 set-up calls, 12 per accepted or rejected step, 3 per accepted step
+    traj = integrate(kepler_field(), _apocentre(1.0, 0.6), 4 * np.pi)
+    accepted, stats = len(traj.times) - 1, traj.stats
+    assert traj.dense.shape == (accepted, 6, 7)
+    assert stats["rhs_evals"] == 2 + 12 * (
+        accepted + stats["rejected_steps"]) + 3 * accepted
+
+
+@pytest.mark.parametrize("r_min", [1e-12, 1e-3])
+@pytest.mark.parametrize("s0, t_end", [
+    ((1.0, 0, 0, -0.5, 0, 0), 2.0), ((1.0, 0, 0, 0, 1e-3, 0), 1.2),
+], ids=["radial-infall", "near-collision"])
+def test_dense_output_switch_keeps_the_nodes_near_collision(s0, t_end,
+                                                            r_min):
+    # the same steps and step-size history, dense output or none; a run
+    # that fails, fails at the same time and state
+    def run(dense_output):
+        try:
+            traj = integrate(kepler_field(r_min=r_min), np.array(s0), t_end,
+                             config=IntegratorConfig(
+                                 dense_output=dense_output))
+        except IntegrationError as exc:
+            return [exc.t], exc.state[None], exc.stats
+        return traj.times, traj.states, traj.stats
+
+    (dense_t, dense_s, dense_stats), (t, s, stats) = run(True), run(False)
+    assert np.array_equal(t, dense_t) and np.array_equal(s, dense_s)
+    for key in ("rejected_steps", "domain_retries"):
+        assert stats[key] == dense_stats[key]
+    assert stats["rhs_evals"] < dense_stats["rhs_evals"]
 
 
 def _linear_field(dim, seed):

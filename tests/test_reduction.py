@@ -241,7 +241,7 @@ def test_tau_of_keeps_scalar_and_array_shapes():
 
 
 def _augmented_oscillator(E, g):
-    """DP5 oracle for the closed-form flow: (Y, U, t) with dY/dtau = g U,
+    """DOP853 oracle for the closed-form flow: (Y, U, t) with dY/dtau = g U,
     dU/dtau = 2 g E Y, dt/dtau = 2 g R^2, linear in (Y, U)."""
 
     def rhs(s):
@@ -529,7 +529,7 @@ def _failed_attempt_time(p0, t_end):
     [0, 0, -1.0, 0, 0, 0.5],   # a rotation of the cube of it
     [1.0, 0, 0, 0.5, 0, 0],    # outward first, then back to r = 0
 ])
-def test_collision_horizon_matches_the_failing_dp5_attempt(p0):
+def test_collision_horizon_matches_the_failing_dop853_attempt(p0):
     res = unfold_kepler(np.array(p0), 6.0)
     t_col = res.upstairs.collision_time()
     t_fail = _failed_attempt_time(p0, float(res.ts[-1]))
