@@ -11,9 +11,10 @@ trajectory carries its nodes alone.
 
 The loop does a step's elementwise work in Python floats and keeps in
 NumPy what fixes the bits: the BLAS dots (each stage's a . K) and the error
-norm.  An rhs with a float route (`rhs.floats`, as the Kepler field's has)
-gets each stage state y + h (a . K) formed in floats, with the same
-roundings; any other rhs is called on the array expression.  The accepted
+norm's dots.  An rhs with a fused stage kernel (`rhs.stage`, as the Kepler
+field's has) forms each stage state y + h (a . K) and its rhs in one call,
+in floats with the same roundings; any other rhs, and a stage the kernel
+declines, is called on the array expression.  The accepted
 steps' stage rows are kept, and the dense output is formed from them 256
 steps at a time, in batched products that give each step's own bits.
 Every trajectory is the one the array loop (kept in the tests as their
@@ -177,18 +178,30 @@ _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0  # -1 / (q + 1) for the error estimate's order q = 7
 
 
-def _error_norm(K, h, scale):
+def _error_norm(K13, h, scale):
     """The DOP853 code's norm: the 5th-order error estimate, scaled by
     |err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) against the 3rd-order one,
-    for `scale` a list of floats."""
-    scale = np.asarray(scale)
-    err5 = _E5.dot(K[:13]) / scale
-    err3 = _E3.dot(K[:13]) / scale
-    e5, e3 = err5.dot(err5), err3.dot(err3)
+    for K13 the attempt's stages 0-12 and `scale` a list of floats."""
+    scale = np.array(scale)
+    err5 = _E5.dot(K13) / scale
+    err3 = _E3.dot(K13) / scale
+    e5, e3 = float(err5.dot(err5)), float(err3.dot(err3))
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
-    # a Python float, so that the step size stays one
+    # in Python floats where no operation below can overflow, divide by 0
+    # or meet inf or NaN (h e5 / sqrt(den) <= sqrt(h * h e5) < 1.4e304);
+    # elsewhere in NumPy's scalars, for their warnings
+    num, den = h * e5, (e5 + 0.01 * e3) * scale.size
+    if num < 1e300 and 1e-300 < den < 1e300:
+        return num / math.sqrt(den)
+    e5, e3 = np.float64(e5), np.float64(e3)
     return float(h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size))
+
+
+def _declines(y, h, d):
+    """The stage kernel of an rhs without one: every stage state is formed
+    in NumPy and passed to the rhs."""
+    return None
 
 
 def _dense(Ks, h, states):
@@ -630,13 +643,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate ds/dt = rhs(s) from t0 to t_end with DOP853.
 
-    Where the rhs has `rhs.floats` (a list of floats in, a list out, or
-    None to decline, as `kepler_field`'s does), each stage state is formed
-    in Python floats around its BLAS dot and passed to it, and to
-    rhs(np.array(state)) where it declines; a stage state that holds inf
-    or NaN is formed again in NumPy, for its warnings.  Any other rhs is
-    called on the array expression, so a wrapper (a tracer, a counter)
-    sees every call.  Each value is the one the array loop gives."""
+    Where the rhs has a fused stage kernel, `rhs.stage(y, h, d)` (as
+    `kepler_field`'s does), each stage calls it with the step's base state
+    y and the stage dot d = a . K as lists of floats and the step h; it
+    returns the stage state y + h d, with NumPy's roundings, and its rhs,
+    as two lists, or None to decline.  A kernel declines every stage state
+    that holds inf or NaN.  A declined stage state is formed in NumPy, with
+    its warnings, and passed to the rhs.  Any other rhs is called on every
+    array stage state, so a wrapper (a tracer, a counter) sees every call.
+    The route is chosen once per call.  Each value is the one the array
+    loop gives."""
     cfg = config or IntegratorConfig()
     t0, t_end = float(t0), float(t_end)
     if not math.isfinite(t0):
@@ -653,12 +669,14 @@ def integrate(
 
     h, probe_failed = _initial_step(f, y0, k0, t_end - t0, cfg)
     h = float(h)
-    floats = getattr(f, "floats", None)
+    # the route, once: the rhs's fused stage kernel, or one that declines
+    kernel = getattr(f, "stage", _declines)
     nfev = 2  # k0 and the step-size probe
     rejected = 0
     retries = int(probe_failed)
     K = np.empty((1 + len(_STAGES) + len(_EXTRA), y0.size))
     K[0] = k0
+    K13 = K[:13]  # the stages the error estimate combines
     # each stage row with the view of K it combines; views stay current
     stages = [(i, row, K[:i]) for i, row in enumerate(_STAGES, 1)]
     dense_output = cfg.dense_output
@@ -700,20 +718,18 @@ def integrate(
         try:
             for i, row, Ki in stages:
                 d = row.dot(Ki)
-                if floats:
-                    y_new = [a + h_step * b for a, b in zip(y, d.tolist())]
-                    if not math.isfinite(sum(y_new)):
-                        states[n] + h_step * d  # NumPy's warnings
-                    K[i] = floats(y_new) or f(np.array(y_new))
-                else:
+                out = kernel(y, h_step, d.tolist())
+                if out is None:  # formed in NumPy, with its warnings
                     y_new = states[n] + h_step * d
                     K[i] = f(y_new)
-            if not floats:
+                else:
+                    y_new, K[i] = out
+            if out is None:  # the last stage state is the new state
                 y_new = y_new.tolist()
             abs_new = list(map(abs, y_new))
             # the larger of each pair, NaN from abs_new kept (abs_y has
             # none: a NaN state is never accepted)
-            err = _error_norm(K, h_step, [
+            err = _error_norm(K13, h_step, [
                 abs_tol + rel_tol * (a if a >= b else b)
                 for a, b in zip(abs_y, abs_new)])
             # an inf component's error scale is inf and its error 0: a new
@@ -724,13 +740,8 @@ def integrate(
             if err <= 1.0:
                 for i, row, Ki in extra:
                     d = row.dot(Ki)
-                    if floats:
-                        s = [a + h_step * b for a, b in zip(y, d.tolist())]
-                        if not math.isfinite(sum(s)):
-                            states[n] + h_step * d
-                        K[i] = floats(s) or f(np.array(s))
-                    else:
-                        K[i] = f(states[n] + h_step * d)
+                    out = kernel(y, h_step, d.tolist())
+                    K[i] = f(states[n] + h_step * d) if out is None else out[1]
         except DomainError as exc:
             nfev += i
             retries += 1

@@ -285,6 +285,9 @@ def _positive_count(name: str, value) -> int:
 
 # dtype of the states `kepler_field`'s rhs evaluates in Python floats
 _F64 = np.dtype(np.float64)
+# np.power's exponent as a 0-d array: the SIMD loop and the bits of the
+# scalar 3.0, without converting a Python float on each call
+_THREE = np.array(3.0)
 
 
 def _split4(s):
@@ -306,35 +309,56 @@ def _r2(y):
 def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     """Kepler: dx/dt = v, dv/dt = -k x / r^3.  Rejects r < r_min.
 
-    For |k| <= 1e100 its rhs carries `rhs.floats`, the rhs of one state as
-    a list of six Python floats, which `integrate`'s step loop calls."""
+    For |k| <= 1e100 its rhs carries `rhs.stage`, the fused kernel that
+    `integrate`'s step loop calls on each stage: `stage(y, h, d)` forms
+    the stage state y + h d of six Python floats and returns it with its
+    rhs, as two lists, or None.  The rhs of one float64 state runs the
+    same float arithmetic."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
     small_k = abs(k) <= 1e100
 
-    def floats(s):
-        # In Python floats with NumPy's roundings: r's sum runs left to
-        # right, as np.add.reduce does for three terms, sqrt is correctly
-        # rounded in both, and r^3 is np.power's own (its SIMD loop differs
-        # from math.pow and from r*r*r).  Only where nothing below can
-        # overflow or become 0: with 1e-100 < r < 1e100, r^3 lies in
-        # (1e-300, 1e300) and |k x_i / r^3| <= |k| / r^2 < 1e300 for
-        # |k| <= 1e100.  Every other state (r < r_min, a NaN or infinite
-        # r, not six values, ...) returns None, and the array expression in
-        # `rhs` raises or warns.
-        if len(s) != 6:
-            return None
+    def stage(y, h, d):
+        # In Python floats with NumPy's roundings: each component of
+        # y + h * d is rounded twice, as in the array expression, r's sum
+        # runs left to right, as np.add.reduce does for three terms, sqrt
+        # is correctly rounded in both, and r^3 is np.power's own (its SIMD
+        # loop differs from math.pow and from r*r*r).  Only where nothing
+        # below can overflow or become 0: with 1e-100 < r < 1e100, r^3
+        # lies in (1e-300, 1e300) and |k x_i / r^3| <= |k| / r^2 < 1e300
+        # for |k| <= 1e100.  Every other stage state (r < r_min, a NaN or
+        # infinite component, ...) returns None: the loop forms it in
+        # NumPy, with its warnings, and the array expression in `rhs`
+        # raises or warns.
+        y0, y1, y2, y3, y4, y5 = y
+        d0, d1, d2, d3, d4, d5 = d
+        x0 = y0 + h * d0
+        x1 = y1 + h * d1
+        x2 = y2 + h * d2
+        v0 = y3 + h * d3
+        v1 = y4 + h * d4
+        v2 = y5 + h * d5
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if 1e-100 < r < 1e100 and r >= r_min and math.isfinite(v0 + v1 + v2):
+            r3 = float(np.power(r, _THREE))
+            return ([x0, x1, x2, v0, v1, v2],
+                    [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3])
+        return None
+
+    def one_state(s):
+        # `stage`'s arithmetic on the state s itself, without forming it
+        # again: a replaced rhs (a tracer's) calls `rhs` on every stage
         x0, x1, x2, v0, v1, v2 = s
         r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         if 1e-100 < r < 1e100 and r >= r_min:
-            r3 = float(np.power(r, 3.0))
+            r3 = float(np.power(r, _THREE))
             return [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3]
         return None
 
     def rhs(s):
         if (type(s) is np.ndarray and s.dtype is _F64 and s.shape == (6,)
                 and small_k):
-            out = floats(s.tolist())
+            out = one_state(s.tolist())
             if out is not None:
                 return np.array(out)
         s = np.asarray(s, dtype=float)
@@ -349,7 +373,7 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         return np.concatenate((s[..., 3:6], acc), axis=-1)
 
     if small_k:
-        rhs.floats = floats
+        rhs.stage = stage
     reg = observables(k)
     return DynamicalSystem(
         name="kepler",

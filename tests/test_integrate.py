@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import math
 import re
 import types
 import warnings
@@ -34,7 +35,7 @@ from ksunfold.integrate import (
 from ksunfold.reduction import OscillatorFlow, UnfoldResult
 from ksunfold.sampling import rng_from_seed, sample_states_sigma0
 from dop853_oracle import (
-    Counted, call_count, integrate_module, integrate_oracle,
+    Counted, call_count, error_oracle, integrate_module, integrate_oracle,
 )
 
 
@@ -397,7 +398,7 @@ def test_return_time_of_closed_form_flow_matches_brentq(orbit):
 
 
 @pytest.mark.parametrize("orbit", sorted(_RETURN_ORBITS))
-def test_return_time_of_dp5_kepler_orbit_matches_brentq(orbit):
+def test_return_time_of_dop853_kepler_orbit_matches_brentq(orbit):
     p0 = _RETURN_ORBITS[orbit]
     a = 1.0 / (2.0 / np.linalg.norm(p0[:3]) - p0[3:] @ p0[3:])
     traj = integrate(kepler_field(), p0, 1.2 * 2 * np.pi * a**1.5,
@@ -946,6 +947,47 @@ def test_kepler_rhs_edge_states_match_oracle(name, r_min, state, k):
                          state)
 
 
+@pytest.mark.parametrize("k", [1.0, -3.0, 1e100])
+def test_kepler_stage_kernel_matches_the_array_expression(k):
+    # the fused kernel's stage state is y + h * d and its rhs the array
+    # rhs's, bit for bit, signed zeros included; it declines every stage
+    # state that holds inf or NaN, so that the loop forms it in NumPy
+    stage = kepler_field(k=k).rhs.stage
+    rng = rng_from_seed(41)
+    n = 20_000
+    ys = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, 1))
+    ds = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, 1))
+    hs = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    ys[:8], ds[:8], hs[:8] = 0.0, 0.0, 0.5
+    ys[:8, 1] = 1.0
+    ys[0, 3], ds[0, 3] = -0.0, -0.0        # a signed zero kept
+    ys[1, 0], ds[1, 0] = 1.0, -2.0         # x0 passes through 0
+    ys[2, 3], ds[2, 3] = 1.7e308, 1e308    # v overflows to inf
+    ys[3, 0], ds[3, 0] = -1.7e308, -1e308  # x overflows to -inf
+    ds[4, 5] = np.nan                      # NaN velocity
+    ds[5, 3] = np.inf                      # inf velocity
+    ds[6, 0], hs[6] = np.inf, 0.0          # 0 * inf is NaN
+    ys[7, 3], ys[7, 4] = 1e308, 1e308      # finite, but v's sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = ys + hs[:, None] * ds
+    finite = np.all(np.isfinite(states), axis=1)
+    assert finite[[0, 1, 7]].all() and not finite[2:7].any()
+    declined = 0
+    for y, h, d, s, ok in zip(ys.tolist(), hs.tolist(), ds.tolist(), states,
+                              finite):
+        out = stage(y, h, d)
+        if out is None:
+            declined += 1
+            continue
+        assert ok
+        assert np.array_equal(_bits(np.array(out[0])), _bits(s))
+        assert np.array_equal(_bits(np.array(out[1])),
+                              _bits(_kepler_rhs_oracle(s, k=k)))
+    # only the non-finite stage states, and the one whose velocity sum
+    # overflows, are declined
+    assert declined == 5 + 1
+
+
 def _assert_stepper_matches_oracle(system, s0, t_end, cfg):
     counted = Counted(system.rhs)
     traj = integrate(dataclasses.replace(system, rhs=counted), s0, t_end,
@@ -989,7 +1031,7 @@ def _cube_rotated(s0):
     _cube_rotated(_apocentre(1.0, 0.6)),
 ], ids=["e0", "e0.6", "e0.9", "e0.6-rotated"])
 def test_float_route_matches_oracle_bit_for_bit(s0):
-    # kepler_field's own rhs: the loop calls its `floats` kernel
+    # kepler_field's own rhs: the loop calls its fused `stage` kernel
     cfg = IntegratorConfig(rel_tol=1e-11)
     system = kepler_field()
     traj = integrate(system, s0, 4 * np.pi, config=cfg)
@@ -1023,17 +1065,17 @@ def test_loop_calls_the_float_route_of_an_rhs_that_has_one():
         calls["array"] += 1
         return rhs(s)
 
-    def counted_floats(s):
+    def counted_stage(y, h, d):
         calls["floats"] += 1
-        return rhs.floats(s)
+        return rhs.stage(y, h, d)
 
-    counted.floats = counted_floats
+    counted.stage = counted_stage
     traj = integrate(DynamicalSystem("kepler", 6, rhs=counted),
                      _apocentre(1.0, 0.6), 2 * np.pi)
     assert calls == {"array": 2, "floats": traj.stats["rhs_evals"] - 2}
     # |k| > 1e100 could overflow in floats: no float route
-    assert hasattr(kepler_field(k=1e100).rhs, "floats")
-    assert not hasattr(kepler_field(k=1e101).rhs, "floats")
+    assert hasattr(kepler_field(k=1e100).rhs, "stage")
+    assert not hasattr(kepler_field(k=1e101).rhs, "stage")
 
 
 @pytest.mark.parametrize("r_min", [1e-12, 1e-3])
@@ -1051,14 +1093,126 @@ def test_float_route_collision_failure_matches_oracle(r_min):
     assert (new.value.stats["domain_retries"] > 0) == (r_min > 1e-12)
 
 
-_NO_DENSE = IntegratorConfig(rel_tol=1e-11, dense_output=False)
-
-
 def _run_with_warnings(fn):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = fn()
     return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _recorded(fn):
+    """(times, states, dense, stats, failure message) of the integration fn
+    runs, a trajectory's or an oracle's, and the warnings it raised, less
+    those of the dot products (`@` and `ndarray.dot` flag an overflow inside
+    a product a different number of times)."""
+    def outcome():
+        try:
+            out = fn()
+        except IntegrationError as exc:
+            return [exc.t], exc.state[None], None, exc.stats, str(exc)
+        if isinstance(out, Trajectory):
+            out = (out.times, out.states, out.dense, out.stats)
+        return (*out, "")
+
+    out, caught = _run_with_warnings(outcome)
+    return out, [(category, message) for category, message in caught
+                 if not message.endswith(("dot", "matmul"))]
+
+
+# (k, r_min, s0, t_end): the benchmark's three orbits and a cube-rotated
+# one; a collision at the default r_min (the error control underflows the
+# step) and at 1e-3 (the rhs raises DomainError and the step is halved); a
+# drift whose stage states pass r = 1e100 and then overflow; and a k with
+# no float route
+_FUSED_CASES = {
+    "e0": (1.0, 1e-12, _apocentre(1.0, 0.0), 4 * np.pi),
+    "e0.6": (1.0, 1e-12, _apocentre(1.0, 0.6), 4 * np.pi),
+    "e0.9": (1.0, 1e-12, _apocentre(1.0, 0.9), 4 * np.pi),
+    "e0.6-rotated": (1.0, 1e-12, _cube_rotated(_apocentre(1.0, 0.6)),
+                     4 * np.pi),
+    "collision-1e-12": (1.0, 1e-12, np.array([1.0, 0, 0, -0.5, 0, 0]), 2.0),
+    "collision-1e-3": (1.0, 1e-3, np.array([1.0, 0, 0, -0.5, 0, 0]), 2.0),
+    "stage-overflow": (1.0, 1e-12, np.array([1.7e308, 0, 0, 1e306, 0, 0]),
+                       10.0),
+    "k1e101": (1e101, 1e-12, _apocentre(1.0, 0.6), 2 * np.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_kernel_matches_oracle_bit_for_bit(case):
+    # every stage goes through the kernel once; k0, the step-size probe and
+    # each stage the kernel declines take the array rhs
+    k, r_min, s0, t_end = _FUSED_CASES[case]
+    system = kepler_field(k=k, r_min=r_min)
+    counted, verdicts = Counted(system.rhs), []
+    if hasattr(system.rhs, "stage"):
+        def stage(y, h, d):
+            out = system.rhs.stage(y, h, d)
+            verdicts.append(out is not None)
+            return out
+        counted.stage = stage
+    new, new_warnings = _recorded(lambda: integrate(
+        dataclasses.replace(system, rhs=counted), s0, t_end))
+    old, old_warnings = _recorded(lambda: integrate_oracle(
+        lambda s: _kepler_rhs_oracle(s, k=k, r_min=r_min), s0, t_end,
+        IntegratorConfig()))
+    for a, b in zip(new, old):
+        assert a is b is None or np.array_equal(a, b)
+    assert new_warnings == old_warnings
+    stats = new[3]
+    assert stats["domain_retries"] == counted.domain_errors
+    if k > 1e100:
+        assert verdicts == [] and counted.calls == stats["rhs_evals"]
+    else:
+        assert len(verdicts) == stats["rhs_evals"] - 2
+        assert counted.calls == 2 + verdicts.count(False)
+    if case.startswith("e0"):
+        assert all(verdicts) and new[4] == ""
+        assert stats["rhs_evals"] == call_count(stats, len(new[0]) - 1)
+    if case == "stage-overflow":
+        assert ("overflow encountered in add" in
+                [message for _, message in old_warnings])
+    assert (stats["domain_retries"] > 0) == (case == "collision-1e-3")
+
+
+def _benchmark_radii():
+    """Every r at which the fused kernel takes r^3 in the benchmark's
+    `simulate` runs: e = 0, 0.6 and 0.9 over ten periods."""
+    rhs, radii = kepler_field().rhs, []
+
+    def stage(y, h, d):
+        out = rhs.stage(y, h, d)
+        if out is not None:
+            x0, x1, x2 = out[0][:3]
+            radii.append(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2))
+        return out
+
+    def counted(s):
+        return rhs(s)
+
+    counted.stage = stage
+    for e in (0.0, 0.6, 0.9):
+        integrate(DynamicalSystem("kepler", 6, rhs=counted),
+                  _apocentre(1.0, e), 20 * np.pi,
+                  config=IntegratorConfig(dense_output=False))
+    return radii
+
+
+def test_power_with_a_0d_exponent_gives_the_float_exponents_bits():
+    # the fused kernel takes r^3 as np.power(r, np.array(3.0)), which skips
+    # converting the Python float 3.0 on each call; the trajectories stay
+    # the array loop's only while both give the same bits
+    radii = rng_from_seed(2027).uniform(-100.0, 100.0, 100_000)
+    radii = [*(10.0 ** radii).tolist(), *_benchmark_radii()]
+    three = np.array(3.0)
+    differ = [r for r in radii if np.power(r, three) != np.power(r, 3.0)]
+    assert not differ, (
+        f"NumPy {np.__version__}: np.power(r, np.array(3.0)) differs from "
+        f"np.power(r, 3.0) at {len(differ)} of {len(radii)} radii, such as "
+        f"r = {differ[0]!r}")
+
+
+_NO_DENSE = IntegratorConfig(rel_tol=1e-11, dense_output=False)
 
 
 @pytest.mark.parametrize("route", ["floats", "array"])
@@ -1150,7 +1304,7 @@ def _linear_field(dim, seed):
         "linear-16", "linear-17", "linear-130"])
 def test_adapter_matches_oracle_on_every_field(system, s0, t_end):
     # every field but kepler's is called on array stage states
-    assert not hasattr(system.rhs, "floats")
+    assert not hasattr(system.rhs, "stage")
     traj = integrate(system, s0, t_end)
     times, states, dense, _ = integrate_oracle(system.rhs, s0, t_end,
                                                IntegratorConfig())
@@ -1195,19 +1349,62 @@ def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
     assert new.stats["rhs_evals"] == counted.calls
 
 
+def _stage_kernel(floats):
+    """A fused stage kernel over `floats`, an rhs of a list of floats: the
+    stage state y + h d formed in floats with its rhs, or None where a
+    component of the state is not finite."""
+    def stage(y, h, d):
+        s = [a + h * b for a, b in zip(y, d)]
+        return (s, floats(s)) if all(map(math.isfinite, s)) else None
+    return stage
+
+
+@pytest.mark.parametrize("case", ["ordinary", "zero", "err5-overflows",
+                                  "h-e5-overflows", "nan", "subnormal"])
+def test_error_norm_matches_oracle_with_its_warnings(case):
+    # the norm's scalar arithmetic runs in Python floats only where NumPy's
+    # scalars would raise no warning: the same value and the same warnings
+    K = rng_from_seed(7).normal(size=(16, 6))
+    h = 0.05
+    if case == "zero":
+        K[:] = 0.0
+    elif case == "err5-overflows":
+        K[0, 0] = 1e308  # inf / 1e-12 overflows; then inf / inf
+    elif case == "h-e5-overflows":
+        h = 1e300
+    elif case == "nan":
+        K[3, 2] = np.nan
+    elif case == "subnormal":
+        K *= 1e-170
+    scale = [1e-12 + 1e-11 * abs(y) for y in (1.6, 0.1, 0.0, -0.2, 0.5, 0.0)]
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = float(fn())
+        return value, [(w.category, str(w.message)) for w in caught]
+
+    new, new_warnings = run(lambda: integrate_module._error_norm(
+        K[:13], h, scale))
+    old, old_warnings = run(lambda: error_oracle(K, h, np.array(scale)))
+    assert np.array_equal(new, old, equal_nan=True)
+    assert new_warnings == old_warnings
+    assert bool(old_warnings) == case.endswith("overflows")
+
+
 @pytest.mark.parametrize("route", ["floats", "array"])
 def test_stage_state_overflow_matches_oracle_with_its_warnings(route):
     # x' = v from (1.7e308, 1e306): near t = 9.77 a stage state
     # y + h (a . K) overflows to inf, which NumPy flags ("overflow
     # encountered in add") where the float arithmetic does not, so the float
-    # route forms that stage again in NumPy.  The error of a linear drift is
-    # 0, but a step whose new state overflowed is rejected, until the step
-    # underflows
+    # route's kernel declines that stage and the loop forms it in NumPy.
+    # The error of a linear drift is 0, but a step whose new state
+    # overflowed is rejected, until the step underflows
     def rhs(s):
         return np.array([s[1], 0.0])
 
     if route == "floats":
-        rhs.floats = lambda s: [s[1], 0.0]
+        rhs.stage = _stage_kernel(lambda s: [s[1], 0.0])
 
     def run(fn):
         with warnings.catch_warnings(record=True) as caught:
@@ -1246,7 +1443,7 @@ def test_a_finite_state_whose_sum_overflows_is_accepted(route):
         return np.array([1.0, 0.0])
 
     if route == "floats":
-        rhs.floats = lambda s: [1.0, 0.0]
+        rhs.stage = _stage_kernel(lambda s: [1.0, 0.0])
 
     traj = integrate(DynamicalSystem("drift", 2, rhs=rhs),
                      np.array([1.5e308, 1.5e308]), 1.0)

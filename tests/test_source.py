@@ -226,3 +226,30 @@ def test_files_are_written_only_by_the_one_writer():
                     if getattr(node, "attr", getattr(node, "id", None))
                     == "O_TRUNC"], path.name
     assert set(found) == {("integrate.py", ("overwrite",))}, found
+
+
+def _outside_loops(node, inside=False):
+    """(node, whether a `for` or `while` loop encloses it) for every node
+    under `node`."""
+    for child in ast.iter_child_nodes(node):
+        yield child, inside
+        yield from _outside_loops(
+            child, inside or isinstance(child, (ast.For, ast.While)))
+
+
+def test_the_step_loop_has_one_float_route():
+    # `integrate` reads one float-route attribute off the rhs, the fused
+    # stage kernel, once per call; no caller of the list-in, list-out
+    # `rhs.floats` route is left in src/
+    tree = ast.parse((_SRC[0].parent / "integrate.py").read_text())
+    loop, = [node for node in tree.body
+             if getattr(node, "name", None) == "integrate"]
+    reads = [(node.args[1].value, looped) for node, looped in
+             _outside_loops(loop)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("getattr", "hasattr")]
+    assert reads == [("stage", False)]
+    found = [f"{path.name}:{node.lineno}" for path in _SRC
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "attr", None) == "floats"]
+    assert found == []
