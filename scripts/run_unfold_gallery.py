@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from ksunfold import unfold_kepler
-from ksunfold.integrate import write_json
+from ksunfold.output import write_json
 
 GALLERY = {
     # name: (x0, v0, tau_end)

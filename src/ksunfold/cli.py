@@ -3,7 +3,7 @@
 Every run is determined by its effective config (flags over config-file
 values over defaults) plus one explicit seed; CSV outputs are bit-identical
 across reruns, and every output file is rewritten in place
-(`integrate.overwrite`).  Errors exit with code 2 (bad config, or an output
+(`output.overwrite`).  Errors exit with code 2 (bad config, or an output
 path that cannot be written), 3 (integration failure), or 1 (a
 verification/demo tolerance failed), with a JSON error object on stderr.
 """
@@ -27,7 +27,8 @@ from .errors import (
     IntegrationError,
     LiftError,
 )
-from .integrate import IntegratorConfig, integrate, write_json
+from .integrate import IntegratorConfig, integrate
+from .output import write_json
 from .reduction import (
     check_equivariance,
     radial_setup,

@@ -28,8 +28,8 @@ from .integrate import (
     brentq,  # noqa: F401  (unused; see integrate.brentq)
     find_return_time,
     integrate,
-    write_table,
 )
+from .output import write_table
 from .phase_geometry import ks_lift, ks_tangent, to_oscillator_chart
 from .systems import (
     _CALOGERO_GAP,

@@ -283,8 +283,6 @@ def _positive_count(name: str, value) -> int:
     return n
 
 
-# dtype of the states `kepler_field`'s rhs evaluates in Python floats
-_F64 = np.dtype(np.float64)
 # np.power's exponent as a 0-d array: the SIMD loop and the bits of the
 # scalar 3.0, without converting a Python float on each call
 _THREE = np.array(3.0)
@@ -312,11 +310,10 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     For |k| <= 1e100 its rhs carries `rhs.stage`, the fused kernel that
     `integrate`'s step loop calls on each stage: `stage(y, h, d)` forms
     the stage state y + h d of six Python floats and returns it with its
-    rhs, as two lists, or None.  The rhs of one float64 state runs the
-    same float arithmetic."""
+    rhs, as two lists, or None.  The rhs itself is the array expression,
+    for one state or a batch, whose bits `stage` gives."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
-    small_k = abs(k) <= 1e100
 
     def stage(y, h, d):
         # In Python floats with NumPy's roundings: each component of
@@ -345,22 +342,7 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
                     [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3])
         return None
 
-    def one_state(s):
-        # `stage`'s arithmetic on the state s itself, without forming it
-        # again: a replaced rhs (a tracer's) calls `rhs` on every stage
-        x0, x1, x2, v0, v1, v2 = s
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if 1e-100 < r < 1e100 and r >= r_min:
-            r3 = float(np.power(r, _THREE))
-            return [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3]
-        return None
-
     def rhs(s):
-        if (type(s) is np.ndarray and s.dtype is _F64 and s.shape == (6,)
-                and small_k):
-            out = one_state(s.tolist())
-            if out is not None:
-                return np.array(out)
         s = np.asarray(s, dtype=float)
         x = s[..., :3]
         r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own body
@@ -372,7 +354,7 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         acc = -k * x / r[..., None] ** 3
         return np.concatenate((s[..., 3:6], acc), axis=-1)
 
-    if small_k:
+    if abs(k) <= 1e100:
         rhs.stage = stage
     reg = observables(k)
     return DynamicalSystem(

@@ -1,7 +1,6 @@
-"""The `%.16e` encoder of `write_table` (`integrate._encode_rows`) against
+"""The `%.16e` encoder of `write_table` (`output._encode_rows`) against
 Python's `%` formatting, byte for byte."""
 
-import importlib
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -10,14 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksunfold.integrate import (
+from ksunfold import output
+from ksunfold.output import (
     _POW10_MAX, _POW10_MIN, _ROUND_EPS, _encode_rows, _pow10_table,
     write_table,
 )
 from ksunfold.sampling import rng_from_seed
-
-# the module, which the package's `integrate` function shadows
-integ = importlib.import_module("ksunfold.integrate")
 
 
 def _percent_writer(block):
@@ -35,13 +32,13 @@ def _assert_encodes(block):
 def fallbacks(monkeypatch):
     """The values the encoder hands to `_fallback_text`, in order."""
     seen = []
-    real = integ._fallback_text
+    real = output._fallback_text
 
     def recording(values):
         seen.extend(values.tolist())
         return real(values)
 
-    monkeypatch.setattr(integ, "_fallback_text", recording)
+    monkeypatch.setattr(output, "_fallback_text", recording)
     return seen
 
 
@@ -178,7 +175,7 @@ def test_pow10_table_is_within_the_bound():
 
 def _half_bound(monkeypatch):
     """A bound of at least 1/2 for every s >= 1e16."""
-    monkeypatch.setattr(integ, "_ROUND_EPS", 0.5e-16)
+    monkeypatch.setattr(output, "_ROUND_EPS", 0.5e-16)
 
 
 @pytest.mark.parametrize("force", [_half_bound])

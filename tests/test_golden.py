@@ -31,12 +31,6 @@ from ksunfold.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# {"numpy": version, "blas": name and version, "digests": {case: {output:
-# SHA-256}}}, the outputs being the files the case wrote, by name, and
-# "stdout"; and the case's "exit code" with them
-with open(os.path.join(ROOT, "tests", "golden_digests.json")) as _fh:
-    GOLDEN = json.load(_fh)
-
 SWEEP = ["--lambda", "0..6.28:8"]
 
 # case: argv of `ksunfold`, run with the output directory "out"
@@ -91,6 +85,14 @@ SCRIPTS = {
 }
 
 
+def _golden():
+    """{"numpy": version, "blas": name and version, "digests": {case:
+    {output: SHA-256}}}, the outputs being the files the case wrote, by
+    name, and "stdout"; and the case's "exit code" with them."""
+    with open(os.path.join(ROOT, "tests", "golden_digests.json")) as fh:
+        return json.load(fh)
+
+
 def _stack():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return np.__version__, f"{blas.get('name')} {blas.get('version')}"
@@ -139,13 +141,14 @@ def run_case(case, workdir) -> dict:
 
 @pytest.mark.parametrize("case", [*COMMANDS, *SCRIPTS])
 def test_outputs_match_the_golden_digests(case, tmp_path):
+    golden = _golden()
     numpy_version, blas = _stack()
-    if (numpy_version, blas) != (GOLDEN["numpy"], GOLDEN["blas"]):
-        pytest.skip(f"golden digests recorded on NumPy {GOLDEN['numpy']} "
-                    f"with BLAS {GOLDEN['blas']}; this is NumPy "
+    if (numpy_version, blas) != (golden["numpy"], golden["blas"]):
+        pytest.skip(f"golden digests recorded on NumPy {golden['numpy']} "
+                    f"with BLAS {golden['blas']}; this is NumPy "
                     f"{numpy_version} with BLAS {blas}")
     found = run_case(case, str(tmp_path))
-    want = GOLDEN["digests"][case]
+    want = golden["digests"][case]
     moved = sorted(name for name in found.keys() | want.keys()
                    if found.get(name) != want.get(name))
     assert not moved, (f"{case}: {moved} moved; its entry now reads\n"
@@ -153,4 +156,4 @@ def test_outputs_match_the_golden_digests(case, tmp_path):
 
 
 def test_every_case_has_digests():
-    assert sorted(GOLDEN["digests"]) == sorted([*COMMANDS, *SCRIPTS])
+    assert sorted(_golden()["digests"]) == sorted([*COMMANDS, *SCRIPTS])

@@ -30,8 +30,9 @@ from ksunfold import (
     unfold_kepler,
 )
 from ksunfold.integrate import (
-    _A8, _CSV_BLOCK, _DOP853_POWERS, _monitor_values, _safeguarded_newton,
+    _A8, _DOP853_POWERS, _monitor_values, _safeguarded_newton,
 )
+from ksunfold.output import _CSV_BLOCK
 from ksunfold.reduction import OscillatorFlow, UnfoldResult
 from ksunfold.sampling import rng_from_seed, sample_states_sigma0
 from dop853_oracle import (
@@ -303,6 +304,23 @@ def test_non_finite_t0_raises_before_any_rhs_call(t0):
         integrate(DynamicalSystem("kepler", 6, rhs=counted),
                   np.array([1.0, 0, 0, 0, 1.0, 0]), 1.0, t0=t0)
     assert counted.calls == 0
+
+
+@pytest.mark.parametrize("dense_output", [True, False])
+@pytest.mark.parametrize("s0", [[1.0, 0.0, 0.0, 1.0],
+                                [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]],
+                         ids=["4", "7"])
+def test_a_state_of_the_wrong_length_raises_before_any_rhs_call(
+        s0, dense_output):
+    counted = Counted(kepler_field().rhs)
+    with pytest.raises(ValueError, match=rf"^s0 has length {len(s0)}, but "
+                                         r"the kepler system has dim 6$"):
+        integrate(DynamicalSystem("kepler", 6, rhs=counted), s0, 1.0,
+                  config=IntegratorConfig(dense_output=dense_output))
+    assert counted.calls == 0
+    with pytest.raises(ValueError, match=rf"^s0 has length {len(s0)}"):
+        integrate(kepler_field(), s0, 1.0,
+                  config=IntegratorConfig(dense_output=dense_output))
 
 
 @pytest.mark.parametrize("s0, t_end", [

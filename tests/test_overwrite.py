@@ -1,4 +1,4 @@
-"""The output writer, `integrate.overwrite`: a file is rewritten in place and
+"""The output writer, `output.overwrite`: a file is rewritten in place and
 cut to the new bytes, a target that is not a regular file is written and
 not cut, a new file gets the bits `open(path, "w")` gives, a failed write
 names its path, and reruns over stale files give the bytes of a fresh run."""
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ksunfold.cli import main
-from ksunfold.integrate import overwrite, write_table
+from ksunfold.output import overwrite, write_table
 
 NEW = b"0.5,-1.25e+00\r\n" * 40
 

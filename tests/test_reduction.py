@@ -264,7 +264,7 @@ _FLOW_ORBITS = {
 
 
 @pytest.mark.parametrize("orbit", sorted(_FLOW_ORBITS))
-def test_closed_form_flow_matches_dp5_oracle(orbit):
+def test_closed_form_flow_matches_dop853_oracle(orbit):
     p0, tau_end, scaling = _FLOW_ORBITS[orbit]
     res = unfold_kepler(np.array(p0), tau_end,
                         scaling=scaling_preset(scaling), compare=False)

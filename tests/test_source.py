@@ -215,7 +215,7 @@ def _write_mode(call, name):
 
 
 def test_files_are_written_only_by_the_one_writer():
-    # every output goes through `integrate.overwrite`, which rewrites a file
+    # every output goes through `output.overwrite`, which rewrites a file
     # in place; nothing truncates a file on open
     found = {}
     for path in [*_SRC, *sorted(_ROOT.glob("scripts/*.py"))]:
@@ -225,7 +225,32 @@ def test_files_are_written_only_by_the_one_writer():
         assert not [node.lineno for node in ast.walk(tree)
                     if getattr(node, "attr", getattr(node, "id", None))
                     == "O_TRUNC"], path.name
-    assert set(found) == {("integrate.py", ("overwrite",))}, found
+    assert set(found) == {("output.py", ("overwrite",))}, found
+
+
+def _imports(name):
+    """(level, module, names) of every import statement of the module
+    `name` in src/: level 0 for an absolute import."""
+    tree = ast.parse((_SRC[0].parent / name).read_text())
+    return [(getattr(node, "level", 0), getattr(node, "module", None),
+             tuple(a.name for a in node.names)) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_output_format_has_its_own_module():
+    # `integrate.py` holds the stepper, `Trajectory` and the root search,
+    # and takes only `write_table` (for `Trajectory.to_csv`) from
+    # `output.py`, which holds the writers and the CSV encoder and needs
+    # nothing from the package
+    modules = set()
+    for level, module, names in _imports("integrate.py"):
+        modules |= {module} if module else set(names)
+        if module == "output":
+            assert names == ("write_table",)
+    assert not modules & {"csv", "io", "itertools", "json", "os", "stat"}
+    assert [(level, module) for level, module, names in _imports("output.py")
+            if level or any(n.split(".")[0] == "ksunfold"
+                            for n in (module or "", *names))] == []
 
 
 def _outside_loops(node, inside=False):
