@@ -260,7 +260,16 @@ def _drifts(traj) -> dict:
 def _radial(cfg):
     variant = cfg.get("variant", "energy")
     if variant == "energy":
-        return radial_reduced_field(E=cfg["energy"], variant="energy")
+        E, r, vr = cfg["energy"], cfg["r"], cfg["vr"]
+        # the variant's conserved l^2 = |x|^2 |v|^2 - (x . v)^2 of the
+        # free motion it reduces; below 0 no motion has the state
+        l2 = r * r * (2.0 * E - vr * vr)
+        if l2 < 0.0:
+            raise ConfigError(
+                f"--r {r:g}, --vr {vr:g} and --energy {E:g} give l^2 = "
+                f"r^2 (2E - vr^2) = {l2:.6g} < 0, which belongs to no orbit "
+                f"(the state needs vr^2 <= 2E)")
+        return radial_reduced_field(E=E, variant="energy")
     if variant == "angular":
         return radial_reduced_field(l=cfg["l"], variant="angular")
     raise ConfigError(f"unknown radial variant {variant!r}")

@@ -219,8 +219,11 @@ def _encode_rows(block):
     sep = np.full(cols, ord(",") << 8, dtype="<u4")
     sep[-1] = 0x0A0D00
     w[6].reshape(rows, cols)[:] += sep
-    out = np.ascontiguousarray(w.T).view(np.uint8)
     bad = np.flatnonzero(~exact)
     if bad.size:
+        out = np.ascontiguousarray(w.T).view(np.uint8)
         out[bad, :25] = _fallback_text(v[bad])
-    return np.frombuffer(out.tobytes().translate(None, b"\0"), np.uint8)
+        text = out.tobytes()
+    else:
+        text = w.T.tobytes()  # one copy, value by value
+    return np.frombuffer(text.translate(None, b"\0"), np.uint8)

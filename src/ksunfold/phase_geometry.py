@@ -36,29 +36,37 @@ def ks_project(y):
     """KS projection of positions, y in R^4 -> x in R^3.
 
     x1 = 2(y1 y3 + y2 y0), x2 = 2(y2 y3 - y1 y0), x3 = y1^2 + y2^2 - y3^2 - y0^2,
-    and |x| = |y|^2 exactly.
+    and |x| = |y|^2 exactly.  The result is a view of its component-major
+    (3, ...) block.
     """
     y = np.asarray(y, dtype=float)
     y1, y2, y3, y0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    x = np.empty(y.shape[:-1] + (3,))
-    x[..., 0] = 2.0 * (y1 * y3 + y2 * y0)
-    x[..., 1] = 2.0 * (y2 * y3 - y1 * y0)
-    x[..., 2] = y1 * y1 + y2 * y2 - y3 * y3 - y0 * y0
-    return x
+    x = np.empty((3,) + y.shape[:-1])
+    x[0] = 2.0 * (y1 * y3 + y2 * y0)
+    x[1] = 2.0 * (y2 * y3 - y1 * y0)
+    x[2] = y1 * y1 + y2 * y2 - y3 * y3 - y0 * y0
+    return _component_last(x)
 
 
 def ks_tangent_velocity(y, u):
     """Velocity part of the tangent-lifted KS map (the chain rule applied to
-    ks_project along u; note the factor 2 on all three components)."""
+    ks_project along u; note the factor 2 on all three components).  The
+    result is a view of its component-major (3, ...) block."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     y1, y2, y3, y0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     u1, u2, u3, u0 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    v = np.empty(np.broadcast(y1, u1).shape + (3,))
-    v[..., 0] = 2.0 * (y1 * u3 + y2 * u0 + y3 * u1 + y0 * u2)
-    v[..., 1] = 2.0 * (y3 * u2 + y2 * u3 - y1 * u0 - y0 * u1)
-    v[..., 2] = 2.0 * (y1 * u1 + y2 * u2 - y3 * u3 - y0 * u0)
-    return v
+    v = np.empty((3,) + np.broadcast(y1, u1).shape)
+    v[0] = 2.0 * (y1 * u3 + y2 * u0 + y3 * u1 + y0 * u2)
+    v[1] = 2.0 * (y3 * u2 + y2 * u3 - y1 * u0 - y0 * u1)
+    v[2] = 2.0 * (y1 * u1 + y2 * u2 - y3 * u3 - y0 * u0)
+    return _component_last(v)
+
+
+def _component_last(block):
+    """The (..., k) view of a component-major (k, ...) block: a column of
+    the view is a contiguous row of the block."""
+    return block.transpose((*range(1, block.ndim), 0))
 
 
 def ks_tangent(y, u):

@@ -30,7 +30,12 @@ from .integrate import (
     integrate,
 )
 from .output import write_table
-from .phase_geometry import ks_lift, ks_tangent, to_oscillator_chart
+from .phase_geometry import (
+    _component_last,
+    ks_lift,
+    ks_tangent,
+    to_oscillator_chart,
+)
 from .systems import (
     _CALOGERO_GAP,
     DynamicalSystem,
@@ -80,10 +85,20 @@ def project_tangent_state(s):
 
 def _downstairs(chart):
     """(x, v) of oscillator-chart states (Y, U): the tangent map at
-    u = U / (2 |Y|^2), with a NaN velocity where Y = 0."""
+    u = U / (2 |Y|^2), with a NaN velocity where Y = 0.  Every column is
+    read on its own, which is contiguous when `chart` is a view of a
+    component-major block."""
     Y, U = chart[..., :4], chart[..., 4:8]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return ks_tangent(Y, U / (2.0 * np.sum(Y * Y, axis=-1))[..., None])
+        r2 = _squared_norm(Y[..., i] for i in range(4))
+        return ks_tangent(Y, U / (2.0 * r2)[..., None])
+
+
+def _squared_norm(rows):
+    """|Y|^2 from the components (Y1, Y2, Y3, Y0), summed left to right, as
+    np.sum sums a length-4 axis."""
+    Y1, Y2, Y3, Y0 = rows
+    return ((Y1 * Y1 + Y2 * Y2) + Y3 * Y3) + Y0 * Y0
 
 
 @dataclass(frozen=True)
@@ -180,13 +195,12 @@ def check_equivariance(
 # Kepler unfolding
 # ---------------------------------------------------------------------------
 
-# Stumpff series c_m(z) = sum_n (-z)^n / (2n + m)!, m = 2, 3, highest n first;
-# used for |z| < 1, where the closed forms cancel (relative error < 1e-18)
-_STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * n + m) for m in (2, 3)]
-                            for n in reversed(range(9))])
-
-# the same coefficients as Python floats, rows of (c2, c3), for one tau
-_STUMPFF_ROWS = tuple(map(tuple, _STUMPFF_SERIES.tolist()))
+# Stumpff series c_m(z) = sum_n (-z)^n / (2n + m)!, m = 2, 3, highest n first,
+# as rows of (c2, c3) coefficients; used for |z| < 1, where the closed forms
+# cancel (relative error < 1e-18)
+_STUMPFF_ROWS = tuple((1.0 / math.factorial(2 * n + 2),
+                       1.0 / math.factorial(2 * n + 3))
+                      for n in reversed(range(9)))
 
 # the single-tau route takes |z| below this: there w = sqrt|z| < 700, so
 # cosh and sinh stay finite and no Stumpff denominator overflows
@@ -210,11 +224,11 @@ def _stumpff(z):
     trig = (z > 0.0) & ~small
     hyp = ~(small | trig)
     if small.any():
-        zs = z[small][:, None]
-        series = _STUMPFF_SERIES[0]
-        for coeff in _STUMPFF_SERIES[1:]:
-            series = coeff - zs * series
-        c2[small], c3[small] = series.T
+        zs = z[small]
+        s2, s3 = _STUMPFF_ROWS[0]
+        for k2, k3 in _STUMPFF_ROWS[1:]:
+            s2, s3 = k2 - zs * s2, k3 - zs * s3
+        c2[small], c3[small] = s2, s3
     # products, not **: NumPy rounds array and scalar powers differently,
     # and eval at a node must reproduce the sampled state bit for bit
     if trig.any():
@@ -239,10 +253,13 @@ class OscillatorFlow:
     S = 2 tau^3 c3(4z), A = |Y0|^2, B = g Y0.U0 and C = g^2 |U0|^2.
 
     `times` and `states` (Y, U, t) sample the flow at n_samples + 1 uniform
-    nodes over [0, tau_end]; `monitors`, computed on first read, holds the
-    oscillator invariant (== k), the gauge momentum h and the chart energy
-    at force constant k there.  A span on which the closed form overflows
-    raises HorizonError.
+    nodes over [0, tau_end].  The samples are stored component-major, as
+    one C-contiguous (9, n_samples + 1) block, and `states` is its
+    (n_samples + 1, 9) view, so each of its columns is contiguous; `eval`
+    returns the same kind of view.  `monitors`, computed on first read,
+    holds the oscillator invariant (== k), the gauge momentum h and the
+    chart energy at force constant k there.  A span on which the closed
+    form overflows raises HorizonError.
     """
 
     Y0: np.ndarray
@@ -284,7 +301,9 @@ class OscillatorFlow:
 
     @functools.cached_property
     def monitors(self) -> dict:
-        chart = self.states[:, :8]
+        # the quadratic observables go through matmul and einsum, whose
+        # kernels, and so whose last bits, depend on the layout they read
+        chart = np.ascontiguousarray(self.states[:, :8])
         # the chart energy is 0/0 at Y = 0 itself, finite everywhere else
         with np.errstate(divide="ignore", invalid="ignore"):
             return {
@@ -294,17 +313,20 @@ class OscillatorFlow:
             }
 
     def eval(self, tau):
-        """States (Y, U, t), shape (..., 9), at tau (scalar or array)."""
+        """States (Y, U, t), shape (..., 9), at tau (scalar or array): the
+        view of their component-major (9, ...) block."""
         t, Y, c, s = self._clock(tau)
-        return np.concatenate([Y, c * self.U0 + (2.0 * self.g * self.E * s)
-                               * self.Y0, np.asarray(t)[..., None]], axis=-1)
+        U = (np.multiply.outer(self.U0, c)
+             + np.multiply.outer(self.Y0, 2.0 * self.g * self.E * s))
+        return _component_last(np.concatenate([Y, U, np.asarray(t)[None]]))
 
     def _clock(self, tau):
-        """(t, Y, c, s) at tau: the clock, Y = c Y0 + g s U0, and c and s
-        with a trailing axis, which U = c U0 + 2 g E s Y0 takes.  A single
-        tau (0-d) takes `_scalar_clock`, with float t, c and s, unless it
-        declines; arrays, and the taus it declines, take the array path,
-        which is its test oracle."""
+        """(t, Y, c, s) at tau: the clock, Y = c Y0 + g s U0 as
+        component-major rows, shape (4,) + tau's shape, and c and s, which
+        U = c U0 + 2 g E s Y0 takes.  A single tau (0-d) takes
+        `_scalar_clock`, with float t, c and s, unless it declines; arrays,
+        and the taus it declines, take the array path, which is its test
+        oracle."""
         tau = np.asarray(tau, dtype=float)
         if tau.ndim == 0:
             clock = self._scalar_clock(float(tau))
@@ -319,8 +341,8 @@ class OscillatorFlow:
         # 2 tau^3 c3(4z), by the double-angle identity 4 c3(4z) = c2 + c3 - z c2 c3
         S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
         t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
-        c, s = c[..., None], s[..., None]
-        return t, c * self.Y0 + (g * s) * self.U0, c, s
+        Y = np.multiply.outer(self.Y0, c) + np.multiply.outer(self.U0, g * s)
+        return t, Y, c, s
 
     def _scalar_clock(self, tau):
         """`_clock` at one tau in Python floats, with t, c and s floats: the
@@ -380,8 +402,10 @@ class OscillatorFlow:
             state = self.eval(tau)
             return -(state[:4] @ self.Y0), -self.g * (state[4:8] @ self.Y0)
 
-        tau = next(_up_crossings(self.times, -(self.states[:, :4] @ self.Y0),
-                                 fdf), None)
+        # a BLAS product, whose kernel, and so whose last bits, depend on the
+        # layout it reads
+        Y = np.ascontiguousarray(self.states[:, :4])
+        tau = next(_up_crossings(self.times, -(Y @ self.Y0), fdf), None)
         if tau is None:
             return None
         state = self.eval(tau)
@@ -405,7 +429,8 @@ class UnfoldResult:
     direct_leg: Optional[dict] = None  # what the direct leg did
 
     # views of the flow: (n,) taus and physical times ts, (n, 8) chart
-    # states (Y, U); (n, 3) xs and vs, projected downstairs on first read
+    # states (Y, U); (n, 3) xs and vs, projected downstairs on first read.
+    # The (n, k) ones are views of component-major blocks.
     E = property(lambda self: self.upstairs.E)
     taus = property(lambda self: self.upstairs.times)
     ts = property(lambda self: self.upstairs.states[:, 8])
@@ -437,7 +462,7 @@ class UnfoldResult:
 
         def fdf(tau):
             t, Y, _, _ = up._clock(tau)  # U is not needed
-            return t - target, 2.0 * up.g * np.sum(Y ** 2, axis=-1)
+            return t - target, 2.0 * up.g * _squared_norm(Y)
 
         return _safeguarded_newton(fdf, up.times[j - 1], up.times[j],
                                    np.interp(target, nodes, up.times),

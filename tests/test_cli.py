@@ -85,6 +85,24 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     assert 0.0 < err["t"] < 2.0
 
 
+_RADIAL = ["simulate", "--system", "radial", "--r", "1"]
+
+
+def test_simulate_radial_state_with_negative_l2_exits_2(tmp_path, capsys):
+    # l^2 = r^2 (2E - vr^2) = -0.8 - 0.09 < 0 belongs to no orbit
+    code = run(_RADIAL + ["--vr", "0.3", "--energy", "-0.4", "--t-end", "3",
+                          "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    for part in ("--r 1", "--vr 0.3", "--energy -0.4", "l^2", "-0.89"):
+        assert part in err["message"]
+    assert not list(tmp_path.iterdir())
+    # l^2 = 0, purely radial free motion r = 1 + t, is an orbit
+    assert run(_RADIAL + ["--vr", "1", "--energy", "0.5", "--t-end", "0.5",
+                          "--out-dir", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"),
                                          ("--abs-tol", "-1e-12")])
 def test_simulate_non_positive_tolerance_exits_2_naming_it(

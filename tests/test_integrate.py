@@ -480,7 +480,7 @@ def _return_cases():
     osc = completed_oscillator_field(E=-0.5)
     o0 = np.array([1.0, 0.3, 0.5, 0.0, 0.0, 1.0, 0.0, -0.2])
     cases = {
-        "dp5-two-frequency": (two, s0, None),
+        "dop853-two-frequency": (two, s0, None),
         "dp5-oscillator": (integrate(osc, o0, 9.0), o0, None),
     }
     for orbit in ("circular", "e0.9"):
@@ -497,7 +497,7 @@ def _return_cases():
 
 @pytest.mark.parametrize("case", [
     "dp5-kepler-circular", "dp5-kepler-e0.9", "dp5-oscillator",
-    "dp5-two-frequency", "flow-circular", "flow-e0.9",
+    "dop853-two-frequency", "flow-circular", "flow-e0.9",
 ])
 def test_return_time_scan_equals_the_node_loop(case):
     traj, ref, comp = _return_cases()[case]
@@ -507,7 +507,7 @@ def test_return_time_scan_equals_the_node_loop(case):
 
 
 @pytest.mark.parametrize("case", [
-    "dp5-kepler-circular", "dp5-kepler-e0.9", "dp5-two-frequency",
+    "dp5-kepler-circular", "dp5-kepler-e0.9", "dop853-two-frequency",
     "flow-circular", "flow-e0.9",
 ])
 def test_return_time_evaluates_the_flow_once_per_newton_iteration(
@@ -554,7 +554,7 @@ def test_eval_and_deriv_equals_eval_and_deriv_bit_for_bit(case):
 
 
 def test_return_time_skips_a_crossing_that_misses_tol():
-    traj, s0 = _return_cases()["dp5-two-frequency"][:2]
+    traj, s0 = _return_cases()["dop853-two-frequency"][:2]
     w = traj.deriv(0.0) / np.linalg.norm(traj.deriv(0.0))
     g = (traj.states - s0) @ w
     up = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
@@ -613,11 +613,11 @@ def _no_return_cases():
     free = integrate(free3d_field(), np.array([1.0, 0, 0, 0, 1.0, 0]), 5.0)
     up = unfold_kepler(_RETURN_ORBITS["circular"], 0.6 * 2 * np.pi,
                        compare=False).upstairs
-    return {"dp5-free": (free, free.states[0], None),
+    return {"dop853-free": (free, free.states[0], None),
             "flow-short-span": (up, up.states[0], range(8))}
 
 
-@pytest.mark.parametrize("case", ["dp5-free", "flow-short-span"])
+@pytest.mark.parametrize("case", ["dop853-free", "flow-short-span"])
 def test_return_time_without_a_crossing_raises_like_the_node_loop(case):
     traj, ref, comp = _no_return_cases()[case]
     with pytest.raises(ValueError) as oracle:

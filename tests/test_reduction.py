@@ -289,8 +289,9 @@ def _stumpff_all_branches(z):
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1.0
     zs = np.where(small, z, 0.0)[..., None]
-    series = reduction._STUMPFF_SERIES[0]
-    for coeff in reduction._STUMPFF_SERIES[1:]:
+    rows = np.array(reduction._STUMPFF_ROWS)
+    series = rows[0]
+    for coeff in rows[1:]:
         series = coeff - zs * series
     w = np.sqrt(np.abs(np.where(small, 1.0, z)))
     ell = z > 0.0
@@ -383,9 +384,12 @@ def test_flow_eval_reproduces_every_node_bit_for_bit(orbit):
 
 
 def _eager_monitors(up):
-    """The monitors as the flow formed them when it was built."""
+    """The monitors as the flow formed them when it was built, from the
+    samples as a C-contiguous (n, 9) array (the observables' matmul and
+    einsum kernels depend on the layout they read)."""
+    chart = np.ascontiguousarray(up.states)[:, :8]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return {obs.name: obs.fn(up.states[:, :8])
+        return {obs.name: obs.fn(chart)
                 for obs in (reduction.oscillator_invariant(up.E),
                             OBSERVABLES["h"], reduction._chart_energy(up.k))}
 
