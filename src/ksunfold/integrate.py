@@ -240,8 +240,16 @@ def _safeguarded_newton(fdf, lo, hi, x, tol):
     `fdf(x)` returns (f(x), f'(x)).  Each iteration shrinks the bracket to
     the sign of f at x, then takes the Newton step if it lands inside the
     bracket and bisects otherwise (f' = 0 included), on every element at
-    once, until every last step is at most tol max(1, |x|) or after
-    _ROOT_MAX_ITER iterations (Numerical Recipes' `rtsafe`)."""
+    once (Numerical Recipes' `rtsafe`).  An element has settled when its
+    last step is at most tol max(1, |x|), or when it is back at the
+    iterate before last: a 2-cycle at the rounding limit, where f is a few
+    ulps either side of 0 and the step stays above tol.  Each row (the
+    last axis; a 0-d or 1-D x is one row) stops once all its elements have
+    settled, or after _ROOT_MAX_ITER iterations, and keeps its values
+    while the other rows go on, so its roots are those of a call on that
+    row alone."""
+    before = math.nan  # the iterate before x; none yet
+    running = np.ones(np.shape(x)[:-1], dtype=bool)  # rows of a 2-D x
     for _ in range(_ROOT_MAX_ITER):
         f, df = fdf(x)
         lo = np.where(f <= 0.0, x, lo)
@@ -250,9 +258,18 @@ def _safeguarded_newton(fdf, lo, hi, x, tol):
             newton = x - f / df
         inside = (newton >= lo) & (newton <= hi)
         step = np.where(inside, newton, 0.5 * (lo + hi)) - x
-        x = x + step
-        if not np.any(np.abs(step) > tol * np.maximum(1.0, np.abs(x))):
-            break
+        after = x + step
+        moving = ((np.abs(step) > tol * np.maximum(1.0, np.abs(after)))
+                  & (after != before))
+        if np.ndim(x) < 2:
+            if not moving.any():
+                return after
+        else:
+            after = np.where(running[..., None], after, x)
+            running &= moving.any(axis=-1)
+            if not running.any():
+                return after
+        before, x = x, after
     return x
 
 

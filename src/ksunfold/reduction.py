@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -206,6 +208,10 @@ _STUMPFF_ROWS = tuple((1.0 / math.factorial(2 * n + 2),
 # cosh and sinh stay finite and no Stumpff denominator overflows
 _SCALAR_Z_MAX = 700.0 ** 2
 
+# gauges a sweep compares in one batch: the sweep size of the benchmark
+# and the gallery
+_SWEEP_BATCH = 8
+
 # a zero of Y . Y0 is a collision when |Y|^2 there is below this times
 # |Y0|^2: zero up to rounding (about 1e-32), while a near-radial orbit's
 # pericentre r = |Y|^2 is of order |x0 x v0|^2
@@ -240,6 +246,72 @@ def _stumpff(z):
         c2[hyp] = (np.cosh(w) - 1.0) / (w * w)
         c3[hyp] = (np.sinh(w) - w) / (w * w * w)
     return c2, c3
+
+
+# the closed forms of G flows, one row each: g, E and `_coeffs` (alpha, A,
+# B, C) as (G, 1) columns (floats for one flow), and Y0 and U0
+# component-major, shape (4, G, 1)
+_Columns = namedtuple("_Columns", "g E alpha A B C Y0 U0")
+
+
+def _columns(flows) -> _Columns:
+    if len(flows) == 1:  # floats, which NumPy applies faster than columns
+        f, = flows
+        return _Columns(f.g, f.E, *f._coeffs, f.Y0[:, None, None],
+                        f.U0[:, None, None])
+    cols = np.array([(f.g, f.E, *f._coeffs, *f.Y0.tolist(), *f.U0.tolist())
+                     for f in flows]).T[..., None]
+    return _Columns(cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
+                    cols[6:10], cols[10:])
+
+
+def _clock(cols, tau):
+    """(t, Y, c, s) at (G, m) taus, row i on flow i of `cols`: the clock,
+    Y = c Y0 + g s U0 as component-major rows, shape (4, G, m), and c and
+    s, which U = c U0 + 2 g E s Y0 takes.  One flow is the case G = 1."""
+    g, alpha, A, B, C = cols.g, cols.alpha, cols.A, cols.B, cols.C
+    z = alpha * tau * tau
+    c2, c3 = _stumpff(z)
+    c = 1.0 - z * c2
+    s = tau * (1.0 - z * c3)
+    # 2 tau^3 c3(4z), by the double-angle identity 4 c3(4z) = c2 + c3 - z c2 c3
+    S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
+    t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
+    return t, cols.Y0 * c + cols.U0 * (g * s), c, s
+
+
+def _states(cols, tau):
+    """The component-major (9, G, m) block of (Y, U, t) at (G, m) taus,
+    row i on flow i of `cols`."""
+    t, Y, c, s = _clock(cols, tau)
+    U = cols.U0 * c + cols.Y0 * (2.0 * cols.g * cols.E * s)
+    return np.concatenate([Y, U, t[None]])
+
+
+def _invert_clocks(flows, t):
+    """Invert the time maps at (G, m) physical times t, row i on flows[i],
+    on each flow's sampled span: times outside it clamp to its first or
+    last tau.
+
+    Each time is bracketed between two sample nodes and the closed-form
+    clock is solved there by Newton's method (dt/dtau = 2 g |Y|^2),
+    safeguarded by bisection where Y = 0 flattens it, on all times at once;
+    each row stops on its own (`_safeguarded_newton`), so a flow's taus are
+    the same in any batch."""
+    target, lo, hi, start = np.empty((4,) + t.shape)
+    for i, (up, row) in enumerate(zip(flows, t)):
+        nodes = up.states[:, 8]
+        target[i] = np.clip(row, nodes[0], nodes[-1])
+        j = np.clip(np.searchsorted(nodes, target[i]), 1, len(nodes) - 1)
+        lo[i], hi[i] = up.times[j - 1], up.times[j]
+        start[i] = np.interp(target[i], nodes, up.times)
+    cols = _columns(flows)
+
+    def fdf(tau):
+        t, Y, _, _ = _clock(cols, tau)  # U is not needed
+        return t - target, 2.0 * cols.g * _squared_norm(Y)
+
+    return _safeguarded_newton(fdf, lo, hi, start, _ROOT_TOL)
 
 
 @dataclass(frozen=True)
@@ -314,42 +386,27 @@ class OscillatorFlow:
 
     def eval(self, tau):
         """States (Y, U, t), shape (..., 9), at tau (scalar or array): the
-        view of their component-major (9, ...) block."""
-        t, Y, c, s = self._clock(tau)
-        U = (np.multiply.outer(self.U0, c)
-             + np.multiply.outer(self.Y0, 2.0 * self.g * self.E * s))
-        return _component_last(np.concatenate([Y, U, np.asarray(t)[None]]))
-
-    def _clock(self, tau):
-        """(t, Y, c, s) at tau: the clock, Y = c Y0 + g s U0 as
-        component-major rows, shape (4,) + tau's shape, and c and s, which
-        U = c U0 + 2 g E s Y0 takes.  A single tau (0-d) takes
-        `_scalar_clock`, with float t, c and s, unless it declines; arrays,
-        and the taus it declines, take the array path, which is its test
-        oracle."""
+        view of their component-major (9, ...) block.  A single tau (0-d)
+        takes `_scalar_clock`, unless it declines; arrays, and the taus it
+        declines, take the array path (`_states` of this one flow), which
+        is its test oracle."""
         tau = np.asarray(tau, dtype=float)
         if tau.ndim == 0:
             clock = self._scalar_clock(float(tau))
             if clock is not None:
-                return clock
-        g = self.g
-        alpha, A, B, C = self._coeffs
-        z = alpha * tau * tau
-        c2, c3 = _stumpff(z)
-        c = 1.0 - z * c2
-        s = tau * (1.0 - z * c3)
-        # 2 tau^3 c3(4z), by the double-angle identity 4 c3(4z) = c2 + c3 - z c2 c3
-        S = 0.5 * tau * tau * tau * (c2 + c3 - z * c2 * c3)
-        t = 2.0 * g * (A * (tau - alpha * S) + B * s * s + C * S)
-        Y = np.multiply.outer(self.Y0, c) + np.multiply.outer(self.U0, g * s)
-        return t, Y, c, s
+                t, Y, c, s = clock
+                U = c * self.U0 + (2.0 * self.g * self.E * s) * self.Y0
+                return np.concatenate([Y, U, [t]])
+        block = _states(_columns([self]), tau.reshape(1, -1))
+        return _component_last(block.reshape((9,) + tau.shape))
 
     def _scalar_clock(self, tau):
-        """`_clock` at one tau in Python floats, with t, c and s floats: the
-        array path's operations in its order, and NumPy's own cos, sin,
-        cosh and sinh, so every bit agrees.  None, for the array path to
-        redo with its NaNs and warnings, unless |z| < _SCALAR_Z_MAX and t,
-        c and s are finite (a float overflows silently)."""
+        """`_clock` at one tau in Python floats, with t, c and s floats and
+        Y of shape (4,): the array path's operations in its order, and
+        NumPy's own cos, sin, cosh and sinh, so every bit agrees.  None,
+        for the array path to redo with its NaNs and warnings, unless
+        |z| < _SCALAR_Z_MAX and t, c and s are finite (a float overflows
+        silently)."""
         g = self.g
         alpha, A, B, C = self._coeffs
         z = alpha * tau * tau
@@ -448,25 +505,11 @@ class UnfoldResult:
 
     def tau_of(self, t):
         """Invert the time map on the sampled span (scalar or array); times
-        outside it clamp to the first or last tau.
-
-        Each time is bracketed between two sample nodes and the closed-form
-        clock is solved there by Newton's method (dt/dtau = 2 g |Y|^2),
-        safeguarded by bisection where Y = 0 flattens it, on all times at
-        once, until every last step is at most 1e-14 max(1, |tau|).
-        """
-        up = self.upstairs
-        nodes = up.states[:, 8]
-        target = np.clip(np.asarray(t, dtype=float), nodes[0], nodes[-1])
-        j = np.clip(np.searchsorted(nodes, target), 1, len(nodes) - 1)
-
-        def fdf(tau):
-            t, Y, _, _ = up._clock(tau)  # U is not needed
-            return t - target, 2.0 * up.g * _squared_norm(Y)
-
-        return _safeguarded_newton(fdf, up.times[j - 1], up.times[j],
-                                   np.interp(target, nodes, up.times),
-                                   _ROOT_TOL)
+        outside it clamp to the first or last tau.  The one-flow case of
+        `_invert_clocks`, with t as one row."""
+        t = np.asarray(t, dtype=float)
+        tau = _invert_clocks([self.upstairs], t.reshape(1, -1))
+        return tau.reshape(t.shape)[()]
 
     def to_csv(self, path):
         cols = (
@@ -560,8 +603,13 @@ def unfold_sweep(
     k: float = 1.0,
     n_samples: int = 512,
 ) -> Iterator[UnfoldResult]:
-    """Unfold `p0` at each gauge angle in turn and yield each result, with
-    its comparison against direct Kepler integration, as soon as it is done.
+    """Unfold `p0` at each gauge angle and yield the results in order, each
+    with its comparison against direct Kepler integration.
+
+    The gauges go in batches of _SWEEP_BATCH: the flows of a batch are
+    built, compared together in one pass (`_compare_downstairs`), and then
+    yielded.  A gauge whose flow cannot be built raises after the results
+    of the gauges before it.
 
     The direct leg does not depend on the gauge: it is integrated once,
     with the first gauge, over that gauge's physical-time span (cut short
@@ -571,18 +619,30 @@ def unfold_sweep(
     """
     cfg = config or IntegratorConfig()
     x0, v0 = _split_state(p0)
+    gauges = iter(gauges)
     leg = None
-    for gauge in gauges:
-        result = unfold_kepler(
-            p0, tau_end, scaling=scaling, gauge=gauge, config=cfg, k=k,
-            n_samples=n_samples, compare=False,
-        )
-        if leg is None:
-            leg = _direct_leg(x0, v0, float(result.ts[-1]), k, cfg,
-                              result.upstairs.collision_time())
-        yield dataclasses.replace(result,
-                                  divergence=_compare_downstairs(result, leg),
-                                  collision=leg[2], direct_leg=leg[3])
+    while True:
+        batch, error = [], None
+        try:
+            for gauge in itertools.islice(gauges, _SWEEP_BATCH):
+                batch.append(unfold_kepler(
+                    p0, tau_end, scaling=scaling, gauge=gauge, config=cfg,
+                    k=k, n_samples=n_samples, compare=False,
+                ))
+        except Exception as exc:  # noqa: BLE001 - raised after the gauges
+            error = exc             # before it are yielded
+        if batch:
+            if leg is None:
+                leg = _direct_leg(x0, v0, float(batch[0].ts[-1]), k, cfg,
+                                  batch[0].upstairs.collision_time())
+            for result, divergence in zip(batch,
+                                          _compare_downstairs(batch, leg)):
+                yield dataclasses.replace(result, divergence=divergence,
+                                          collision=leg[2], direct_leg=leg[3])
+        if error is not None:
+            raise error
+        if len(batch) < _SWEEP_BATCH:
+            return
 
 
 def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
@@ -623,29 +683,36 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     return None, 0.0, True, record, {}
 
 
-def _compare_downstairs(result, leg):
-    """Measure the divergence of the projected unfold from the direct leg
-    on a shared physical-time grid; the leg is evaluated once per grid."""
+def _compare_downstairs(results, leg):
+    """Measure the divergence of each projected unfold from the direct leg
+    on a physical-time grid it shares with the leg, all in one pass: the
+    clocks are inverted, and the flows evaluated and projected downstairs,
+    on one (G, _GRID_POINTS + 1) grid.  The leg is evaluated once per
+    grid."""
     direct, t_leg, collision, _, on_grid = leg
     if direct is None:
-        return {"compared": False, "collision": True, "t_compared": 0.0}
+        return [{"compared": False, "collision": True, "t_compared": 0.0}
+                for _ in results]
 
-    t_cmp = min(float(result.ts[-1]), t_leg)
-    grid = np.linspace(0.0, t_cmp, _GRID_POINTS + 1)
-    xs, vs = _downstairs(result.upstairs.eval(result.tau_of(grid)))
-    if t_cmp not in on_grid:
-        on_grid[t_cmp] = direct.eval(grid)
-    down = on_grid[t_cmp]
-    dx = np.linalg.norm(down[:, :3] - xs, axis=-1)
-    dv = np.linalg.norm(down[:, 3:6] - vs, axis=-1)
-    return {
+    flows = [result.upstairs for result in results]
+    t_cmp = [min(float(result.ts[-1]), t_leg) for result in results]
+    grids = np.array([np.linspace(0.0, t, _GRID_POINTS + 1) for t in t_cmp])
+    taus = _invert_clocks(flows, grids)
+    xs, vs = _downstairs(_component_last(_states(_columns(flows), taus)))
+    for t, grid in zip(t_cmp, grids):
+        if t not in on_grid:
+            on_grid[t] = direct.eval(grid)
+    down = np.array([on_grid[t] for t in t_cmp])
+    dx = np.max(np.linalg.norm(down[..., :3] - xs, axis=-1), axis=-1)
+    dv = np.max(np.linalg.norm(down[..., 3:6] - vs, axis=-1), axis=-1)
+    return [{
         "compared": True,
         "collision": collision,
-        "t_compared": float(t_cmp),
-        "n_points": int(len(grid)),
-        "max_position_divergence": float(np.max(dx)),
-        "max_velocity_divergence": float(np.max(dv)),
-    }
+        "t_compared": float(t),
+        "n_points": _GRID_POINTS + 1,
+        "max_position_divergence": float(x),
+        "max_velocity_divergence": float(v),
+    } for t, x, v in zip(t_cmp, dx, dv)]
 
 
 def kepler_period_from_unfold(result: UnfoldResult) -> dict:

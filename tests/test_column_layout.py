@@ -62,8 +62,8 @@ def _stumpff_rows(z):
 
 
 def _clock_rows(up, tau):
-    """The array path of `OscillatorFlow._clock`, with (..., 4) rows of Y
-    and c and s given a trailing axis."""
+    """The array path of `reduction._clock` on one flow, with (..., 4) rows
+    of Y and c and s given a trailing axis."""
     tau = np.asarray(tau, dtype=float)
     g = up.g
     alpha, A, B, C = up._coeffs

@@ -190,8 +190,8 @@ _HARD_TAUS = np.concatenate([
 
 
 def _outcomes(up):
-    """`_outcome` of eval, eval_and_deriv and _clock at each hard tau."""
-    calls = (lambda tau: (up.eval(tau),), up.eval_and_deriv, up._clock)
+    """`_outcome` of eval and eval_and_deriv at each hard tau."""
+    calls = (lambda tau: (up.eval(tau),), up.eval_and_deriv)
     return [_outcome(lambda: call(tau)) for call in calls for tau in _HARD_TAUS]
 
 

@@ -481,12 +481,12 @@ def _return_cases():
     o0 = np.array([1.0, 0.3, 0.5, 0.0, 0.0, 1.0, 0.0, -0.2])
     cases = {
         "dop853-two-frequency": (two, s0, None),
-        "dp5-oscillator": (integrate(osc, o0, 9.0), o0, None),
+        "dop853-oscillator": (integrate(osc, o0, 9.0), o0, None),
     }
     for orbit in ("circular", "e0.9"):
         p0 = _RETURN_ORBITS[orbit]
         a = 1.0 / (2.0 / np.linalg.norm(p0[:3]) - p0[3:] @ p0[3:])
-        cases[f"dp5-kepler-{orbit}"] = (
+        cases[f"dop853-kepler-{orbit}"] = (
             integrate(kepler_field(), p0, 1.2 * 2 * np.pi * a**1.5), p0, None)
         E = 0.5 * p0[3:] @ p0[3:] - 1.0 / np.linalg.norm(p0[:3])
         up = unfold_kepler(p0, 2.2 * 2 * np.pi / np.sqrt(-2 * E),
@@ -496,7 +496,7 @@ def _return_cases():
 
 
 @pytest.mark.parametrize("case", [
-    "dp5-kepler-circular", "dp5-kepler-e0.9", "dp5-oscillator",
+    "dop853-kepler-circular", "dop853-kepler-e0.9", "dop853-oscillator",
     "dop853-two-frequency", "flow-circular", "flow-e0.9",
 ])
 def test_return_time_scan_equals_the_node_loop(case):
@@ -507,7 +507,7 @@ def test_return_time_scan_equals_the_node_loop(case):
 
 
 @pytest.mark.parametrize("case", [
-    "dp5-kepler-circular", "dp5-kepler-e0.9", "dop853-two-frequency",
+    "dop853-kepler-circular", "dop853-kepler-e0.9", "dop853-two-frequency",
     "flow-circular", "flow-e0.9",
 ])
 def test_return_time_evaluates_the_flow_once_per_newton_iteration(
@@ -542,7 +542,7 @@ def test_return_time_evaluates_the_flow_once_per_newton_iteration(
     assert counts["iterations"] > 0
 
 
-@pytest.mark.parametrize("case", ["dp5-kepler-e0.9", "flow-e0.9"])
+@pytest.mark.parametrize("case", ["dop853-kepler-e0.9", "flow-e0.9"])
 def test_eval_and_deriv_equals_eval_and_deriv_bit_for_bit(case):
     traj = _return_cases()[case][0]
     nodes = traj.times

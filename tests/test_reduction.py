@@ -472,12 +472,15 @@ def _sweep_divergences(p0, tau_end):
 @pytest.mark.parametrize("orbit", sorted(_ORBITS))
 def test_sweep_evaluates_the_direct_leg_once_per_grid(monkeypatch, orbit):
     p0, tau_end = _ORBITS[orbit]
-    # each comparison as if the leg had not been evaluated before it
+    # each gauge compared alone, as if the leg had not been evaluated before
     compare = reduction._compare_downstairs
 
-    def afresh(result, leg):
-        leg[4].clear()
-        return compare(result, leg)
+    def afresh(results, leg):
+        divergences = []
+        for result in results:
+            leg[4].clear()
+            divergences += compare([result], leg)
+        return divergences
 
     monkeypatch.setattr(reduction, "_compare_downstairs", afresh)
     fresh = _sweep_divergences(p0, tau_end)
@@ -743,7 +746,7 @@ def test_unfold_projects_downstairs_only_what_is_read(monkeypatch, tmp_path):
     downstairs = reduction._downstairs
 
     def counting(chart):
-        projected.append(len(chart))
+        projected.append(chart.shape[:-1])
         return downstairs(chart)
 
     monkeypatch.setattr(reduction, "_downstairs", counting)
@@ -753,16 +756,17 @@ def test_unfold_projects_downstairs_only_what_is_read(monkeypatch, tmp_path):
     res.sidecar()
     assert projected == []
     xs = res.xs
-    assert projected == [513]
-    assert res.xs is xs and res.vs is res.vs and projected == [513]
+    assert projected == [(513,)]
+    assert res.xs is xs and res.vs is res.vs and projected == [(513,)]
 
-    # a sweep: once per gauge on the comparison grid, once per gauge for
-    # the CSV, and the cross-gauge divergence reads the CSV's projection
+    # a sweep: once for all 8 gauges on their comparison grids, then once
+    # per gauge for the CSV, and the cross-gauge divergence reads the CSV's
+    # projection
     projected.clear()
     assert main(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
                  "--lambda", "0..6.28:8", "--samples", "64",
                  "--out-dir", str(tmp_path)]) == 0
-    assert projected == [513, 65] * 8
+    assert projected == [(8, 513)] + [(65,)] * 8
 
 
 def test_unfold_through_collision():

@@ -72,12 +72,15 @@ def test_gradients_come_from_one_mechanism():
 # the one place each shared job is called from: the constant-structure
 # bracket arithmetic from the bracket table (`poisson_bracket` is a one-pair
 # table), the safeguarded Newton refinement from the up-crossing search
-# (`find_return_time`, `collision_time`) and from the clock inversion, and
-# the shared-value scope of the observables from the structure-constant
-# check, the only caller that evaluates many observables at one batch
+# (`find_return_time`, `collision_time`) and from the clock inversion, the
+# clock inversion from `tau_of` (one flow) and the sweep's comparison (a
+# batch), and the shared-value scope of the observables from the
+# structure-constant check, the only caller that evaluates many observables
+# at one batch
 _SINGLE_PATHS = {
     "_contract": {("_table_brackets",)},
-    "_safeguarded_newton": {("_up_crossings",), ("UnfoldResult", "tau_of")},
+    "_safeguarded_newton": {("_up_crossings",), ("_invert_clocks",)},
+    "_invert_clocks": {("UnfoldResult", "tau_of"), ("_compare_downstairs",)},
     "_shared_values": {("verify_structure_constants",)},
 }
 
