@@ -2,12 +2,13 @@
 
 Each case runs one `ksunfold` invocation through `cli.main` (or one script
 as its own process, as tests/test_scripts.py does) in an empty directory,
-and compares the SHA-256 digest of each file it wrote, of its stdout and of
-its exit code against the table in golden_digests.json.  A JSON file is
-hashed without its `wall_time_s` line, the one value that differs between
-runs.  A change that means to move an output updates the table in the same
-commit and names each moved file, and why, in CHANGES.md; a failing case
-prints its new entry.
+and compares the SHA-256 digest of each file it wrote, of its stdout (and
+of its stderr, where an invocation writes one) and of its exit code against
+the table in golden_digests.json.  A JSON file is hashed without its
+`wall_time_s` line, the one value that differs between runs.  A change
+that means to move an output updates the table in the same commit and
+names each moved file, and why, in CHANGES.md; a failing case prints its
+new entry.
 
 The bits depend on the NumPy build and its BLAS (OpenBLAS's dgemv does not
 sum left to right), so the table holds for the stack recorded next to it
@@ -48,6 +49,18 @@ COMMANDS = {
     "sweep-collision-rotated": ["unfold", "--x", "0,0,-1", "--v", "0,0,0.5",
                                 "--tau-end", "6.0", *SWEEP,
                                 "--prefix", "collision_rot"],
+    # 11 gauges: the sweep's maximum spans two of unfold_sweep's batches
+    "sweep-two-batches": ["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
+                          "--lambda", "0..6.28:11", "--prefix", "two_batches"],
+    # a hyperbolic orbit (E = 0.28), with each energy scaling
+    "unfold-hyperbolic": ["unfold", "--x", "1,0,0", "--v", "0,1.6,0",
+                          "--tau-end", "2", "--prefix", "hyperbolic"],
+    "unfold-hyperbolic-gyorgyi": ["unfold", "--x", "1,0,0", "--v", "0,1.6,0",
+                                  "--tau-end", "2", "--scaling", "gyorgyi",
+                                  "--prefix", "hyperbolic_gyorgyi"],
+    # flags read from CONFIG_FILE, one of them overridden on the line
+    "unfold-config-file": ["unfold", "--config", "unfold.cfg",
+                           "--prefix", "config"],
     "unfold-k2": ["unfold", "--x", "1,0,0", "--v", "0,1.2,0", "--k", "2",
                   "--prefix", "k2"],
     "unfold-single-gauge": ["unfold", "--x", "1,0,0", "--v", "0,0.9,0.2",
@@ -71,11 +84,25 @@ COMMANDS = {
                                 "--prefix", "radial_angular"],
     "simulate-calogero": ["simulate", "--system", "calogero", "--q", "0,1",
                           "--qd", "0.2,-0.1", "--l", "0.7", "--t-end", "2"],
+    # a radial orbit into the centre: the step underflows, exit 3
+    "simulate-kepler-fails": ["simulate", "--system", "kepler", "--x", "1,0,0",
+                              "--v=-0.5,0,0", "--t-end", "5"],
     "demo-radial": ["demo", "radial"],
     "demo-calogero": ["demo", "calogero"],
     **{f"verify-{suite}": ["verify", "--suite", suite, "--out",
                            f"{suite}.json"] for suite in SUITES},
 }
+
+# the config file that every case's working directory holds, as unfold.cfg
+CONFIG_FILE = """\
+# an inclined eccentric orbit at three gauges
+x = 1,0,0
+v = 0,0.7,0.3
+lambda = 0..3:3
+rel-tol = 1e-10
+samples = 64
+prefix = overridden
+"""
 
 # case: argv of a script in scripts/, run with the output directory "out"
 SCRIPTS = {
@@ -102,10 +129,13 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _outputs(code, stdout: str, out_dir) -> dict:
-    """The exit code, and the digests of stdout and of every file under
-    `out_dir`; a JSON file's `wall_time_s` line is left out."""
+def _outputs(code, stdout: str, out_dir, stderr: str = "") -> dict:
+    """The exit code, and the digests of stdout, of stderr if it is not
+    empty and of every file under `out_dir`; a JSON file's `wall_time_s`
+    line is left out."""
     found = {"exit code": code, "stdout": _digest(stdout.encode())}
+    if stderr:
+        found["stderr"] = _digest(stderr.encode())
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:
             data = fh.read()
@@ -128,15 +158,18 @@ def run_case(case, workdir) -> dict:
             [sys.executable, os.path.join(ROOT, "scripts", name), *args],
             capture_output=True, text=True, env=env, cwd=workdir, timeout=300)
         return _outputs(proc.returncode, proc.stdout, out_dir)
+    with open(os.path.join(workdir, "unfold.cfg"), "w") as fh:
+        fh.write(CONFIG_FILE)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             code = main([*COMMANDS[case], "--out-dir", "out"])
     finally:
         os.chdir(cwd)
-    return _outputs(code, stdout.getvalue(), out_dir)
+    return _outputs(code, stdout.getvalue(), out_dir, stderr.getvalue())
 
 
 @pytest.mark.parametrize("case", [*COMMANDS, *SCRIPTS])
