@@ -347,12 +347,14 @@ def cmd_unfold(cfg: dict) -> int:
     out = _out_dir(cfg)
     prefix = cfg.get("prefix", "unfold")
 
-    results = []
     sweep = unfold_sweep(
         np.concatenate([x, v]), tau_end, gauges, scaling=scaling,
         config=_integrator_config(cfg), k=k,
         n_samples=cfg.get("samples", 512),
     )
+    # keep no finished gauge: fold each later one's largest distance to the
+    # first gauge's (x, v), on rows where both are finite, into a maximum
+    first, cross = None, 0.0
     start = time.perf_counter()
     try:
         for i, (lam, res) in enumerate(zip(gauges, sweep)):
@@ -365,21 +367,19 @@ def cmd_unfold(cfg: dict) -> int:
             summary["wall_time_s"] = wall
             summary["config"] = _echo({**cfg.raw, "lam": lam})
             write_json(os.path.join(out, f"{stem}.json"), summary)
-            results.append(res)
+            table = np.concatenate([res.xs, res.vs], axis=1)
+            if first is None:
+                first = table
+            else:
+                good = np.all(np.isfinite(first) & np.isfinite(table), axis=1)
+                cross = max(cross, float(np.max(
+                    np.linalg.norm(first[good] - table[good], axis=1))))
             print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
             start = time.perf_counter()
     except HorizonError as exc:
         raise ConfigError(f"--tau-end: {exc}") from None
 
-    if len(results) > 1:
-        cross = 0.0
-        base = np.concatenate([results[0].xs, results[0].vs], axis=1)
-        for res in results[1:]:
-            other = np.concatenate([res.xs, res.vs], axis=1)
-            good = np.all(np.isfinite(base) & np.isfinite(other), axis=1)
-            cross = max(cross, float(np.max(
-                np.linalg.norm(base[good] - other[good], axis=1)
-            )))
+    if len(gauges) > 1:
         sweep = {
             "lambdas": [float(g) for g in gauges],
             "max_downstairs_divergence": cross,

@@ -268,7 +268,7 @@ def _columns(flows) -> _Columns:
 def _clock(cols, tau):
     """(t, Y, c, s) at (G, m) taus, row i on flow i of `cols`: the clock,
     Y = c Y0 + g s U0 as component-major rows, shape (4, G, m), and c and
-    s, which U = c U0 + 2 g E s Y0 takes.  One flow is the case G = 1."""
+    s, which U = c U0 + 2 g E s Y0 takes.  One flow (G = 1) has floats."""
     g, alpha, A, B, C = cols.g, cols.alpha, cols.A, cols.B, cols.C
     z = alpha * tau * tau
     c2, c3 = _stumpff(z)
@@ -648,14 +648,14 @@ def unfold_sweep(
 def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     """Integrate Kepler directly over [0, t_total], or over 95% of
     t_collision when the closed form has located a collision; after any
-    failure retry up to 95% of the time reached.  Returns (trajectory or
-    None, time reached, whether a collision cut the leg short, record,
-    its values on each comparison grid by the grid's end, which
-    `_compare_downstairs` fills).  The record holds where the horizon came
-    from, the number of attempts, the counts of the integration the
-    comparison uses and, when attempts failed, their summed counts
-    (`failed_rhs_evals`, `failed_rejected_steps`,
-    `failed_domain_retries`)."""
+    failure retry up to 95% of the time reached (0 for a start the field
+    refuses, a DomainError).  Returns (trajectory or None, time reached,
+    whether a collision cut the leg short, record, its values on each
+    comparison grid by the grid's end, which `_compare_downstairs`
+    fills).  The record holds where the horizon came from, the number of
+    attempts, the counts of the integration the comparison uses and, when
+    attempts failed, their summed counts (`failed_rhs_evals`,
+    `failed_rejected_steps`, `failed_domain_retries`)."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
     collision = t_collision is not None
@@ -668,13 +668,12 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
         try:
             # nothing reads the leg's monitors
             traj = integrate(kepler, s0, t_cmp, config=cfg, monitors=())
-        except IntegrationError as exc:
-            for key, count in exc.stats.items():
+        except (IntegrationError, DomainError) as exc:
+            for key, count in getattr(exc, "stats", {}).items():
                 failed = f"failed_{key}"
                 record[failed] = record.get(failed, 0) + count
             collision = True
-            reached = exc.t if exc.t is not None else 0.0
-            t_cmp = 0.95 * reached
+            t_cmp = 0.95 * (getattr(exc, "t", None) or 0.0)
             continue
         record.update(rhs_evals=traj.stats["rhs_evals"],
                       accepted_steps=len(traj.times) - 1,

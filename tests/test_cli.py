@@ -420,6 +420,49 @@ def test_collision_gauge_sweep_agrees_downstairs(tmp_path):
     assert sweep["max_downstairs_divergence"] < 1e-8
 
 
+def test_unfold_keeps_no_finished_gauge(tmp_path, monkeypatch):
+    # 20 gauges span three of unfold_sweep's batches; a command that kept
+    # its results would hold 19 when the last one is yielded
+    import gc
+    import weakref
+
+    import ksunfold.cli as cli
+
+    unfold_sweep, finished, alive = cli.unfold_sweep, [], []
+
+    def watched(*args, **kwargs):
+        for res in unfold_sweep(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in finished))
+            finished.append(weakref.ref(res))
+            yield res
+
+    monkeypatch.setattr(cli, "unfold_sweep", watched)
+    assert run(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
+                "--lambda", "0..6.28:20", "--out-dir", str(tmp_path)]) == 0
+    assert len(alive) == 20
+    assert max(alive) <= 2
+    assert _read_json(tmp_path / "unfold_sweep.json")[
+        "max_downstairs_divergence"] < 1e-8
+
+
+def test_unfold_of_a_start_inside_r_min_is_written_uncompared(
+        tmp_path, capsys):
+    # the direct leg's field refuses |x| < r_min = 1e-12 at its start; the
+    # closed form does not, so the unfold is written and reports no
+    # comparison
+    code = run(["unfold", "--x", "1e-13,0,0", "--v", "0,0,0",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    side = _read_json(tmp_path / "unfold.json")
+    assert side["divergence"] == {"compared": False, "collision": True,
+                                  "t_compared": 0.0}
+    assert side["direct_leg"] == {"horizon": "collision", "attempts": 1}
+    assert side["collision_regularized"]
+    assert (tmp_path / "unfold.csv").exists()
+
+
 def test_simulate_sidecar_reports_integrator_counts(tmp_path):
     code = run(_KEPLER + ["--t-end", "6.2832", "--out-dir", str(tmp_path)])
     assert code == 0

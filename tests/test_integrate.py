@@ -30,7 +30,8 @@ from ksunfold import (
     unfold_kepler,
 )
 from ksunfold.integrate import (
-    _A8, _DOP853_POWERS, _monitor_values, _safeguarded_newton,
+    _A8, _DOP853_POWERS, _ROOT_MAX_ITER, _initial_step, _monitor_values,
+    _safeguarded_newton,
 )
 from ksunfold.output import _CSV_BLOCK
 from ksunfold.reduction import OscillatorFlow, UnfoldResult
@@ -1502,3 +1503,43 @@ def test_finite_failure_does_not_mention_non_finite_values():
     with pytest.raises(IntegrationError) as exc:
         integrate(kepler_field(), np.array([1.0, 0, 0, -0.5, 0, 0]), 3.0)
     assert "inf or NaN" not in str(exc.value)
+
+
+def test_root_search_that_never_settles_returns_its_last_iterate():
+    # f' = 0 everywhere, so every iteration bisects; from a bracket of
+    # +-1e300 the steps stay far above tol for all _ROOT_MAX_ITER of them,
+    # and the search stops there with its last iterate and no warning
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return x - 1.0, np.zeros_like(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = _safeguarded_newton(fdf, np.float64(-1e300), np.float64(1e300),
+                                   0.0, 1e-14)
+    assert len(calls) == _ROOT_MAX_ITER == 64
+    assert root == 5.4210108624275225e280
+
+
+def _refused_past_the_start(s):
+    # ds/dt = 1, with every state past s = 0 outside the field's domain
+    if s[0] > 0.0:
+        raise DomainError(f"s = {s[0]:g} > 0")
+    return np.ones_like(s)
+
+
+def test_initial_step_falls_back_when_its_probe_is_refused():
+    # the probe state y0 + h0 f0 raises, so the step is h0 * 1e-3, with
+    # h0 = 1e-6 for a zero start
+    cfg = IntegratorConfig()
+    assert _initial_step(_refused_past_the_start, np.zeros(1), np.ones(1),
+                         1.0, cfg) == (1e-09, True)
+    with pytest.raises(IntegrationError) as exc:
+        integrate(DynamicalSystem("refused", 1, rhs=_refused_past_the_start),
+                  np.zeros(1), 1.0, config=cfg)
+    # the probe's refusal is the first of the domain retries
+    assert exc.value.stats["domain_retries"] == 20
+    assert exc.value.t == 0.0
+    assert "domain error persisted" in str(exc.value)

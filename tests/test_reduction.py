@@ -594,6 +594,22 @@ def test_direct_leg_record_counts_the_failed_attempt_dop853():
         {"rhs_evals": 614, "accepted_steps": 24, "rejected_steps": 21})
 
 
+def test_direct_leg_counts_a_refused_start_as_a_failed_attempt():
+    # |x| = 1e-13 lies inside the field's r_min = 1e-12, so the leg's first
+    # rhs call raises DomainError at t = 0; the closed form still unfolds
+    # the orbit, and the leg gives up after that one attempt
+    p0 = (1e-13, 0, 0, 0, 0, 0)
+    res = unfold_kepler(p0, 2 * np.pi / np.sqrt(2e13))
+    assert res.collision
+    assert res.divergence == {"compared": False, "collision": True,
+                              "t_compared": 0.0}
+    assert res.sidecar()["direct_leg"] == {"horizon": "collision",
+                                           "attempts": 1}
+    # the projected start is the start, to rounding of |x| = 1e-13
+    assert np.linalg.norm(res.xs[0] - p0[:3]) < 1e-15 * 1e-13
+    assert np.isfinite(res.ts).all()
+
+
 @pytest.mark.parametrize("orbit, record", [
     ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 842,
                   "accepted_steps": 56, "rejected_steps": 0}),
