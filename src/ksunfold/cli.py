@@ -353,7 +353,8 @@ def cmd_unfold(cfg: dict) -> int:
         n_samples=cfg.get("samples", 512),
     )
     # keep no finished gauge: fold each later one's largest distance to the
-    # first gauge's (x, v), on rows where both are finite, into a maximum
+    # first gauge's (x, v), on rows where both are finite, into a maximum;
+    # the rows of inf - inf next to a collision are NaN and not taken
     first, cross = None, 0.0
     start = time.perf_counter()
     try:
@@ -371,9 +372,10 @@ def cmd_unfold(cfg: dict) -> int:
             if first is None:
                 first = table
             else:
+                with np.errstate(invalid="ignore"):
+                    dist = np.linalg.norm(first - table, axis=1)
                 good = np.all(np.isfinite(first) & np.isfinite(table), axis=1)
-                cross = max(cross, float(np.max(
-                    np.linalg.norm(first[good] - table[good], axis=1))))
+                cross = float(np.max(dist, where=good, initial=cross))
             print(f"wrote {csv_path} (lambda={lam:.6g}, E={res.E:.6g})")
             start = time.perf_counter()
     except HorizonError as exc:

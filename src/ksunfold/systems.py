@@ -283,11 +283,6 @@ def _positive_count(name: str, value) -> int:
     return n
 
 
-# np.power's exponent as a 0-d array: the SIMD loop and the bits of the
-# scalar 3.0, without converting a Python float on each call
-_THREE = np.array(3.0)
-
-
 def _split4(s):
     return s[..., :4], s[..., 4:8]
 
@@ -311,22 +306,22 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     `integrate`'s step loop calls on each stage: `stage(y, h, d)` forms
     the stage state y + h d of six Python floats and returns it with its
     rhs, as two lists, or None.  The rhs itself is the array expression,
-    for one state or a batch, whose bits `stage` gives."""
+    for one state or a batch, whose bits `stage` gives; both form r^3 as
+    r^2 * r, one rounding from the r^2 already summed."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
 
     def stage(y, h, d):
         # In Python floats with NumPy's roundings: each component of
-        # y + h * d is rounded twice, as in the array expression, r's sum
+        # y + h * d is rounded twice, as in the array expression, r^2's sum
         # runs left to right, as np.add.reduce does for three terms, sqrt
-        # is correctly rounded in both, and r^3 is np.power's own (its SIMD
-        # loop differs from math.pow and from r*r*r).  Only where nothing
-        # below can overflow or become 0: with 1e-100 < r < 1e100, r^3
-        # lies in (1e-300, 1e300) and |k x_i / r^3| <= |k| / r^2 < 1e300
-        # for |k| <= 1e100.  Every other stage state (r < r_min, a NaN or
-        # infinite component, ...) returns None: the loop forms it in
-        # NumPy, with its warnings, and the array expression in `rhs`
-        # raises or warns.
+        # is correctly rounded in both, and r^3 is the one product r^2 * r
+        # in both.  Only where nothing below can overflow or become 0: with
+        # 1e-100 < r < 1e100, r^3 lies in (1e-300, 1e300) and
+        # |k x_i / r^3| <= |k| / r^2 < 1e300 for |k| <= 1e100.  Every other
+        # stage state (r < r_min, a NaN or infinite component, ...) returns
+        # None: the loop forms it in NumPy, with its warnings, and the
+        # array expression in `rhs` raises or warns.
         y0, y1, y2, y3, y4, y5 = y
         d0, d1, d2, d3, d4, d5 = d
         x0 = y0 + h * d0
@@ -335,9 +330,10 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         v0 = y3 + h * d3
         v1 = y4 + h * d4
         v2 = y5 + h * d5
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        r2 = x0 * x0 + x1 * x1 + x2 * x2
+        r = math.sqrt(r2)
         if 1e-100 < r < 1e100 and r >= r_min and math.isfinite(v0 + v1 + v2):
-            r3 = float(np.power(r, _THREE))
+            r3 = r2 * r
             return ([x0, x1, x2, v0, v1, v2],
                     [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3])
         return None
@@ -345,13 +341,14 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     def rhs(s):
         s = np.asarray(s, dtype=float)
         x = s[..., :3]
-        r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own body
+        r2 = np.add.reduce(x * x, axis=-1)
+        r = np.sqrt(r2)  # np.linalg.norm's own body
         below = r < r_min
         # .any() goes through NumPy's Python-level _methods; one state
         # needs only the comparison
         if below.any() if s.ndim > 1 else below:
             raise DomainError(f"kepler rhs: r < r_min = {r_min:g}", state=s)
-        acc = -k * x / r[..., None] ** 3
+        acc = -k * x / (r2 * r)[..., None]
         return np.concatenate((s[..., 3:6], acc), axis=-1)
 
     if abs(k) <= 1e100:

@@ -446,6 +446,38 @@ def test_unfold_keeps_no_finished_gauge(tmp_path, monkeypatch):
         "max_downstairs_divergence"] < 1e-8
 
 
+def test_unfold_sweep_divergence_leaves_out_non_finite_rows(
+        tmp_path, monkeypatch, capsys):
+    # rows of inf or NaN, as next to a collision, are left out of the
+    # cross-gauge maximum without a warning, inf - inf included
+    import ksunfold.cli as cli
+
+    unfold_sweep, tables = cli.unfold_sweep, []
+
+    def spoiled(*args, **kwargs):
+        for i, res in enumerate(unfold_sweep(*args, **kwargs)):
+            res.xs[5, 0] = np.inf
+            res.vs[9 + i, 1] = np.nan
+            res.xs[20 * i, 2] = -np.inf
+            tables.append(np.concatenate([res.xs, res.vs], axis=1))
+            yield res
+
+    monkeypatch.setattr(cli, "unfold_sweep", spoiled)
+    assert run(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
+                "--lambda", "0..3:3", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    first, *later = tables
+    want = 0.0
+    for table in later:
+        good = np.all(np.isfinite(first) & np.isfinite(table), axis=1)
+        assert good.sum() == len(good) - 5
+        want = max(want, float(np.max(
+            np.linalg.norm(first[good] - table[good], axis=1))))
+    assert 0.0 < want < 1e-8
+    assert _read_json(tmp_path / "unfold_sweep.json")[
+        "max_downstairs_divergence"] == want
+
+
 def test_unfold_of_a_start_inside_r_min_is_written_uncompared(
         tmp_path, capsys):
     # the direct leg's field refuses |x| < r_min = 1e-12 at its start; the
