@@ -31,6 +31,7 @@ to the span when that is short.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -476,6 +477,10 @@ def integrate(
     retries = int(probe_failed)
     K = np.empty((1 + len(_STAGES) + len(_EXTRA), y0.size))
     K[0] = k0
+    # a kernel's rhs goes into its row of K (row i at byte i * row_bytes)
+    # by one pack_into on a byte view
+    pack = struct.Struct(f"{y0.size}d").pack_into
+    row_bytes, K_bytes = 8 * y0.size, memoryview(K).cast("B")
     K13 = K[:13]  # the stages the error estimate combines
     # each stage row with the view of K it combines; views stay current
     stages = [(i, row, K[:i]) for i, row in enumerate(_STAGES, 1)]
@@ -523,7 +528,8 @@ def integrate(
                     y_new = states[n] + h_step * d
                     K[i] = f(y_new)
                 else:
-                    y_new, K[i] = out
+                    y_new, k_i = out
+                    pack(K_bytes, i * row_bytes, *k_i)
             if out is None:  # the last stage state is the new state
                 y_new = y_new.tolist()
             abs_new = list(map(abs, y_new))
@@ -541,7 +547,13 @@ def integrate(
                 for i, row, Ki in extra:
                     d = row.dot(Ki)
                     out = kernel(y, h_step, d.tolist())
-                    K[i] = f(states[n] + h_step * d) if out is None else out[1]
+                    if out is None:
+                        K[i] = f(states[n] + h_step * d)
+                    else:
+                        pack(K_bytes, i * row_bytes, *out[1])
+        except struct.error as exc:  # another length, or an item no float
+            raise ValueError(f"stage kernel output is not a sequence of "
+                             f"{y0.size} floats: {exc}") from None
         except DomainError as exc:
             nfev += i
             retries += 1

@@ -310,6 +310,9 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     r^2 * r, one rounding from the r^2 already summed."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
+    # bound once: the kernel reads them as closure cells, not as globals
+    # and attributes; (-k) * x0 is what -k * x0 parses to
+    sqrt, isfinite, neg_k = math.sqrt, math.isfinite, -k
 
     def stage(y, h, d):
         # In Python floats with NumPy's roundings: each component of
@@ -331,11 +334,12 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         v1 = y4 + h * d4
         v2 = y5 + h * d5
         r2 = x0 * x0 + x1 * x1 + x2 * x2
-        r = math.sqrt(r2)
-        if 1e-100 < r < 1e100 and r >= r_min and math.isfinite(v0 + v1 + v2):
+        r = sqrt(r2)
+        if 1e-100 < r < 1e100 and r >= r_min and isfinite(v0 + v1 + v2):
             r3 = r2 * r
             return ([x0, x1, x2, v0, v1, v2],
-                    [v0, v1, v2, -k * x0 / r3, -k * x1 / r3, -k * x2 / r3])
+                    [v0, v1, v2, neg_k * x0 / r3, neg_k * x1 / r3,
+                     neg_k * x2 / r3])
         return None
 
     def rhs(s):
@@ -686,7 +690,9 @@ def rescaled_runge_lenz(i: int, sign: int, k: float = 1.0) -> Observable:
 
 @functools.cache
 def _energy_rescaling(sign: int, k: float) -> Observable:
-    """1/sqrt(2 sign E) of the chart energy, one node that all Qhat_i share."""
+    """1/sqrt(2 sign E) of the chart energy, one node that all Qhat_i share;
+    its gradient reads the node's own value, so a shared-value scope takes
+    one square root per state batch."""
 
     def scale(E):
         arg = 2.0 * sign * E
@@ -696,10 +702,12 @@ def _energy_rescaling(sign: int, k: float) -> Observable:
             )
         return 1.0 / np.sqrt(arg)
 
-    def d_scale(E):
-        return -sign * scale(E) ** 3
-
-    return observables(k)["chart_energy"].compose(scale, d_scale)
+    energy = observables(k)["chart_energy"]
+    # d/dE of 1/sqrt(2 sign E) is -sign times the node's own value cubed
+    node = energy._derived(
+        f"scale({energy.name})", lambda s: scale(energy.fn(s)),
+        lambda s: (-sign * node.fn(s) ** 3)[..., None] * energy.grad(s))
+    return node
 
 
 OBSERVABLES: Mapping[str, Observable] = observables(1.0)

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, outputs, determinism, config files."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -46,6 +49,30 @@ def test_simulate_kepler_ten_periods_energy_drift(tmp_path):
     assert code == 0
     summary = _read_json(tmp_path / "kepler.json")
     assert summary["energy_drift"] < 1e-9
+
+
+def test_step_counts_of_the_benchmark_simulations(monkeypatch, tmp_path):
+    # the three simulate-direct orbits of the benchmark at seed 7 (e = 0,
+    # 0.6, 0.9): a step or rhs call more or less fails here, not only in
+    # the benchmark; 12 rhs calls per attempt and 2 to start, with no
+    # dense output
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    calls = workloads.build("simulate-direct", 7, str(tmp_path))
+    counts = []
+    for call in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(call.argv)) == 0
+        summary = _read_json(call.files()[1])
+        counts.append(tuple(summary[key] for key in (
+            "accepted_steps", "rejected_steps", "rhs_evals",
+            "domain_retries")))
+    assert [call.label for call in calls] == ["sim_e0", "sim_e0.6",
+                                              "sim_e0.9"]
+    assert counts == [(355, 0, 4262, 0), (557, 170, 8726, 0),
+                      (982, 306, 15458, 0)]
 
 
 def test_simulate_oscillator(tmp_path):

@@ -1192,6 +1192,76 @@ def test_float_route_collision_failure_matches_oracle(r_min):
     assert (new.value.stats["domain_retries"] > 0) == (r_min > 1e-12)
 
 
+def _wrapped_kepler(stage):
+    """kepler_field's array rhs, counted, with the kernel `stage`, which
+    gets the rhs's own kernel as its first argument."""
+    rhs = kepler_field().rhs
+    counted = Counted(rhs)
+    counted.stage = functools.partial(stage, rhs.stage)
+    return DynamicalSystem("kepler", 6, rhs=counted)
+
+
+def _assert_kernel_matches_oracle(stage, s0, cfg):
+    system = _wrapped_kepler(stage)
+    traj = integrate(system, s0, 4 * np.pi, config=cfg)
+    times, states, dense, stats = integrate_oracle(_kepler_rhs_oracle, s0,
+                                                   4 * np.pi, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert (traj.dense is dense is None
+            or np.array_equal(traj.dense, dense))
+    assert traj.stats == stats
+    return system.rhs.calls
+
+
+@pytest.mark.parametrize("form", [tuple, np.array], ids=["tuple", "ndarray"])
+def test_kernel_rhs_of_any_sequence_type_matches_oracle(form):
+    # the loop stores a kernel's rhs row from any sequence of six floats
+    def stage(own, y, h, d):
+        out = own(y, h, d)
+        return None if out is None else (out[0], form(out[1]))
+
+    calls = _assert_kernel_matches_oracle(stage, _apocentre(1.0, 0.6),
+                                          IntegratorConfig(rel_tol=1e-11))
+    assert calls == 2  # k0 and the step-size probe
+
+
+@pytest.mark.parametrize("bad_row", [
+    lambda k: (k + k)[:5], lambda k: (k + k)[:7],
+    lambda k: k[:-1] + [None], lambda k: k[:-1] + ["1.0"],
+], ids=["length-5", "length-7", "item-None", "item-str"])
+def test_kernel_rhs_not_of_six_floats_raises_value_error(bad_row):
+    # the first stage of the first attempt raises: no state is accepted
+    lengths = []
+
+    def stage(own, y, h, d):
+        state, k = own(y, h, d)
+        lengths.append(len(k))
+        return state, bad_row(k)
+
+    system = _wrapped_kepler(stage)
+    with pytest.raises(ValueError, match="stage kernel output is not a "
+                                         "sequence of 6 floats"):
+        integrate(system, _apocentre(1.0, 0.6), 2 * np.pi)
+    assert lengths == [6]
+
+
+@pytest.mark.parametrize("dense_output", [True, False])
+def test_kernel_declining_every_third_call_matches_oracle(dense_output):
+    # any three calls in a row hold one declined stage, so every attempt
+    # mixes stored rows with rows formed in NumPy, and each accepted step's
+    # dense stages 13-15 hold one declined stage and two stored rows
+    verdicts = []
+
+    def stage(own, y, h, d):
+        verdicts.append(len(verdicts) % 3 != 2)
+        return own(y, h, d) if verdicts[-1] else None
+
+    cfg = IntegratorConfig(rel_tol=1e-11, dense_output=dense_output)
+    calls = _assert_kernel_matches_oracle(stage, _apocentre(1.0, 0.9), cfg)
+    assert calls == 2 + verdicts.count(False) == 2 + len(verdicts) // 3
+
+
 def _run_with_warnings(fn):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

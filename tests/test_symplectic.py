@@ -863,13 +863,13 @@ def test_each_quadratic_leaf_evaluated_once_per_state_batch(suite, monkeypatch):
 
 
 def test_rescaled_family_shares_one_energy_rescaling(monkeypatch):
-    # per half: the shared 1/sqrt(2 sign E) once, and once in each of the
-    # three Qhat gradients (gradients are not shared); 12 with one rescaling
-    # per Qhat_i
+    # per half: the shared 1/sqrt(2 sign E) once, which the three Qhat
+    # gradients read too (gradients are not shared, but the rescaling's
+    # gradient reads its own shared value); 12 with one rescaling per Qhat_i
     counter = _NumpyCalls("sqrt")
     monkeypatch.setattr(systems, "np", counter)
     assert run_suite("rescaled-so4", samples=200, seed=5)["pass"]
-    assert len(counter.calls) == 8
+    assert len(counter.calls) == 2
 
 
 def test_shared_values_are_read_only_and_end_with_the_scope():
