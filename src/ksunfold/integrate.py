@@ -13,8 +13,9 @@ The loop does a step's elementwise work in Python floats and keeps in
 NumPy what fixes the bits: the BLAS dots (each stage's a . K) and the error
 norm's dots.  An rhs with a fused stage kernel (`rhs.stage`, as the Kepler
 field's has) forms each stage state y + h (a . K) and its rhs in one call,
-in floats with the same roundings; any other rhs, and a stage the kernel
-declines, is called on the array expression.  The accepted
+in floats with the same roundings, and writes the rhs into its row of K
+itself; any other rhs, and a stage the kernel declines, is called on the
+array expression.  The accepted
 steps' stage rows are kept, and the dense output is formed from them 256
 steps at a time, in batched products that give each step's own bits.
 Every trajectory is the one the array loop (kept in the tests as their
@@ -31,7 +32,6 @@ to the span when that is short.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -191,7 +191,7 @@ def _error_norm(K13, h, scale):
     return float(h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size))
 
 
-def _declines(y, h, d):
+def _declines(y, h, d, row):
     """The stage kernel of an rhs without one: every stage state is formed
     in NumPy and passed to the rhs."""
     return None
@@ -399,16 +399,30 @@ def _monitor_values(system, monitors, states):
     return out
 
 
+def _rms(z):
+    """sqrt(mean(z^2)), with NumPy's bits and warnings, except where z is
+    finite and its squares overflow: there m sqrt(mean((z / m)^2)) with
+    m = max |z|, which does not."""
+    if not np.isfinite(z).all():
+        return np.sqrt(np.mean(z ** 2))
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(z ** 2))
+    if rms < math.inf:
+        return rms
+    m = np.max(np.abs(z))
+    return m * np.sqrt(np.mean((z / m) ** 2))
+
+
 def _initial_step(f, y0, f0, t_end, cfg):
     """Hairer-Norsett-Wanner starting-step heuristic, clipped to the span;
     returns the step and whether its rhs probe raised DomainError."""
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     try:
         f1 = f(y0 + h0 * f0)
-        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+        d2 = _rms((f1 - f0) / scale) / h0
     except DomainError:
         return min(h0 * 1e-3, t_end), True
     if max(d1, d2) <= 1e-15:
@@ -441,13 +455,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate ds/dt = rhs(s) from t0 to t_end with DOP853.
 
-    Where the rhs has a fused stage kernel, `rhs.stage(y, h, d)` (as
+    Where the rhs has a fused stage kernel, `rhs.stage(y, h, d, row)` (as
     `kepler_field`'s does), each stage calls it with the step's base state
-    y and the stage dot d = a . K as lists of floats and the step h; it
-    returns the stage state y + h d, with NumPy's roundings, and its rhs,
-    as two lists, or None to decline.  A kernel declines every stage state
-    that holds inf or NaN.  A declined stage state is formed in NumPy, with
-    its warnings, and passed to the rhs.  Any other rhs is called on every
+    y as a sequence of floats, the step h, the stage dot d = a . K as a
+    buffer of dim floats, valid only during the call, and row, a writable
+    byte view of the stage's row of K.  It packs the rhs of the stage
+    state y + h d, formed with NumPy's roundings, into row and returns
+    that state as a sequence of floats, or returns None, having written
+    nothing, to decline.  A kernel declines every stage state that holds
+    inf or NaN.  A declined stage state is formed in NumPy, with its
+    warnings, and passed to the rhs.  Any other rhs is called on every
     array stage state, so a wrapper (a tracer, a counter) sees every call.
     The route is chosen once per call.  Each value is the one the array
     loop gives."""
@@ -477,16 +494,18 @@ def integrate(
     retries = int(probe_failed)
     K = np.empty((1 + len(_STAGES) + len(_EXTRA), y0.size))
     K[0] = k0
-    # a kernel's rhs goes into its row of K (row i at byte i * row_bytes)
-    # by one pack_into on a byte view
-    pack = struct.Struct(f"{y0.size}d").pack_into
-    row_bytes, K_bytes = 8 * y0.size, memoryview(K).cast("B")
     K13 = K[:13]  # the stages the error estimate combines
-    # each stage row with the view of K it combines; views stay current
-    stages = [(i, row, K[:i]) for i, row in enumerate(_STAGES, 1)]
+    # each stage's dot goes into dbuf, which the kernel reads through d
+    dbuf = np.empty(y0.size)
+    d = memoryview(dbuf)
+    # each stage row with the view of K it combines and a byte view of
+    # K's row i, which a kernel packs its rhs into; views stay current
+    K_bytes, row_bytes = memoryview(K).cast("B"), 8 * y0.size
+    stages = [(i, a, K[:i], K_bytes[i * row_bytes:(i + 1) * row_bytes])
+              for i, a in enumerate(_STAGES + _EXTRA, 1)]
     dense_output = cfg.dense_output
-    extra = [(i, row, K[:i]) for i, row in enumerate(_EXTRA, len(stages) + 1)
-             ] if dense_output else []
+    stages, extra = (stages[:len(_STAGES)],
+                     stages[len(_STAGES):] if dense_output else [])
     # the accepted states, in an array that doubles when full, and the
     # stage rows and lengths of the last accepted steps, whose dense output
     # is formed when _BLOCK of them are in
@@ -521,16 +540,15 @@ def integrate(
         h_step = t_end - t if clamped else h
         # K[i] is the attempt's i-th rhs call, so i counts them
         try:
-            for i, row, Ki in stages:
-                d = row.dot(Ki)
-                out = kernel(y, h_step, d.tolist())
-                if out is None:  # formed in NumPy, with its warnings
-                    y_new = states[n] + h_step * d
+            for i, a, Ki, row in stages:
+                a.dot(Ki, out=dbuf)
+                y_new = kernel(y, h_step, d, row)
+                if y_new is None:  # formed in NumPy, with its warnings
+                    y_new = states[n] + h_step * dbuf
                     K[i] = f(y_new)
-                else:
-                    y_new, k_i = out
-                    pack(K_bytes, i * row_bytes, *k_i)
-            if out is None:  # the last stage state is the new state
+            # the last stage state is the new state; one formed in NumPy
+            # becomes floats
+            if isinstance(y_new, np.ndarray):
                 y_new = y_new.tolist()
             abs_new = list(map(abs, y_new))
             # the larger of each pair, NaN from abs_new kept (abs_y has
@@ -544,16 +562,10 @@ def integrate(
                                    or all(map(math.isfinite, y_new))):
                 err = math.inf
             if err <= 1.0:
-                for i, row, Ki in extra:
-                    d = row.dot(Ki)
-                    out = kernel(y, h_step, d.tolist())
-                    if out is None:
-                        K[i] = f(states[n] + h_step * d)
-                    else:
-                        pack(K_bytes, i * row_bytes, *out[1])
-        except struct.error as exc:  # another length, or an item no float
-            raise ValueError(f"stage kernel output is not a sequence of "
-                             f"{y0.size} floats: {exc}") from None
+                for i, a, Ki, row in extra:
+                    a.dot(Ki, out=dbuf)
+                    if kernel(y, h_step, d, row) is None:
+                        K[i] = f(states[n] + h_step * dbuf)
         except DomainError as exc:
             nfev += i
             retries += 1

@@ -23,6 +23,7 @@ import contextvars
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -303,18 +304,21 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
     """Kepler: dx/dt = v, dv/dt = -k x / r^3.  Rejects r < r_min.
 
     For |k| <= 1e100 its rhs carries `rhs.stage`, the fused kernel that
-    `integrate`'s step loop calls on each stage: `stage(y, h, d)` forms
-    the stage state y + h d of six Python floats and returns it with its
-    rhs, as two lists, or None.  The rhs itself is the array expression,
-    for one state or a batch, whose bits `stage` gives; both form r^3 as
-    r^2 * r, one rounding from the r^2 already summed."""
+    `integrate`'s step loop calls on each stage: `stage(y, h, d, row)`
+    forms the stage state y + h d of six floats (y a sequence, d a
+    buffer), packs its rhs into `row`, a writable buffer of 48 bytes, and
+    returns the state as a list; or it writes nothing and returns None.
+    The rhs itself is the array expression, for one state or a batch,
+    whose bits `stage` gives; both form r^3 as r^2 * r, one rounding from
+    the r^2 already summed."""
     # a NaN r_min would switch the r < r_min guard off
     r_min = _finite("r_min", float(r_min))
     # bound once: the kernel reads them as closure cells, not as globals
     # and attributes; (-k) * x0 is what -k * x0 parses to
     sqrt, isfinite, neg_k = math.sqrt, math.isfinite, -k
+    pack = struct.Struct("6d").pack_into
 
-    def stage(y, h, d):
+    def stage(y, h, d, row):
         # In Python floats with NumPy's roundings: each component of
         # y + h * d is rounded twice, as in the array expression, r^2's sum
         # runs left to right, as np.add.reduce does for three terms, sqrt
@@ -323,8 +327,8 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         # 1e-100 < r < 1e100, r^3 lies in (1e-300, 1e300) and
         # |k x_i / r^3| <= |k| / r^2 < 1e300 for |k| <= 1e100.  Every other
         # stage state (r < r_min, a NaN or infinite component, ...) returns
-        # None: the loop forms it in NumPy, with its warnings, and the
-        # array expression in `rhs` raises or warns.
+        # None, with row untouched: the loop forms it in NumPy, with its
+        # warnings, and the array expression in `rhs` raises or warns.
         y0, y1, y2, y3, y4, y5 = y
         d0, d1, d2, d3, d4, d5 = d
         x0 = y0 + h * d0
@@ -337,9 +341,9 @@ def kepler_field(k: float = 1.0, r_min: float = 1e-12) -> DynamicalSystem:
         r = sqrt(r2)
         if 1e-100 < r < 1e100 and r >= r_min and isfinite(v0 + v1 + v2):
             r3 = r2 * r
-            return ([x0, x1, x2, v0, v1, v2],
-                    [v0, v1, v2, neg_k * x0 / r3, neg_k * x1 / r3,
-                     neg_k * x2 / r3])
+            pack(row, 0, v0, v1, v2, neg_k * x0 / r3, neg_k * x1 / r3,
+                 neg_k * x2 / r3)
+            return [x0, x1, x2, v0, v1, v2]
         return None
 
     def rhs(s):

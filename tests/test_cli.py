@@ -112,6 +112,20 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     assert 0.0 < err["t"] < 2.0
 
 
+def test_simulate_a_start_whose_scaled_squares_overflow(tmp_path, capsys):
+    # v = 1e150 over t = 1e-150: the starting-step heuristic's
+    # (f0 / scale)^2 overflows, and the run still ends at x = 2 with
+    # nothing on stderr
+    code = run(["simulate", "--system", "free3d", "--x=1,0,0",
+                "--v=1e150,0,0", "--t-end", "1e-150",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    last = np.loadtxt(tmp_path / "free3d.csv", delimiter=",", skiprows=1,
+                      ndmin=2)[-1]
+    assert last[0] == 1e-150 and last[1] == 2.0
+
+
 _RADIAL = ["simulate", "--system", "radial", "--r", "1"]
 
 

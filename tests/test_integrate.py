@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import struct
 import types
 import warnings
 
@@ -1000,6 +1001,23 @@ _KERNEL_DECLINES = [
 ]
 
 
+# a bit pattern that no rhs writes: a NaN with its own payload
+_SENTINEL = struct.pack("<Q", 0x7FF4_0000_DEAD_BEEF)
+
+
+def _kernel_out(stage, y, h, d):
+    """`stage` called as the loop calls it, with d in a buffer of floats
+    and a byte row of len(y) sentinels: (the stage state it returns, the
+    rhs it wrote into the row), or None where it declined, which leaves
+    the row as it was."""
+    row = bytearray(_SENTINEL * len(y))
+    state = stage(y, h, memoryview(np.array(d, dtype=float)), memoryview(row))
+    if state is None:
+        assert row == _SENTINEL * len(y)
+        return None
+    return state, np.frombuffer(row)
+
+
 @pytest.mark.parametrize("k", [1.0, -3.0, 1e100, -1e100])
 def test_kepler_stage_kernel_on_the_edge_states(k):
     # each edge state as a stage state y + 0 * 0: the kernel gives the
@@ -1007,15 +1025,40 @@ def test_kepler_stage_kernel_on_the_edge_states(k):
     declined = []
     for name, r_min, state in _edge_states():
         y = np.asarray(state, dtype=float).reshape(6).tolist()
-        out = kepler_field(k=k, r_min=r_min).rhs.stage(y, 0.0, [0.0] * 6)
+        out = _kernel_out(kepler_field(k=k, r_min=r_min).rhs.stage, y, 0.0,
+                          [0.0] * 6)
         if out is None:
             declined.append(name)
             continue
         assert np.array_equal(_bits(np.array(out[0])), _bits(np.array(y)))
         assert np.array_equal(
-            _bits(np.array(out[1])),
+            _bits(out[1]),
             _bits(_kepler_rhs_oracle(y, k=k, r_min=r_min))), name
     assert len(_edge_states()) == 30
+    assert declined == _KERNEL_DECLINES
+
+
+@pytest.mark.parametrize("k", [1.0, -3.0, 1e100, -1e100])
+def test_kepler_stage_kernel_writes_its_row_and_nothing_else(k):
+    # edge state j on row j % 16 of a K of sentinels, through the byte
+    # view the loop hands the kernel: a state it takes changes that row's
+    # 48 bytes alone, to the oracle's bits; one it declines changes none
+    sentinels = _SENTINEL * (16 * 6)
+    declined = []
+    for j, (name, r_min, state) in enumerate(_edge_states()):
+        y = np.asarray(state, dtype=float).reshape(6).tolist()
+        K = np.frombuffer(bytearray(sentinels)).reshape(16, 6)
+        i = j % 16
+        row = memoryview(K).cast("B")[48 * i:48 * (i + 1)]
+        d = memoryview(np.zeros(6))
+        if kepler_field(k=k, r_min=r_min).rhs.stage(y, 0.0, d, row) is None:
+            declined.append(name)
+            assert K.tobytes() == sentinels, name
+            continue
+        others = np.delete(K, i, axis=0)
+        assert others.tobytes() == _SENTINEL * (15 * 6), name
+        assert np.array_equal(
+            _bits(K[i]), _bits(_kepler_rhs_oracle(y, k=k, r_min=r_min))), name
     assert declined == _KERNEL_DECLINES
 
 
@@ -1047,13 +1090,13 @@ def test_kepler_stage_kernel_matches_the_array_expression(k):
     declined = 0
     for y, h, d, s, ok in zip(ys.tolist(), hs.tolist(), ds.tolist(), states,
                               finite):
-        out = stage(y, h, d)
+        out = _kernel_out(stage, y, h, d)
         if out is None:
             declined += 1
             continue
         assert ok
         assert np.array_equal(_bits(np.array(out[0])), _bits(s))
-        assert np.array_equal(_bits(np.array(out[1])),
+        assert np.array_equal(_bits(out[1]),
                               _bits(_kepler_rhs_oracle(s, k=k)))
     # only the non-finite stage states, and the one whose velocity sum
     # overflows, are declined
@@ -1078,7 +1121,8 @@ def test_kepler_r3_is_no_less_accurate_than_np_power():
             r2 = x0 * x0 + x1 * x1 + x2 * x2
             r3 = r2 * math.sqrt(r2)
             # the kernel's own r^3: -k x0 / r3 at k = 1
-            assert stage([*x, 0.0, 0.0, 0.0], 0.0, [0.0] * 6)[1][3] == -x0 / r3
+            _, row = _kernel_out(stage, [*x, 0.0, 0.0, 0.0], 0.0, [0.0] * 6)
+            assert row[3] == -x0 / r3
             exact = mpmath.fsum(mpmath.mpf(c) ** 2 for c in x) ** 1.5
             ulp = math.ulp(float(exact))
             new.append(float(abs(r3 - exact)) / ulp)
@@ -1164,9 +1208,9 @@ def test_loop_calls_the_float_route_of_an_rhs_that_has_one():
         calls["array"] += 1
         return rhs(s)
 
-    def counted_stage(y, h, d):
+    def counted_stage(y, h, d, row):
         calls["floats"] += 1
-        return rhs.stage(y, h, d)
+        return rhs.stage(y, h, d, row)
 
     counted.stage = counted_stage
     traj = integrate(DynamicalSystem("kepler", 6, rhs=counted),
@@ -1214,36 +1258,42 @@ def _assert_kernel_matches_oracle(stage, s0, cfg):
     return system.rhs.calls
 
 
-@pytest.mark.parametrize("form", [tuple, np.array], ids=["tuple", "ndarray"])
+@pytest.mark.parametrize("form", [list, tuple, np.array],
+                         ids=["list", "tuple", "ndarray"])
 def test_kernel_rhs_of_any_sequence_type_matches_oracle(form):
-    # the loop stores a kernel's rhs row from any sequence of six floats
-    def stage(own, y, h, d):
-        out = own(y, h, d)
-        return None if out is None else (out[0], form(out[1]))
+    # the kernel writes its rhs into its row of K itself; the loop takes
+    # the stage state it returns as any sequence of six floats
+    def stage(own, y, h, d, row):
+        state = own(y, h, d, row)
+        return None if state is None else form(state)
 
     calls = _assert_kernel_matches_oracle(stage, _apocentre(1.0, 0.6),
                                           IntegratorConfig(rel_tol=1e-11))
     assert calls == 2  # k0 and the step-size probe
 
 
-@pytest.mark.parametrize("bad_row", [
-    lambda k: (k + k)[:5], lambda k: (k + k)[:7],
-    lambda k: k[:-1] + [None], lambda k: k[:-1] + ["1.0"],
+@pytest.mark.parametrize("bad_state, error, n_calls", [
+    (lambda y: (y + y)[:5], ValueError, 12),
+    (lambda y: (y + y)[:7], ValueError, 15),
+    (lambda y: y[:-1] + [None], TypeError, 12),
+    (lambda y: y[:-1] + ["1.0"], TypeError, 12),
 ], ids=["length-5", "length-7", "item-None", "item-str"])
-def test_kernel_rhs_not_of_six_floats_raises_value_error(bad_row):
-    # the first stage of the first attempt raises: no state is accepted
-    lengths = []
+def test_kernel_state_not_of_six_floats_raises(bad_state, error, n_calls):
+    # the last stage's state is the new state, and the first attempt
+    # raises on it: in its error scale (5 components, an item no float)
+    # or, once the dense stages 13-15 are in, where its 7 components would
+    # be stored; no state is accepted
+    calls = []
 
-    def stage(own, y, h, d):
-        state, k = own(y, h, d)
-        lengths.append(len(k))
-        return state, bad_row(k)
+    def stage(own, y, h, d, row):
+        state = own(y, h, d, row)
+        calls.append(len(state))
+        return bad_state(state)
 
     system = _wrapped_kepler(stage)
-    with pytest.raises(ValueError, match="stage kernel output is not a "
-                                         "sequence of 6 floats"):
+    with pytest.raises(error):
         integrate(system, _apocentre(1.0, 0.6), 2 * np.pi)
-    assert lengths == [6]
+    assert calls == [6] * n_calls
 
 
 @pytest.mark.parametrize("dense_output", [True, False])
@@ -1253,9 +1303,9 @@ def test_kernel_declining_every_third_call_matches_oracle(dense_output):
     # dense stages 13-15 hold one declined stage and two stored rows
     verdicts = []
 
-    def stage(own, y, h, d):
+    def stage(own, y, h, d, row):
         verdicts.append(len(verdicts) % 3 != 2)
-        return own(y, h, d) if verdicts[-1] else None
+        return own(y, h, d, row) if verdicts[-1] else None
 
     cfg = IntegratorConfig(rel_tol=1e-11, dense_output=dense_output)
     calls = _assert_kernel_matches_oracle(stage, _apocentre(1.0, 0.9), cfg)
@@ -1315,10 +1365,10 @@ def test_fused_kernel_matches_oracle_bit_for_bit(case):
     system = kepler_field(k=k, r_min=r_min)
     counted, verdicts = Counted(system.rhs), []
     if hasattr(system.rhs, "stage"):
-        def stage(y, h, d):
-            out = system.rhs.stage(y, h, d)
-            verdicts.append(out is not None)
-            return out
+        def stage(y, h, d, row):
+            state = system.rhs.stage(y, h, d, row)
+            verdicts.append(state is not None)
+            return state
         counted.stage = stage
     new, new_warnings = _recorded(lambda: integrate(
         dataclasses.replace(system, rhs=counted), s0, t_end))
@@ -1483,11 +1533,14 @@ def test_non_finite_error_norm_matches_oracle_with_its_warnings(value):
 
 def _stage_kernel(floats):
     """A fused stage kernel over `floats`, an rhs of a list of floats: the
-    stage state y + h d formed in floats with its rhs, or None where a
-    component of the state is not finite."""
-    def stage(y, h, d):
+    stage state y + h d formed in floats, its rhs packed into the row, or
+    None where a component of the state is not finite."""
+    def stage(y, h, d, row):
         s = [a + h * b for a, b in zip(y, d)]
-        return (s, floats(s)) if all(map(math.isfinite, s)) else None
+        if not all(map(math.isfinite, s)):
+            return None
+        struct.pack_into(f"{len(s)}d", row, 0, *floats(s))
+        return s
     return stage
 
 
@@ -1641,6 +1694,33 @@ def _refused_past_the_start(s):
     if s[0] > 0.0:
         raise DomainError(f"s = {s[0]:g} > 0")
     return np.ones_like(s)
+
+
+def test_initial_step_scales_an_rms_whose_squares_overflow():
+    # (f0 / scale)^2 overflows for v = 1e150 at x = 1; the RMS taken as
+    # m sqrt(mean((z / m)^2)), m = max |z|, keeps the first step finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(free3d_field(), np.array([1.0, 0, 0, 1e150, 0, 0]),
+                         1e-150)
+    assert traj.times[-1] == 1e-150 and traj.states[-1, 0] == 2.0
+    z = np.array([1e161, 0.0, 0.0, 1e161, 0.0, 0.0])
+    assert integrate_module._rms(z) == 1e161 * np.sqrt(np.mean(
+        (z / 1e161) ** 2))
+    # everywhere else it is the plain RMS, bit for bit, with its warnings
+    rng = rng_from_seed(11)
+    for z in rng.normal(size=(2000, 6)) * 10.0 ** rng.integers(
+            -300, 150, (2000, 1)):
+        assert _bits(integrate_module._rms(z)) == _bits(
+            np.sqrt(np.mean(z ** 2)))
+    for z in ([np.inf, 1.0], [np.nan, 1.0], [np.inf, 1e300]):
+        z = np.array(z)
+        got, got_warnings = _run_with_warnings(
+            lambda: integrate_module._rms(z))
+        want, want_warnings = _run_with_warnings(
+            lambda: np.sqrt(np.mean(z ** 2)))
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings
+    assert got_warnings  # 1e300 squared overflows next to the inf
 
 
 def test_initial_step_falls_back_when_its_probe_is_refused():

@@ -42,8 +42,8 @@ def _readme_values():
     return namespace["_seen"]
 
 
-def test_readme_has_three_python_blocks():
-    assert len(_python_blocks()) == 3
+def test_readme_has_four_python_blocks():
+    assert len(_python_blocks()) == 4
 
 
 def test_readme_python_blocks_give_their_stated_values():
@@ -56,3 +56,7 @@ def test_readme_python_blocks_give_their_stated_values():
     assert [gauge for gauge, _ in sweep] == [0.0, 2.0, 4.0]
     assert all(divergence < 1e-8 for _, divergence in sweep)
     assert values['run_suite("oscillator-jq", samples=100)["pass"]'] == [True]
+    assert values["state == (y + h * d).tolist()"] == [True]
+    assert values["bytes(row) == rhs(y + h * d).tobytes()"] == [True]
+    assert values["rhs.stage([0.0] * 6, h, memoryview(np.zeros(6)), row)"] == [
+        None]
