@@ -494,6 +494,9 @@ def main(argv=None) -> int:
         # an output directory or file that cannot be made or written; the
         # message names its path
         return _error_json(exc, 2)
+    except MemoryError as exc:
+        # a size (samples, gauges) whose arrays cannot be allocated
+        return _error_json(exc, 2)
 
 
 if __name__ == "__main__":

@@ -485,8 +485,11 @@ def integrate(
     f = system.rhs
     k0 = f(y0)  # a bad initial state surfaces immediately
 
+    # below a span of 1 the step floor is relative to the span; a first
+    # step under it starts at it, where its first attempt would fail
+    unit = min(1.0, t_end - t0)
     h, probe_failed = _initial_step(f, y0, k0, t_end - t0, cfg)
-    h = float(h)
+    h = max(float(h), _FLOOR_EPS * max(abs(t0), unit))
     # the route, once: the rhs's fused stage kernel, or one that declines
     kernel = getattr(f, "stage", _declines)
     nfev = 2  # k0 and the step-size probe
@@ -515,8 +518,6 @@ def integrate(
     Ks = np.empty((_BLOCK,) + K.shape) if dense_output else None
     ts, hs, dense = [t0], [], []
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    # below a span of 1 the step floor is relative to the span
-    unit = min(1.0, t_end - t0)
     t, y = t0, y0.tolist()
     abs_y = list(map(abs, y))
     attempts = 0

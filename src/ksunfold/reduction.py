@@ -549,6 +549,15 @@ def _split_state(p0):
     return arr[:3], arr[3:]
 
 
+def _flow(x0, v0, tau_end, gauge, scaling, k, n_samples) -> OscillatorFlow:
+    """The closed-form flow of the Kepler state (x0, v0) lifted at `gauge`:
+    its chart state, its energy E at force constant k and g = scaling(E)."""
+    Y0, U0 = to_oscillator_chart(*ks_lift(x0, v0, gauge))
+    E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
+    return OscillatorFlow(Y0, U0, E, float(scaling(E)), float(tau_end), k,
+                          n_samples)
+
+
 def unfold_kepler(
     p0,
     tau_end: float,
@@ -576,22 +585,10 @@ def unfold_kepler(
             p0, tau_end, [gauge], scaling=scaling, config=config, k=k,
             n_samples=n_samples,
         ))
-    cfg = config or IntegratorConfig()
-    x0, v0 = _split_state(p0)
-    y0, u0 = ks_lift(x0, v0, gauge)
-    Y0, U0 = to_oscillator_chart(y0, u0)
-    E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
     scaling = scaling or scaling_preset("unit")
-    g = float(scaling(E))
-
-    return UnfoldResult(
-        gauge=float(gauge),
-        scaling=scaling.name,
-        upstairs=OscillatorFlow(Y0, U0, E, g, float(tau_end), k, n_samples),
-        divergence={"compared": False},
-        collision=False,
-        config=cfg,
-    )
+    flow = _flow(*_split_state(p0), tau_end, gauge, scaling, k, n_samples)
+    return UnfoldResult(float(gauge), scaling.name, flow, {"compared": False},
+                        False, config or IntegratorConfig())
 
 
 def unfold_sweep(
@@ -607,9 +604,9 @@ def unfold_sweep(
     with its comparison against direct Kepler integration.
 
     The gauges go in batches of _SWEEP_BATCH: the flows of a batch are
-    built, compared together in one pass (`_compare_downstairs`), and then
-    yielded.  A gauge whose flow cannot be built raises after the results
-    of the gauges before it.
+    built, compared together in one pass (`_compare_downstairs`), and each
+    result is then made, with its comparison, and yielded.  A gauge whose
+    flow cannot be built raises after the results of the gauges before it.
 
     The direct leg does not depend on the gauge: it is integrated once,
     with the first gauge, over that gauge's physical-time span (cut short
@@ -618,30 +615,30 @@ def unfold_sweep(
     the leg's.  `config` sets the leg.
     """
     cfg = config or IntegratorConfig()
+    scaling = scaling or scaling_preset("unit")
     x0, v0 = _split_state(p0)
     gauges = iter(gauges)
     leg = None
     while True:
-        batch, error = [], None
+        angles, flows, error = [], [], None
         try:
             for gauge in itertools.islice(gauges, _SWEEP_BATCH):
-                batch.append(unfold_kepler(
-                    p0, tau_end, scaling=scaling, gauge=gauge, config=cfg,
-                    k=k, n_samples=n_samples, compare=False,
-                ))
+                flows.append(_flow(x0, v0, tau_end, gauge, scaling, k,
+                                   n_samples))
+                angles.append(float(gauge))
         except Exception as exc:  # noqa: BLE001 - raised after the gauges
             error = exc             # before it are yielded
-        if batch:
+        if flows:
             if leg is None:
-                leg = _direct_leg(x0, v0, float(batch[0].ts[-1]), k, cfg,
-                                  batch[0].upstairs.collision_time())
-            for result, divergence in zip(batch,
-                                          _compare_downstairs(batch, leg)):
-                yield dataclasses.replace(result, divergence=divergence,
-                                          collision=leg[2], direct_leg=leg[3])
+                leg = _direct_leg(x0, v0, float(flows[0].states[-1, 8]), k,
+                                  cfg, flows[0].collision_time())
+            for gauge, flow, divergence in zip(
+                    angles, flows, _compare_downstairs(flows, leg)):
+                yield UnfoldResult(gauge, scaling.name, flow, divergence,
+                                   leg[2], cfg, leg[3])
         if error is not None:
             raise error
-        if len(batch) < _SWEEP_BATCH:
+        if len(flows) < _SWEEP_BATCH:
             return
 
 
@@ -682,19 +679,18 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     return None, 0.0, True, record, {}
 
 
-def _compare_downstairs(results, leg):
-    """Measure the divergence of each projected unfold from the direct leg
-    on a physical-time grid it shares with the leg, all in one pass: the
-    clocks are inverted, and the flows evaluated and projected downstairs,
-    on one (G, _GRID_POINTS + 1) grid.  The leg is evaluated once per
-    grid."""
+def _compare_downstairs(flows, leg):
+    """Measure the divergence of each flow, projected downstairs, from the
+    direct leg on a physical-time grid it shares with the leg, all in one
+    pass: the clocks are inverted, and the flows evaluated and projected
+    downstairs, on one (G, _GRID_POINTS + 1) grid.  The leg is evaluated
+    once per grid."""
     direct, t_leg, collision, _, on_grid = leg
     if direct is None:
         return [{"compared": False, "collision": True, "t_compared": 0.0}
-                for _ in results]
+                for _ in flows]
 
-    flows = [result.upstairs for result in results]
-    t_cmp = [min(float(result.ts[-1]), t_leg) for result in results]
+    t_cmp = [min(float(flow.states[-1, 8]), t_leg) for flow in flows]
     grids = np.array([np.linspace(0.0, t, _GRID_POINTS + 1) for t in t_cmp])
     taus = _invert_clocks(flows, grids)
     xs, vs = _downstairs(_component_last(_states(_columns(flows), taus)))

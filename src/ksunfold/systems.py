@@ -661,17 +661,6 @@ def _registry(k: float) -> Mapping[str, Observable]:
         reg[f"J{i + 1}"] = _J[i]
         # Q_i = (1/4)[x_i(U) - 2E x_i(Y)], defined for either energy sign
         reg[f"Q{i + 1}"] = 0.25 * _XU[i] - 0.5 * energy * _XY[i]
-    names = "1230"
-    for a in range(4):
-        for b in range(a + 1, 4):
-            unit = np.outer(_E4[a], _E4[b])
-            reg[f"L_{names[a]}{names[b]}"] = _form(4, ab=0.5 * (unit - unit.T))
-    for a in range(4):
-        for b in range(a, 4):
-            unit = np.outer(_E4[a], _E4[b])
-            sym = 0.5 * (unit + unit.T)
-            reg[f"Q_{names[a]}{names[b]}"] = (0.5 * _form(4, bb=sym)
-                                              - energy * _form(4, aa=sym))
     return MappingProxyType({name: replace(obs, name=name)
                              for name, obs in reg.items()})
 

@@ -88,6 +88,7 @@ def integrate_oracle(f, s0, t_end, cfg, t0=0.0):
     t = t0
     k0 = f(y)
     h, probe_failed = _initial_step_oracle(f, y, k0, t_end - t0, cfg)
+    h = max(h, 16.0 * _EPS * max(abs(t0), min(1.0, t_end - t0)))
     nfev, rejected, retries = 2, 0, int(probe_failed)
     ts, ys, dense = [t], [y.copy()], []
     K = np.empty((16, y.size))

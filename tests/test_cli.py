@@ -126,6 +126,20 @@ def test_simulate_a_start_whose_scaled_squares_overflow(tmp_path, capsys):
     assert last[0] == 1e-150 and last[1] == 2.0
 
 
+def test_simulate_a_first_step_under_the_step_floor(tmp_path, capsys):
+    # v = 1e16 over t = 1: the starting heuristic's step, about 1.5e-16,
+    # lies under the loop's step floor 16 eps; the run starts at the floor
+    # and ends near x = 1e16, where it exited 3 on its first attempt
+    code = run(["simulate", "--system", "free3d", "--x=1,0,0",
+                "--v=1e16,0,0", "--t-end", "1",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    last = np.loadtxt(tmp_path / "free3d.csv", delimiter=",", skiprows=1,
+                      ndmin=2)[-1]
+    assert last[0] == 1.0 and abs(last[1] - 1e16) <= 1e16 * 1e-15
+
+
 _RADIAL = ["simulate", "--system", "radial", "--r", "1"]
 
 
@@ -228,6 +242,23 @@ def test_unfold_rejects_bad_scaling_domain(tmp_path, capsys):
     code = run(["unfold", "--x", "1,0,0", "--v", "0,1,0",
                 "--scaling", "gyorgyi", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["unfold", "--x", "1,0,0", "--v", "0,1,0",
+     "--samples", str(10 ** 18)],
+    ["unfold", "--x", "1,0,0", "--v", "0,1,0",
+     "--lambda", f"0..1:{10 ** 18}"],
+    ["verify", "--suite", "kepler-algebra", "--samples", str(10 ** 17)],
+], ids=["unfold-samples", "unfold-lambda", "verify-samples"])
+def test_an_allocation_past_the_address_space_exits_2(tmp_path, capsys,
+                                                      argv):
+    # 2 to 7 EiB of float64, which no address space holds, so NumPy
+    # refuses the array at once and nothing is allocated
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert "Unable to allocate" in err["message"]
 
 
 def test_verify_all_suites(tmp_path, capsys):

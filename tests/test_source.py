@@ -74,14 +74,18 @@ def test_gradients_come_from_one_mechanism():
 # table), the safeguarded Newton refinement from the up-crossing search
 # (`find_return_time`, `collision_time`) and from the clock inversion, the
 # clock inversion from `tau_of` (one flow) and the sweep's comparison (a
-# batch), and the shared-value scope of the observables from the
+# batch), the shared-value scope of the observables from the
 # structure-constant check, the only caller that evaluates many observables
-# at one batch
+# at one batch, the unfold's closed-form flow from the uncompared unfold and
+# the sweep, and the sweep from the compared unfold (one gauge) and the
+# command
 _SINGLE_PATHS = {
     "_contract": {("_table_brackets",)},
     "_safeguarded_newton": {("_up_crossings",), ("_invert_clocks",)},
     "_invert_clocks": {("UnfoldResult", "tau_of"), ("_compare_downstairs",)},
     "_shared_values": {("verify_structure_constants",)},
+    "_flow": {("unfold_kepler",), ("unfold_sweep",)},
+    "unfold_sweep": {("unfold_kepler",), ("cmd_unfold",)},
 }
 
 
@@ -194,6 +198,33 @@ def test_every_export_is_reached_outside_the_tests():
                 reached.add(name)
                 todo.append(name)
     assert sorted(exports - reached) == []
+
+
+def _string_literals(node, skip):
+    """Every string constant under `node`, outside the functions named in
+    `skip`."""
+    if isinstance(node, ast.FunctionDef) and node.name in skip:
+        return set()
+    found = {node.value} if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _string_literals(child, skip)
+    return found
+
+
+def test_every_registered_observable_is_read_outside_the_registry():
+    # the registry builds only what is read: each of its names is a string
+    # literal of src/ outside `_registry`, of the scripts, of the benchmark
+    # or of the README's code blocks
+    from ksunfold.systems import observables
+
+    literals = set()
+    for path in [*_SRC, *_ROOT.glob("scripts/*.py"), *_ROOT.glob("bench/*.py")]:
+        literals |= _string_literals(ast.parse(path.read_text()),
+                                     {"_registry"})
+    for block in (_ROOT / "README.md").read_text().split("```")[1::2]:
+        literals |= set(re.findall(r"[\"'](\w+)[\"']", block))
+    assert sorted(set(observables(1.0)) - literals) == []
 
 
 def _write_mode(call, name):

@@ -63,14 +63,15 @@ def test_batched_comparison_equals_each_gauge_alone(case):
                               n_samples=n_samples))
     assert len(swept) == len(gauges)
     leg = _leg(swept, p0, k)
+    flows = [res.upstairs for res in swept]
     alone = []
-    for res in swept:  # each gauge evaluates the leg itself
+    for flow in flows:  # each gauge evaluates the leg itself
         leg[4].clear()
-        alone += reduction._compare_downstairs([res], leg)
+        alone += reduction._compare_downstairs([flow], leg)
     assert all(d["compared"] for d in alone)
     # every float equal, and so every bit of a finite one
     assert [res.divergence for res in swept] == alone
-    assert reduction._compare_downstairs(swept, leg) == alone
+    assert reduction._compare_downstairs(flows, leg) == alone
     # and what a one-gauge unfold reports, for the first gauge
     first = unfold_kepler(np.array(p0), tau_end, gauge=gauges[0], k=k,
                           n_samples=n_samples)
@@ -82,9 +83,9 @@ def test_a_sweep_of_eleven_gauges_compares_in_two_batches(monkeypatch):
     sizes = []
     compare = reduction._compare_downstairs
 
-    def recording(results, leg):
-        sizes.append(len(results))
-        return compare(results, leg)
+    def recording(flows, leg):
+        sizes.append(len(flows))
+        return compare(flows, leg)
 
     monkeypatch.setattr(reduction, "_compare_downstairs", recording)
     assert len(list(unfold_sweep(np.array(p0), tau_end, gauges))) == 11
@@ -177,9 +178,9 @@ def test_newton_iterations_of_the_benchmark_sweeps(monkeypatch, tmp_path):
     compare = reduction._compare_downstairs
     newton = reduction._safeguarded_newton
 
-    def recording(results, leg):
-        batches.append((results, leg))
-        return compare(results, leg)
+    def recording(flows, leg):
+        batches.append((flows, leg))
+        return compare(flows, leg)
 
     def counting(fdf, *args):
         counts = []
@@ -197,12 +198,13 @@ def test_newton_iterations_of_the_benchmark_sweeps(monkeypatch, tmp_path):
     assert batch_counts == [((8, 513), n) for n in (1, 3, 3)]
 
     per_gauge = []
-    for results, leg in batches:
+    for flows, leg in batches:
         row = []
-        for res in results:
-            grid = np.linspace(0.0, min(float(res.ts[-1]), leg[1]), 513)
+        for flow in flows:
+            grid = np.linspace(0.0, min(float(flow.states[-1, 8]), leg[1]),
+                               513)
             del batch_counts[:]
-            res.tau_of(grid)
+            reduction._invert_clocks([flow], grid[None])
             [(shape, n)] = batch_counts
             assert shape == (1, 513)
             row.append(n)

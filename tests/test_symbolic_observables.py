@@ -1,6 +1,9 @@
-"""Every registered observable against a symbolic oracle: values and
+"""Every registered observable, and the u(4) generators the tests build
+from the registry's chart energy, against a symbolic oracle: values and
 gradients from SymPy expressions written out in components, at several force
 constants k; and the monitors of the four Kepler-family systems at k != 1."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from ksunfold import (
 )
 from ksunfold.sampling import rng_from_seed, sample_chart_states, sample_states3
 from ksunfold.systems import observables, rescaled_runge_lenz
+
+import u4_generators
 
 K_VALUES = (0.5, 1.0, 2.0)
 N_STATES = 60
@@ -74,19 +79,24 @@ def _four_side():
     for i in range(3):
         out[f"J{i + 1}"] = J[i]
         out[f"Q{i + 1}"] = xU[i] / 4 - E * xY[i] / 2
-    names = "1230"
-    for a in range(4):
-        for b in range(a + 1, 4):
-            out[f"L_{names[a]}{names[b]}"] = (Y[a] * U[b] - Y[b] * U[a]) / 2
-    for a in range(4):
-        for b in range(a, 4):
-            out[f"Q_{names[a]}{names[b]}"] = (U[a] * U[b]
-                                              - 2 * E * Y[a] * Y[b]) / 2
     return out, E
 
 
+def _u4_side():
+    """The u(4) generators that `u4_generators` builds."""
+    Y, U = S[:4], S[4:]
+    out = {}
+    for a, b in itertools.combinations_with_replacement(range(4), 2):
+        name = u4_generators.NAMES[a] + u4_generators.NAMES[b]
+        if a < b:
+            out[f"L_{name}"] = (Y[a] * U[b] - Y[b] * U[a]) / 2
+        out[f"Q_{name}"] = (U[a] * U[b] - 2 * _CHART_ENERGY * Y[a] * Y[b]) / 2
+    return out
+
+
 _FOUR, _CHART_ENERGY = _four_side()
-EXPRESSIONS = {**_kepler_side(), **_FOUR}
+REGISTERED = {**_kepler_side(), **_FOUR}
+EXPRESSIONS = {**REGISTERED, **_u4_side()}
 
 
 def _oracle(expr, symbols):
@@ -118,14 +128,16 @@ def _assert_matches(obs, oracle, states, kval):
 
 
 def test_every_registered_name_has_an_oracle():
-    assert set(observables(1.0)) == set(EXPRESSIONS)
-    assert len(EXPRESSIONS) == 39
+    assert set(observables(1.0)) == set(REGISTERED)
+    assert len(REGISTERED) == 23
 
 
 @pytest.mark.parametrize("kval", K_VALUES)
 @pytest.mark.parametrize("name", sorted(EXPRESSIONS))
 def test_observable_matches_symbolic_value_and_gradient(name, kval):
-    obs = observables(kval)[name]
+    # the registry's observables, and the u(4) generators the tests build
+    obs = (observables(kval) if name in REGISTERED
+           else u4_generators.u4_generators(kval))[name]
     assert obs.name == name
     symbols = X if obs.dim == 6 else S
     _assert_matches(obs, _oracle(EXPRESSIONS[name], symbols),

@@ -35,6 +35,8 @@ from ksunfold.sampling import (
     sample_states3,
 )
 
+import u4_generators
+
 
 def conformal_acceleration_energy_form(y, u, k=1.0):
     """Same acceleration written through the energy:
@@ -134,8 +136,9 @@ def test_chart_observables_match_their_geometric_forms():
 
 def test_component_observables_contract_to_triples():
     # J_i = (1/2) sum_ab K_i[a,b] L_ab,  Q_i = (1/2) sum_ab S_i[a,b] Q_ab,
-    # h = 4 (L_12 + L_30)
-    names = ("1", "2", "3", "0")
+    # h = 4 (L_12 + L_30), with the u(4) generators built by the algebra
+    names = u4_generators.NAMES
+    gens = u4_generators.u4_generators()
     states = sample_chart_states(100, seed=47)
 
     def mat_val(prefix, sym):
@@ -144,10 +147,10 @@ def test_component_observables_contract_to_triples():
             for b in range(4):
                 if sym:
                     key = f"{prefix}_{names[min(a,b)]}{names[max(a,b)]}"
-                    M[a, b] = OBSERVABLES[key](states)
+                    M[a, b] = gens[key](states)
                 elif a != b:
                     lo, hi = min(a, b), max(a, b)
-                    v = OBSERVABLES[f"{prefix}_{names[lo]}{names[hi]}"](states)
+                    v = gens[f"{prefix}_{names[lo]}{names[hi]}"](states)
                     M[a, b] = v if a == lo else -v
         return M
 
@@ -158,7 +161,7 @@ def test_component_observables_contract_to_triples():
         Qi = 0.5 * np.einsum("ab,abn->n", S_KS[i], Q)
         assert np.max(np.abs(Ji - OBSERVABLES[f"J{i+1}"](states))) < 1e-12
         assert np.max(np.abs(Qi - OBSERVABLES[f"Q{i+1}"](states))) < 1e-12
-    h4 = 4.0 * (OBSERVABLES["L_12"](states) + OBSERVABLES["L_30"](states))
+    h4 = 4.0 * (gens["L_12"](states) + gens["L_30"](states))
     assert np.max(np.abs(h4 - OBSERVABLES["h"](states))) < 1e-12
 
 
