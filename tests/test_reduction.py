@@ -547,18 +547,23 @@ def test_collision_horizon_matches_the_failing_dop853_attempt(p0):
     assert res.divergence["t_compared"] == 0.95 * t_col
 
 
-def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
-    # the default config, given or not, runs the same leg
+def _near_radial_retries(monkeypatch, config):
     p0 = np.array([1.0, 0, 0, -0.5, 1e-6, 0])
     assert unfold_kepler(p0, 6.0, compare=False).upstairs.collision_time() is None
     calls = _count_direct_legs(monkeypatch)
-    for config in (IntegratorConfig(), None):
-        del calls[:]
-        res = unfold_kepler(p0, 6.0, config=config)
-        assert len(calls) == 2
-        assert res.collision
-        assert res.direct_leg["horizon"] == "span"
-        assert res.direct_leg["attempts"] == 2
+    res = unfold_kepler(p0, 6.0, config=config)
+    assert len(calls) == 2
+    assert res.collision
+    assert res.direct_leg["horizon"] == "span"
+    assert res.direct_leg["attempts"] == 2
+
+
+def test_near_radial_orbit_gets_no_horizon_and_retries(monkeypatch):
+    _near_radial_retries(monkeypatch, IntegratorConfig())
+
+
+def test_near_radial_orbit_gets_no_horizon_and_retries_dop853(monkeypatch):
+    _near_radial_retries(monkeypatch, None)
 
 
 def _failed_attempt_record(config, failed, record):
