@@ -229,7 +229,7 @@ def brentq(*args, **kwargs):
     """SciPy's `brentq`, imported only when called; ksunfold never calls it,
     and it is no part of the stepper.  Bound here and in `reduction` only
     because the benchmark's tracer (bench/tracing.py) patches `brentq` on
-    both modules by name; ROADMAP items 5 and 13 remove it."""
+    both modules by name; ROADMAP item 14 removes it."""
     from scipy.optimize import brentq as scipy_brentq
 
     return scipy_brentq(*args, **kwargs)

@@ -218,6 +218,21 @@ def test_unfold_gauge_sweep(tmp_path):
         assert (tmp_path / f"sw_lam{i}.csv").exists()
 
 
+def test_a_two_gauge_sweep_writes_its_divergence(tmp_path):
+    # the smallest sweep: its summary names both gauges, and its divergence
+    # is the largest distance between the two gauges' (x, v) in their CSVs
+    assert run(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
+                "--lambda", "0..1:2", "--out-dir", str(tmp_path),
+                "--prefix", "two"]) == 0
+    sweep = _read_json(tmp_path / "two_sweep.json")
+    assert sweep["lambdas"] == [0.0, 1.0]
+    first, second = (np.loadtxt(tmp_path / f"two_lam{i}.csv", delimiter=",",
+                                skiprows=1)[:, 10:16] for i in range(2))
+    want = float(np.max(np.linalg.norm(first - second, axis=1)))
+    assert 0.0 < want < 1e-8
+    assert sweep["max_downstairs_divergence"] == want
+
+
 def test_unfold_positive_energy_needs_tau_end(tmp_path, capsys):
     code = run(["unfold", "--x", "1,0,0", "--v", "0,2,0",
                 "--out-dir", str(tmp_path)])

@@ -13,6 +13,7 @@ the last axis, and (..., 3) outputs written column by column.
 import numpy as np
 import pytest
 
+import ksunfold.flow as closed_form
 import ksunfold.reduction as reduction
 from ksunfold import ks_tangent, unfold_kepler
 from ksunfold.integrate import _ROOT_TOL, _safeguarded_newton
@@ -34,7 +35,7 @@ def _same(got, want):
     return got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
-_SERIES = np.array(reduction._STUMPFF_ROWS)
+_SERIES = np.array(closed_form._STUMPFF_ROWS)
 
 
 def _stumpff_rows(z):
@@ -62,7 +63,7 @@ def _stumpff_rows(z):
 
 
 def _clock_rows(up, tau):
-    """The array path of `reduction._clock` on one flow, with (..., 4) rows
+    """The array path of `closed_form._clock` on one flow, with (..., 4) rows
     of Y and c and s given a trailing axis."""
     tau = np.asarray(tau, dtype=float)
     g = up.g
@@ -169,7 +170,7 @@ def test_stumpff_is_bit_equal_to_its_row_oracle(orbit):
     with np.errstate(over="ignore", invalid="ignore"):
         z = up._coeffs[0] * taus * taus
         for arg in (z, z.reshape(5, -1), z[:1].reshape(())):
-            for got, want in zip(reduction._stumpff(arg), _stumpff_rows(arg)):
+            for got, want in zip(closed_form._stumpff(arg), _stumpff_rows(arg)):
                 assert _same(got, want)
     # the series, and cos/sin on a bound orbit or cosh/sinh on an E > 0 one
     small = np.abs(z) < 1.0
@@ -224,13 +225,13 @@ def test_collision_search_scans_the_row_oracles_node_values(orbit,
     # bits, depends on the layout of the (n, 4) operand
     up = _unfold(orbit).upstairs
     scanned = []
-    up_crossings = reduction._up_crossings
+    up_crossings = closed_form._up_crossings
 
     def recording(times, g, fdf):
         scanned.append(g)
         return up_crossings(times, g, fdf)
 
-    monkeypatch.setattr(reduction, "_up_crossings", recording)
+    monkeypatch.setattr(closed_form, "_up_crossings", recording)
     up.collision_time()
     want = -(_eval_rows(up, up.times)[:, :4] @ up.Y0)
     assert len(scanned) == 1 and _same(scanned[0], want)
@@ -239,7 +240,7 @@ def test_collision_search_scans_the_row_oracles_node_values(orbit,
 def test_squared_norm_adds_as_np_sum_over_a_length_4_axis():
     rng = rng_from_seed(6)
     Y = rng.normal(size=(200_000, 4)) * rng.lognormal(0.0, 5.0, (200_000, 4))
-    assert _same(reduction._squared_norm(Y.T), np.sum(Y * Y, axis=-1))
+    assert _same(closed_form._squared_norm(Y.T), np.sum(Y * Y, axis=-1))
 
 
 @pytest.mark.parametrize("orbit", sorted(_ORBITS))

@@ -9,15 +9,15 @@ import warnings
 import numpy as np
 import pytest
 
-import ksunfold.reduction as reduction
+import ksunfold.flow as closed_form
 from ksunfold import (
     kepler_period_from_unfold,
     ks_lift,
     to_oscillator_chart,
     unfold_kepler,
 )
+from ksunfold.flow import OscillatorFlow
 from ksunfold.integrate import find_return_time
-from ksunfold.reduction import OscillatorFlow
 from ksunfold.sampling import rng_from_seed
 from ksunfold.systems import scaling_preset
 
@@ -86,13 +86,13 @@ def _branches(up, taus):
 def array_calls(monkeypatch):
     """Count the array path's Stumpff calls."""
     calls = []
-    stumpff = reduction._stumpff
+    stumpff = closed_form._stumpff
 
     def counting(z):
         calls.append(np.shape(z))
         return stumpff(z)
 
-    monkeypatch.setattr(reduction, "_stumpff", counting)
+    monkeypatch.setattr(closed_form, "_stumpff", counting)
     return calls
 
 
@@ -203,7 +203,7 @@ def test_declined_taus_give_the_array_paths_values_and_warnings(orbit,
     got = _outcomes(up)
     taken = [up._scalar_clock(float(tau)) is not None for tau in _HARD_TAUS]
     # the array path at the same 0-d input is what every scalar took before
-    monkeypatch.setattr(reduction.OscillatorFlow, "_scalar_clock",
+    monkeypatch.setattr(closed_form.OscillatorFlow, "_scalar_clock",
                         lambda self, tau: None)
     assert got == _outcomes(up)
     # the route takes some of these taus and declines others, some of them

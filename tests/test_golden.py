@@ -89,6 +89,8 @@ COMMANDS = {
                               "--v=-0.5,0,0", "--t-end", "5"],
     "demo-radial": ["demo", "radial"],
     "demo-calogero": ["demo", "calogero"],
+    # the coupling l = 0, whose matrices the command picks apart
+    "demo-calogero-l0": ["demo", "calogero", "--l", "0"],
     **{f"verify-{suite}": ["verify", "--suite", suite, "--out",
                            f"{suite}.json"] for suite in SUITES},
 }

@@ -1723,6 +1723,25 @@ def test_initial_step_scales_an_rms_whose_squares_overflow():
     assert got_warnings  # 1e300 squared overflows next to the inf
 
 
+@pytest.mark.parametrize("t0", [0.25, -2.0])
+def test_a_first_step_under_the_floor_over_a_span_below_1(t0):
+    # v = 1e16 at x = 1: the starting heuristic's step, about 1.5e-16, lies
+    # under the floor 16 eps max(|t0|, t_end - t0), which the span sets at
+    # t0 = 0.25 and |t0| sets at t0 = -2; the run takes the floor as its
+    # first step and ends at x = 1 + 0.5e16
+    span = 0.5
+    system = free3d_field()
+    y0 = np.array([1.0, 0, 0, 1e16, 0, 0])
+    floor = 16.0 * np.finfo(float).eps * max(abs(t0), span)
+    h, _ = _initial_step(system.rhs, y0, system.rhs(y0), span,
+                         IntegratorConfig())
+    assert h < floor
+    traj = integrate(system, y0, t0 + span, t0=t0)
+    assert traj.times[1] - traj.times[0] == floor
+    assert traj.times[-1] == t0 + span
+    assert abs(traj.states[-1, 0] - 0.5e16) <= 0.5e16 * 1e-15
+
+
 def test_initial_step_falls_back_when_its_probe_is_refused():
     # the probe state y0 + h0 f0 raises, so the step is h0 * 1e-3, with
     # h0 = 1e-6 for a zero start

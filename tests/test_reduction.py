@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import ksunfold.flow as closed_form
 import ksunfold.reduction as reduction
 from ksunfold import (
     CONSERVED,
@@ -283,13 +284,13 @@ def test_closed_form_flow_matches_dop853_oracle(orbit):
 
 
 def _stumpff_all_branches(z):
-    """Oracle for reduction._stumpff: the series, cos/sin and cosh/sinh
+    """Oracle for closed_form._stumpff: the series, cos/sin and cosh/sinh
     forms on every element (each branch fed 0 or 1 where another applies),
     one result picked per element by np.where."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1.0
     zs = np.where(small, z, 0.0)[..., None]
-    rows = np.array(reduction._STUMPFF_ROWS)
+    rows = np.array(closed_form._STUMPFF_ROWS)
     series = rows[0]
     for coeff in rows[1:]:
         series = coeff - zs * series
@@ -351,8 +352,8 @@ def _stumpff_arguments(case):
 def test_stumpff_is_bit_equal_to_the_all_branch_oracle(case):
     z = _stumpff_arguments(case)
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = reduction._stumpff(z), _stumpff_all_branches(z)
-        scalars = [(reduction._stumpff(v), _stumpff_all_branches(v))
+        got, want = closed_form._stumpff(z), _stumpff_all_branches(z)
+        scalars = [(closed_form._stumpff(v), _stumpff_all_branches(v))
                    for v in z.reshape(-1)[:50]]
     for g, w in zip(got, want):
         assert g.shape == w.shape == z.shape
@@ -390,20 +391,20 @@ def _eager_monitors(up):
     chart = np.ascontiguousarray(up.states)[:, :8]
     with np.errstate(divide="ignore", invalid="ignore"):
         return {obs.name: obs.fn(chart)
-                for obs in (reduction.oscillator_invariant(up.E),
-                            OBSERVABLES["h"], reduction._chart_energy(up.k))}
+                for obs in (closed_form.oscillator_invariant(up.E),
+                            OBSERVABLES["h"], closed_form._chart_energy(up.k))}
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0])
 def test_flow_monitors_are_computed_once_on_first_read(monkeypatch, k):
     built = []
-    chart_energy = reduction._chart_energy
+    chart_energy = closed_form._chart_energy
 
     def counting(k):
         built.append(k)
         return chart_energy(k)
 
-    monkeypatch.setattr(reduction, "_chart_energy", counting)
+    monkeypatch.setattr(closed_form, "_chart_energy", counting)
     res = unfold_kepler(np.array([1.0, 0, 0, 0, 0.8, 0]), 10.0, k=k,
                         compare=False)
     periods = kepler_period_from_unfold(res)
@@ -414,7 +415,7 @@ def test_flow_monitors_are_computed_once_on_first_read(monkeypatch, k):
     assert built == [k]
     assert up.monitors is monitors
     assert built == [k]
-    monkeypatch.setattr(reduction, "_chart_energy", chart_energy)
+    monkeypatch.setattr(closed_form, "_chart_energy", chart_energy)
     want = _eager_monitors(up)
     assert list(monitors) == list(want)
     for name, values in want.items():
@@ -776,13 +777,13 @@ def test_unfold_projects_downstairs_only_what_is_read(monkeypatch, tmp_path):
     assert res.xs is xs and res.vs is res.vs and projected == [(513,)]
 
     # a sweep: once for all 8 gauges on their comparison grids, then once
-    # per gauge for the CSV, and the cross-gauge divergence reads the CSV's
-    # projection
+    # for all 8 on their samples, whose rows the CSVs and the cross-gauge
+    # divergence read
     projected.clear()
     assert main(["unfold", "--x", "1,0,0", "--v", "0,0.8,0",
                  "--lambda", "0..6.28:8", "--samples", "64",
                  "--out-dir", str(tmp_path)]) == 0
-    assert projected == [(8, 513)] + [(65,)] * 8
+    assert projected == [(8, 513), (8, 65)]
 
 
 def test_unfold_through_collision():

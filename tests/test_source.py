@@ -287,6 +287,39 @@ def test_the_output_format_has_its_own_module():
                             for n in (module or "", *names))] == []
 
 
+# the closed form of the upstairs flow, which `flow.py` holds alone
+_CLOSED_FORM = {"_stumpff", "_STUMPFF_ROWS", "_SCALAR_Z_MAX", "_COLLISION_R2",
+                "_Columns", "_columns", "_clock", "_states", "_sample",
+                "_invert_clocks", "OscillatorFlow"}
+
+
+def _defined(tree):
+    """Names a module's top-level statements define: functions, classes and
+    assigned names."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            found |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                             ast.Name):
+            found.add(stmt.target.id)
+    return found
+
+
+def test_the_closed_form_has_its_own_module():
+    # `flow.py` holds the closed-form flow and imports nothing from
+    # `reduction.py`, which lifts, compares and projects with it
+    assert [(module, names) for _, module, names in _imports("flow.py")
+            if "reduction" in {part for name in (module or "", *names)
+                               for part in name.split(".")}] == []
+    homes = {name: sorted(path.name for path in _SRC
+                          if name in _defined(ast.parse(path.read_text())))
+             for name in _CLOSED_FORM}
+    assert homes == {name: ["flow.py"] for name in _CLOSED_FORM}
+
+
 def _outside_loops(node, inside=False):
     """(node, whether a `for` or `while` loop encloses it) for every node
     under `node`."""

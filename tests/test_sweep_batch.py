@@ -1,8 +1,11 @@
-"""The gauge sweep compares its gauges in batches: one clock inversion, one
-evaluation and one projection over a (G, 513) grid.  Batching changes no
-bit: each gauge's comparison is the one it gets alone, because the root
-finder stops each row on its own.  Also the root finder's 2-cycle stop and
-the Newton iteration counts of the benchmark's gauge sweeps."""
+"""The gauge sweep works on its gauges in batches: one sampling of the
+closed form and one projection of the samples over a (G, n + 1) block, and
+one clock inversion, one evaluation and one projection over a (G, 513)
+comparison grid.  Batching changes no bit: each gauge's samples, (x, v)
+and comparison are the ones it gets alone, because each is computed
+elementwise and the root finder stops each row on its own.  Also the root
+finder's 2-cycle stop and the Newton iteration counts of the benchmark's
+gauge sweeps."""
 
 import contextlib
 import io
@@ -12,9 +15,12 @@ import pathlib
 import numpy as np
 import pytest
 
+import ksunfold.flow as closed_form
 import ksunfold.reduction as reduction
 from ksunfold import unfold_kepler, unfold_sweep
 from ksunfold.cli import main
+from ksunfold.errors import HorizonError
+from ksunfold.flow import OscillatorFlow
 from ksunfold.integrate import (
     _ROOT_MAX_ITER,
     _ROOT_TOL,
@@ -76,6 +82,55 @@ def test_batched_comparison_equals_each_gauge_alone(case):
     first = unfold_kepler(np.array(p0), tau_end, gauge=gauges[0], k=k,
                           n_samples=n_samples)
     assert first.divergence == alone[0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_batched_samples_and_projection_equal_each_gauge_alone(case):
+    p0, tau_end, k, n_samples, gauges = _CASES[case]
+    swept = list(unfold_sweep(np.array(p0), tau_end, gauges, k=k,
+                              n_samples=n_samples))
+    assert len(swept) == len(gauges)
+    for i, (gauge, res) in enumerate(zip(gauges, swept)):
+        up = res.upstairs
+        # a row of its batch's block
+        first = swept[i - i % reduction._SWEEP_BATCH].upstairs
+        assert up.states.base is first.states.base
+        # the start that the one-gauge unfold lifts
+        lone = unfold_kepler(np.array(p0), tau_end, gauge=gauge, k=k,
+                             n_samples=n_samples, compare=False).upstairs
+        assert (_bits(up.Y0).tolist(), _bits(up.U0).tolist(), up.E, up.g) \
+            == (_bits(lone.Y0).tolist(), _bits(lone.U0).tolist(), lone.E,
+                lone.g)
+        # every sample and every (x, v) of a flow built alone
+        alone = OscillatorFlow(up.Y0, up.U0, up.E, up.g, up.tau_end, up.k,
+                               up.n_samples)
+        assert np.array_equal(up.times, alone.times)
+        assert np.array_equal(_bits(up.states), _bits(alone.states))
+        for got, want in zip((res.xs, res.vs),
+                             reduction._downstairs(alone.states[:, :8])):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_a_batch_is_checked_gauge_by_gauge():
+    # the middle flow overflows (cosh of w = 1.8e5 by tau = 4): the batch
+    # keeps the flow before it, with the samples it gets alone, and returns
+    # the error that flow raises alone
+    Y0, U0 = np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])
+    starts = [(Y0, U0, -0.5, 1.0), (Y0, U0, 1e9, 1.0), (Y0, U0, -0.5, 1.0)]
+    flows = [OscillatorFlow._unsampled(*start, 4.0, 1.0, 64)
+             for start in starts]
+    block, error = closed_form._sample(flows)
+    assert block.shape == (9, 1, 65)
+    alone = OscillatorFlow(*starts[0], 4.0, 1.0, 64)
+    assert np.array_equal(_bits(flows[0].states), _bits(alone.states))
+    with pytest.raises(HorizonError) as lone_error:
+        OscillatorFlow(*starts[1], 4.0, 1.0, 64)
+    assert isinstance(error, HorizonError)
+    assert str(error) == str(lone_error.value)
 
 
 def test_a_sweep_of_eleven_gauges_compares_in_two_batches(monkeypatch):
@@ -154,12 +209,12 @@ def test_newton_stops_a_two_cycle_at_the_rounding_limit(monkeypatch):
                         compare=False)
     t = np.linspace(0.0, 0.99 * float(res.ts[-1]), 513)
     counts = []
-    newton = reduction._safeguarded_newton
+    newton = closed_form._safeguarded_newton
 
     def counting(fdf, *args):
         return newton(_counted(fdf, counts), *args)
 
-    monkeypatch.setattr(reduction, "_safeguarded_newton", counting)
+    monkeypatch.setattr(closed_form, "_safeguarded_newton", counting)
     tau = res.tau_of(t)
     assert len(counts) <= 6
     assert np.max(np.abs(res.t_of(tau) - t)) <= 1e-14
@@ -176,7 +231,7 @@ def test_newton_iterations_of_the_benchmark_sweeps(monkeypatch, tmp_path):
     calls = workloads.build("unfold-sweep", 7, str(tmp_path))
     batches, batch_counts = [], []
     compare = reduction._compare_downstairs
-    newton = reduction._safeguarded_newton
+    newton = closed_form._safeguarded_newton
 
     def recording(flows, leg):
         batches.append((flows, leg))
@@ -189,7 +244,7 @@ def test_newton_iterations_of_the_benchmark_sweeps(monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(reduction, "_compare_downstairs", recording)
-    monkeypatch.setattr(reduction, "_safeguarded_newton", counting)
+    monkeypatch.setattr(closed_form, "_safeguarded_newton", counting)
     for call in calls:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(call.argv)) == 0
