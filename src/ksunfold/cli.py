@@ -316,8 +316,7 @@ def cmd_simulate(cfg: dict) -> int:
         "accepted_steps": int(len(traj.times) - 1),
         **traj.stats,
         "monitor_drift": drifts,
-        "energy_drift": drifts.get(system.energy.name) if system.energy
-        else None,
+        "energy_drift": drifts[system.energy.name],
         "wall_time_s": wall,
         "config": _echo(cfg.raw),
     }
@@ -485,18 +484,15 @@ def main(argv=None) -> int:
     try:
         # looked up on each call, so a replaced `cmd_<name>` is the one run
         return globals()[f"cmd_{args.command}"](_merge(args))
-    except (ConfigError, LiftError, DomainError, KeyError, ValueError) as exc:
-        # bad flags, inadmissible initial states, wrong scaling domain
+    except (ConfigError, LiftError, DomainError, KeyError, ValueError,
+            OSError, MemoryError) as exc:
+        # bad flags, inadmissible initial states, wrong scaling domain; an
+        # output directory or file that cannot be made or written (the
+        # message names its path); a size (samples, gauges) whose arrays
+        # cannot be allocated
         return _error_json(exc, 2)
     except (IntegrationError, DegenerateStructureError) as exc:
         return _error_json(exc, 3)
-    except OSError as exc:
-        # an output directory or file that cannot be made or written; the
-        # message names its path
-        return _error_json(exc, 2)
-    except MemoryError as exc:
-        # a size (samples, gauges) whose arrays cannot be allocated
-        return _error_json(exc, 2)
 
 
 if __name__ == "__main__":

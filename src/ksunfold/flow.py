@@ -123,29 +123,26 @@ def _states(cols, tau):
 
 def _sample(flows):
     """Sample G flows that share tau_end and n_samples, each with its start
-    checked, at n_samples + 1 uniform nodes over [0, tau_end]: one
-    `_states` call fills a (9, G, n_samples + 1) block, and flow i takes
-    its row i as `states`.  The flows are checked in order, each on its
-    own: returns the block of the flows before the first whose samples
-    overflow, and that flow's HorizonError (None when none does)."""
+    checked (`_start`), at n_samples + 1 uniform nodes over [0, tau_end]:
+    one `_states` call fills a (9, G, n_samples + 1) block, and flow i
+    takes its row i as `states`.  Returns the block, or raises the
+    HorizonError of the first flow whose samples overflow, the one that
+    flow raises when built alone."""
     first = flows[0]
-    times = np.linspace(0.0, float(first.tau_end),
-                        _positive_count("n_samples", first.n_samples) + 1)
+    times = np.linspace(0.0, float(first.tau_end), first.n_samples + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         block = _states(_columns(flows), times[None])
-    error = None
     if not np.isfinite(block).all():
         finite = np.isfinite(block).all(axis=0)
         n = int(np.argmin(finite.all(axis=1)))
-        error = HorizonError(
+        raise HorizonError(
             f"the closed-form flow overflows by tau = "
             f"{times[np.argmin(finite[n])]:.6g}; tau_end = "
             f"{flows[n].tau_end:.6g} is too long for this orbit")
-        flows, block = flows[:n], block[:, :n]
     for i, flow in enumerate(flows):
         object.__setattr__(flow, "times", times)
         object.__setattr__(flow, "states", _component_last(block[:, i]))
-    return block, error
+    return block
 
 
 def _invert_clocks(flows, t):
@@ -210,9 +207,7 @@ class OscillatorFlow:
 
     def __post_init__(self):
         self._start()
-        _, error = _sample([self])
-        if error is not None:
-            raise error
+        _sample([self])
 
     @classmethod
     def _unsampled(cls, *args):

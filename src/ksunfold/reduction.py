@@ -14,7 +14,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DegenerateStructureError, DomainError, IntegrationError
+from .errors import (
+    DegenerateStructureError,
+    DomainError,
+    IntegrationError,
+    KSUnfoldError,
+)
 from .flow import (
     OscillatorFlow,
     _columns,
@@ -272,23 +277,16 @@ def _flow(x0, v0, tau_end, gauges, scaling, k, n_samples):
     """The closed-form flows of the Kepler state (x0, v0) lifted at each of
     `gauges`, sampled in one block (`flow._sample`): each lift's chart
     state, its energy E at force constant k and g = scaling(E).  Returns
-    the gauges as floats, their flows and that block, up to the first
-    gauge that fails, and that gauge's exception (None when none does)."""
-    angles, flows, error = [], [], None
-    try:
-        for gauge in gauges:
-            Y0, U0 = to_oscillator_chart(*ks_lift(x0, v0, gauge))
-            E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
-            flows.append(OscillatorFlow._unsampled(
-                Y0, U0, E, float(scaling(E)), float(tau_end), k, n_samples))
-            angles.append(float(gauge))
-    except Exception as exc:  # noqa: BLE001 - raised after the gauges
-        error = exc             # before it
-    if not flows:
-        return [], [], None, error
-    block, horizon = _sample(flows)
-    n = block.shape[1]
-    return angles[:n], flows[:n], block, horizon or error
+    the gauges as floats, their flows and that block; the first gauge that
+    fails, in its lift or in the sampling, raises."""
+    angles, flows = [], []
+    for gauge in gauges:
+        Y0, U0 = to_oscillator_chart(*ks_lift(x0, v0, gauge))
+        E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
+        flows.append(OscillatorFlow._unsampled(
+            Y0, U0, E, float(scaling(E)), float(tau_end), k, n_samples))
+        angles.append(float(gauge))
+    return angles, flows, _sample(flows)
 
 
 def unfold_kepler(
@@ -319,11 +317,9 @@ def unfold_kepler(
             n_samples=n_samples,
         ))
     scaling = scaling or scaling_preset("unit")
-    _, flows, _, error = _flow(*_split_state(p0), tau_end, [gauge], scaling,
-                               k, n_samples)
-    if error is not None:
-        raise error
-    return UnfoldResult(float(gauge), scaling.name, flows[0],
+    _, (flow,), _ = _flow(*_split_state(p0), tau_end, [gauge], scaling, k,
+                          n_samples)
+    return UnfoldResult(float(gauge), scaling.name, flow,
                         {"compared": False}, False,
                         config or IntegratorConfig())
 
@@ -344,8 +340,10 @@ def unfold_sweep(
     lifted and sampled together (`_flow`), compared together in one pass
     (`_compare_downstairs`) and projected downstairs together, and each
     result is then made, with its comparison and its rows of the
-    projection, and yielded.  A gauge whose flow cannot be built raises
-    after the results of the gauges before it.
+    projection, and yielded.  A batch that raises is redone one gauge at a
+    time, through the same `_flow`: the gauges before the one that fails
+    are yielded, with the bits they get in the batch, and that gauge
+    raises.
 
     The direct leg does not depend on the gauge: it is integrated once,
     with the first gauge, over that gauge's physical-time span (cut short
@@ -358,11 +356,17 @@ def unfold_sweep(
     x0, v0 = _split_state(p0)
     gauges = iter(gauges)
     leg = None
-    while True:
-        angles, flows, block, error = _flow(
-            x0, v0, tau_end, itertools.islice(gauges, _SWEEP_BATCH), scaling,
-            k, n_samples)
-        if flows:
+    for batch in iter(lambda: list(itertools.islice(gauges, _SWEEP_BATCH)),
+                      []):
+        try:
+            lifted = [_flow(x0, v0, tau_end, batch, scaling, k, n_samples)]
+        except (KSUnfoldError, ValueError):
+            # what a lift, chart, scaling, start check or overflow raises
+            if len(batch) == 1:
+                raise
+            lifted = (_flow(x0, v0, tau_end, [gauge], scaling, k, n_samples)
+                      for gauge in batch)
+        for angles, flows, block in lifted:
             if leg is None:
                 leg = _direct_leg(x0, v0, float(flows[0].states[-1, 8]), k,
                                   cfg, flows[0].collision_time())
@@ -376,10 +380,6 @@ def unfold_sweep(
                 # would cache its own
                 vars(result)["_projected"] = x, v
                 yield result
-        if error is not None:
-            raise error
-        if len(flows) < _SWEEP_BATCH:
-            return
 
 
 def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
@@ -387,12 +387,11 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     t_collision when the closed form has located a collision; after any
     failure retry up to 95% of the time reached (0 for a start the field
     refuses, a DomainError).  Returns (trajectory or None, time reached,
-    whether a collision cut the leg short, record, its values on each
-    comparison grid by the grid's end, which `_compare_downstairs`
-    fills).  The record holds where the horizon came from, the number of
-    attempts, the counts of the integration the comparison uses and, when
-    attempts failed, their summed counts (`failed_rhs_evals`,
-    `failed_rejected_steps`, `failed_domain_retries`)."""
+    whether a collision cut the leg short, record).  The record holds
+    where the horizon came from, the number of attempts, the counts of the
+    integration the comparison uses and, when attempts failed, their
+    summed counts (`failed_rhs_evals`, `failed_rejected_steps`,
+    `failed_domain_retries`)."""
     kepler = kepler_field(k=k)
     s0 = np.concatenate([x0, v0])
     collision = t_collision is not None
@@ -415,8 +414,8 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
         record.update(rhs_evals=traj.stats["rhs_evals"],
                       accepted_steps=len(traj.times) - 1,
                       rejected_steps=traj.stats["rejected_steps"])
-        return traj, t_cmp, collision, record, {}
-    return None, 0.0, True, record, {}
+        return traj, t_cmp, collision, record
+    return None, 0.0, True, record
 
 
 def _compare_downstairs(flows, leg):
@@ -424,8 +423,8 @@ def _compare_downstairs(flows, leg):
     direct leg on a physical-time grid it shares with the leg, all in one
     pass: the clocks are inverted, and the flows evaluated and projected
     downstairs, on one (G, _GRID_POINTS + 1) grid.  The leg is evaluated
-    once per grid."""
-    direct, t_leg, collision, _, on_grid = leg
+    once per grid end."""
+    direct, t_leg, collision, _ = leg
     if direct is None:
         return [{"compared": False, "collision": True, "t_compared": 0.0}
                 for _ in flows]
@@ -434,6 +433,7 @@ def _compare_downstairs(flows, leg):
     grids = np.array([np.linspace(0.0, t, _GRID_POINTS + 1) for t in t_cmp])
     taus = _invert_clocks(flows, grids)
     xs, vs = _downstairs(_component_last(_states(_columns(flows), taus)))
+    on_grid = {}
     for t, grid in zip(t_cmp, grids):
         if t not in on_grid:
             on_grid[t] = direct.eval(grid)

@@ -479,7 +479,6 @@ def test_sweep_evaluates_the_direct_leg_once_per_grid(monkeypatch, orbit):
     def afresh(results, leg):
         divergences = []
         for result in results:
-            leg[4].clear()
             divergences += compare([result], leg)
         return divergences
 

@@ -345,3 +345,22 @@ def test_the_step_loop_has_one_float_route():
              for node in ast.walk(ast.parse(path.read_text()))
              if getattr(node, "attr", None) == "floats"]
     assert found == []
+
+
+# the exceptions no handler in src/ may catch: a handler names the errors it
+# expects, so an error it does not expect propagates where it is raised
+_CATCH_ALL = {"Exception", "BaseException"}
+
+
+def test_no_handler_catches_every_error():
+    found = []
+    for path in _SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = getattr(node.type, "elts", [node.type])
+            if node.type is None or any(
+                    getattr(c, "id", getattr(c, "attr", None)) in _CATCH_ALL
+                    for c in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
