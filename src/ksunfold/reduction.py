@@ -349,13 +349,14 @@ def unfold_sweep(
     with the first gauge, over that gauge's physical-time span (cut short
     when that gauge's closed form meets a collision), and every gauge is
     compared against it on the grid up to the shorter of its own span and
-    the leg's.  `config` sets the leg.
+    the leg's.  The leg is evaluated once per grid end in the whole sweep.
+    `config` sets the leg.
     """
     cfg = config or IntegratorConfig()
     scaling = scaling or scaling_preset("unit")
     x0, v0 = _split_state(p0)
     gauges = iter(gauges)
-    leg = None
+    leg, on_grid = None, {}
     for batch in iter(lambda: list(itertools.islice(gauges, _SWEEP_BATCH)),
                       []):
         try:
@@ -370,7 +371,7 @@ def unfold_sweep(
             if leg is None:
                 leg = _direct_leg(x0, v0, float(flows[0].states[-1, 8]), k,
                                   cfg, flows[0].collision_time())
-            divergences = _compare_downstairs(flows, leg)
+            divergences = _compare_downstairs(flows, leg, on_grid)
             xs, vs = _downstairs(_component_last(block[:8]))
             for gauge, flow, divergence, x, v in zip(angles, flows,
                                                      divergences, xs, vs):
@@ -418,12 +419,13 @@ def _direct_leg(x0, v0, t_total, k, cfg, t_collision=None):
     return None, 0.0, True, record
 
 
-def _compare_downstairs(flows, leg):
+def _compare_downstairs(flows, leg, on_grid):
     """Measure the divergence of each flow, projected downstairs, from the
     direct leg on a physical-time grid it shares with the leg, all in one
     pass: the clocks are inverted, and the flows evaluated and projected
-    downstairs, on one (G, _GRID_POINTS + 1) grid.  The leg is evaluated
-    once per grid end."""
+    downstairs, on one (G, _GRID_POINTS + 1) grid.  `on_grid` holds the
+    leg's values per grid end, and the leg is evaluated on a grid end it
+    does not hold yet."""
     direct, t_leg, collision, _ = leg
     if direct is None:
         return [{"compared": False, "collision": True, "t_compared": 0.0}
@@ -433,7 +435,6 @@ def _compare_downstairs(flows, leg):
     grids = np.array([np.linspace(0.0, t, _GRID_POINTS + 1) for t in t_cmp])
     taus = _invert_clocks(flows, grids)
     xs, vs = _downstairs(_component_last(_states(_columns(flows), taus)))
-    on_grid = {}
     for t, grid in zip(t_cmp, grids):
         if t not in on_grid:
             on_grid[t] = direct.eval(grid)

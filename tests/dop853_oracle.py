@@ -14,6 +14,12 @@ integrate_module = importlib.import_module("ksunfold.integrate")
 
 _EPS = np.finfo(float).eps
 
+# the step controller: the next step is the step tried times
+# SAFETY err^(-1/8), at most MAX_FACTOR after an accepted step (MAX_FACTOR
+# when err is 0) and at least MIN_FACTOR after a rejected one; written out
+# here, not read from the module, so that a change there shows
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.8, 0.2, 10.0
+
 
 class Counted:
     """A right-hand side that counts its calls and its DomainErrors."""
@@ -143,12 +149,13 @@ def integrate_oracle(f, s0, t_end, cfg, t0=0.0):
             ts.append(t_new)
             ys.append(y_new)
             t, y, k0, abs_y = t_new, y_new, K[12].copy(), abs_new
-            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
+            factor = MAX_FACTOR if err == 0.0 else min(
+                MAX_FACTOR, SAFETY * err**-0.125)
             h = h_step * factor
         else:
             rejected += 1
             nonfinite += not math.isfinite(err)
-            h = h_step * max(0.2, 0.9 * err**-0.125)
+            h = h_step * max(MIN_FACTOR, SAFETY * err**-0.125)
     stats = {"rhs_evals": nfev, "rejected_steps": rejected,
              "domain_retries": retries}
     return (np.array(ts), np.array(ys),

@@ -71,8 +71,8 @@ def test_step_counts_of_the_benchmark_simulations(monkeypatch, tmp_path):
             "domain_retries")))
     assert [call.label for call in calls] == ["sim_e0", "sim_e0.6",
                                               "sim_e0.9"]
-    assert counts == [(355, 0, 4262, 0), (557, 170, 8726, 0),
-                      (982, 306, 15458, 0)]
+    assert counts == [(399, 0, 4790, 0), (600, 18, 7418, 0),
+                      (1059, 10, 12830, 0)]
 
 
 def test_simulate_oscillator(tmp_path):

@@ -144,10 +144,12 @@ def test_unfold_matches_the_exact_solution(name):
 # grid (every 32nd point), measured: DOP853 at rel_tol 1e-11 (the default)
 # against the DP5 pair this leg once ran, at rel_tol 1e-10, positions /
 # velocities
-#   circular   5.5e-11 / 5.3e-11   against 3.5e-9 / 3.5e-9
-#   eccentric  4.4e-10 / 1.1e-9    against 1.3e-9 / 3.2e-9
-#   collision  3.6e-12 / 1.4e-11   against 7.6e-11 / 1.1e-9
-# Each bound is about twice the DOP853 figure.  `dp5_divergence` is the
+#   circular   2.1e-11 / 2.1e-11   against 3.5e-9 / 3.5e-9
+#   eccentric  2.2e-10 / 6.0e-10   against 1.3e-9 / 3.2e-9
+#   collision  3.9e-12 / 9.2e-12   against 7.6e-11 / 1.1e-9
+# Each bound is about twice the DOP853 figure at the step controller's
+# former safety factor of 0.9 (5.5e-11 / 5.3e-11, 4.4e-10 / 1.1e-9 and
+# 3.6e-12 / 1.4e-11).  `dp5_divergence` is the
 # sidecar's divergence when the leg ran DP5 at 1e-10; the default leg's may
 # not exceed it.
 @pytest.mark.parametrize("name, bound, dp5_divergence", [

@@ -463,43 +463,45 @@ def test_sweep_integrates_the_direct_leg_once(monkeypatch, orbit, legs):
     assert all(r.collision is (orbit == "collision") for r in results)
 
 
-def _sweep_divergences(p0, tau_end):
-    """The comparisons of an 8-angle gauge sweep, as `ksunfold unfold
-    --lambda 0..6.28:8` runs it."""
+def _sweep_divergences(p0, tau_end, n_gauges):
+    """The comparisons of an n-angle gauge sweep, as `ksunfold unfold
+    --lambda 0..6.28:n` runs it."""
     return [r.divergence for r in unfold_sweep(
-        np.array(p0), tau_end, np.linspace(0.0, 6.28, 8))]
+        np.array(p0), tau_end, np.linspace(0.0, 6.28, n_gauges))]
 
 
 @pytest.mark.parametrize("orbit", sorted(_ORBITS))
 def test_sweep_evaluates_the_direct_leg_once_per_grid(monkeypatch, orbit):
     p0, tau_end = _ORBITS[orbit]
-    # each gauge compared alone, as if the leg had not been evaluated before
     compare = reduction._compare_downstairs
 
-    def afresh(results, leg):
+    def afresh(flows, leg, on_grid):
+        # each gauge compared alone, as if the leg had not been evaluated
         divergences = []
-        for result in results:
-            divergences += compare([result], leg)
+        for flow in flows:
+            divergences += compare([flow], leg, {})
         return divergences
 
-    monkeypatch.setattr(reduction, "_compare_downstairs", afresh)
-    fresh = _sweep_divergences(p0, tau_end)
-    monkeypatch.setattr(reduction, "_compare_downstairs", compare)
-
-    evals = []
     eval_ = Trajectory.eval
 
     def counting(self, t):
         evals.append(float(t[-1]))
         return eval_(self, t)
 
-    monkeypatch.setattr(Trajectory, "eval", counting)
-    divergences = _sweep_divergences(p0, tau_end)
-    assert divergences == fresh  # bit for bit
-    grids = {d["t_compared"] for d in divergences}
-    assert sorted(evals) == sorted(grids)
-    if orbit == "collision":  # every gauge is cut at the leg's end
-        assert len(evals) == 1
+    # 8 gauges are one batch, and 11 are two (reduction._SWEEP_BATCH)
+    for n_gauges in (8, 11):
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "_compare_downstairs", afresh)
+            fresh = _sweep_divergences(p0, tau_end, n_gauges)
+        evals = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Trajectory, "eval", counting)
+            divergences = _sweep_divergences(p0, tau_end, n_gauges)
+        assert divergences == fresh  # bit for bit
+        grids = {d["t_compared"] for d in divergences}
+        assert sorted(evals) == sorted(grids)
+        if orbit == "collision":  # every gauge is cut at the leg's end
+            assert len(evals) == 1
 
 
 def test_direct_leg_computes_no_monitors(monkeypatch):
@@ -583,15 +585,15 @@ def test_direct_leg_record_counts_the_failed_attempt():
     # a given config, not the default, runs both attempts
     _failed_attempt_record(
         IntegratorConfig(rel_tol=1e-10),
-        {"rhs_evals": 5093, "rejected_steps": 188, "domain_retries": 0},
-        {"rhs_evals": 452, "accepted_steps": 18, "rejected_steps": 15})
+        {"rhs_evals": 2627, "rejected_steps": 0, "domain_retries": 0},
+        {"rhs_evals": 257, "accepted_steps": 17, "rejected_steps": 0})
 
 
 def test_direct_leg_record_counts_the_failed_attempt_dop853():
     _failed_attempt_record(
         None,
-        {"rhs_evals": 6551, "rejected_steps": 242, "domain_retries": 0},
-        {"rhs_evals": 614, "accepted_steps": 24, "rejected_steps": 21})
+        {"rhs_evals": 3557, "rejected_steps": 0, "domain_retries": 0},
+        {"rhs_evals": 347, "accepted_steps": 23, "rejected_steps": 0})
 
 
 def test_direct_leg_counts_a_refused_start_as_a_failed_attempt():
@@ -611,10 +613,10 @@ def test_direct_leg_counts_a_refused_start_as_a_failed_attempt():
 
 
 @pytest.mark.parametrize("orbit, record", [
-    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 842,
-                  "accepted_steps": 56, "rejected_steps": 0}),
-    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 452,
-                   "accepted_steps": 18, "rejected_steps": 15}),
+    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 932,
+                  "accepted_steps": 62, "rejected_steps": 0}),
+    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 257,
+                   "accepted_steps": 17, "rejected_steps": 0}),
 ])
 def test_sidecar_records_the_direct_leg(orbit, record):
     # a given config runs the leg, and the sidecar records its tolerances
@@ -635,10 +637,10 @@ def test_sidecar_records_the_direct_leg(orbit, record):
 
 
 @pytest.mark.parametrize("orbit, record", [
-    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 1082,
-                  "accepted_steps": 72, "rejected_steps": 0}),
-    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 614,
-                   "accepted_steps": 24, "rejected_steps": 21}),
+    ("circular", {"horizon": "span", "attempts": 1, "rhs_evals": 1217,
+                  "accepted_steps": 81, "rejected_steps": 0}),
+    ("collision", {"horizon": "collision", "attempts": 1, "rhs_evals": 347,
+                   "accepted_steps": 23, "rejected_steps": 0}),
 ])
 def test_sidecar_records_the_direct_leg_dop853(orbit, record):
     p0, tau_end = _ORBITS[orbit]

@@ -72,11 +72,11 @@ def test_batched_comparison_equals_each_gauge_alone(case):
     flows = [res.upstairs for res in swept]
     alone = []
     for flow in flows:  # each gauge evaluates the leg itself
-        alone += reduction._compare_downstairs([flow], leg)
+        alone += reduction._compare_downstairs([flow], leg, {})
     assert all(d["compared"] for d in alone)
     # every float equal, and so every bit of a finite one
     assert [res.divergence for res in swept] == alone
-    assert reduction._compare_downstairs(flows, leg) == alone
+    assert reduction._compare_downstairs(flows, leg, {}) == alone
     # and what a one-gauge unfold reports, for the first gauge
     first = unfold_kepler(np.array(p0), tau_end, gauge=gauges[0], k=k,
                           n_samples=n_samples)
@@ -133,9 +133,9 @@ def test_a_sweep_of_eleven_gauges_compares_in_two_batches(monkeypatch):
     sizes = []
     compare = reduction._compare_downstairs
 
-    def recording(flows, leg):
+    def recording(flows, leg, on_grid):
         sizes.append(len(flows))
-        return compare(flows, leg)
+        return compare(flows, leg, on_grid)
 
     monkeypatch.setattr(reduction, "_compare_downstairs", recording)
     assert len(list(unfold_sweep(np.array(p0), tau_end, gauges))) == 11
@@ -237,9 +237,9 @@ def test_newton_iterations_of_the_benchmark_sweeps(monkeypatch, tmp_path):
     compare = reduction._compare_downstairs
     newton = closed_form._safeguarded_newton
 
-    def recording(flows, leg):
+    def recording(flows, leg, on_grid):
         batches.append((flows, leg))
-        return compare(flows, leg)
+        return compare(flows, leg, on_grid)
 
     def counting(fdf, *args):
         counts = []
