@@ -38,12 +38,19 @@ def main():
     ap.add_argument("--out-dir", default="out/gallery")
     ap.add_argument("--samples", type=_positive_int, default=512)
     args = ap.parse_args()
-    os.makedirs(args.out_dir, exist_ok=True)
 
-    for name, (x0, v0, tau_end) in GALLERY.items():
-        res = unfold_kepler(
-            np.array(x0 + v0), tau_end, n_samples=args.samples
-        )
+    # every orbit first, so that a --samples too large to allocate exits 2
+    # before anything is written
+    try:
+        results = {name: unfold_kepler(np.array(x0 + v0), tau_end,
+                                       n_samples=args.samples)
+                   for name, (x0, v0, tau_end) in GALLERY.items()}
+    except MemoryError as exc:
+        ap.error(f"argument --samples: cannot allocate {args.samples} "
+                 f"samples: {exc}")
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, res in results.items():
         csv_path = os.path.join(args.out_dir, f"{name}.csv")
         res.to_csv(csv_path)
         side = res.sidecar()

@@ -2,7 +2,7 @@
 """Run every structure-constant verification suite and print a summary table.
 
 Exits 1 if any suite fails, so this doubles as a quick health check, and 2
-on a bad argument.
+on a bad argument (a --samples too large to allocate among them).
 """
 
 import argparse
@@ -36,12 +36,20 @@ def main():
                     help="print every table entry, not just suite summaries")
     args = ap.parse_args()
 
+    # every suite first, so that a --samples too large to allocate exits 2
+    # before anything is printed
+    try:
+        reports = {name: run_suite(name, samples=args.samples, seed=args.seed)
+                   for name in SUITES}
+    except MemoryError as exc:
+        ap.error(f"argument --samples: cannot allocate {args.samples} "
+                 f"samples: {exc}")
+
     ok = True
     print(f"{'suite':24s} {'entries':>7} {'brackets':>8} {'gradients':>9} "
           f"{'worst residual':>15}  status")
     print("-" * 77)
-    for name in SUITES:
-        rep = run_suite(name, samples=args.samples, seed=args.seed)
+    for name, rep in reports.items():
         worst = max(e["max_residual"] for e in rep["entries"])
         status = "pass" if rep["pass"] else "FAIL"
         ok = ok and rep["pass"]

@@ -1,7 +1,8 @@
 """The oscillator family's flow upstairs, in closed form: the Stumpff
 functions, the states and clock of G flows at once in Stiefel and
-Scheifele's universal variables, the inversion of their clocks, and
-`OscillatorFlow`, which samples one flow or a batch of them in one block.
+Scheifele's universal variables, the inversion of their clocks,
+`OscillatorFlow`, and `_sample`, which makes one flow or a batch of them
+from one block of samples.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,28 +123,39 @@ def _states(cols, tau):
     return np.concatenate([Y, U, t[None]])
 
 
-def _sample(flows):
-    """Sample G flows that share tau_end and n_samples, each with its start
-    checked (`_start`), at n_samples + 1 uniform nodes over [0, tau_end]:
-    one `_states` call fills a (9, G, n_samples + 1) block, and flow i
-    takes its row i as `states`.  Returns the block, or raises the
-    HorizonError of the first flow whose samples overflow, the one that
-    flow raises when built alone."""
-    first = flows[0]
-    times = np.linspace(0.0, float(first.tau_end), first.n_samples + 1)
+def _sample(starts, tau_end, k, n_samples):
+    """Make the flows of G starts (Y0, U0, E, g) that share tau_end, k and
+    n_samples, sampled at n_samples + 1 uniform nodes over [0, tau_end]:
+    each start, the span and n_samples are checked, one `_states` call
+    fills a (9, G, n_samples + 1) block, and flow i takes its row i as
+    `states`.  Returns the flows and the block, or raises the HorizonError
+    of the first flow whose samples overflow, the one it raises alone."""
+    checked = []
+    for Y0, U0, E, g in starts:
+        start = np.concatenate([Y0, U0, [E, g]])
+        if not (np.all(np.isfinite(start)) and 0.0 < tau_end < np.inf):
+            raise ValueError(f"the unfold needs finite (Y0, U0, E, g) and "
+                             f"0 < tau_end < inf, got {start}, {tau_end}")
+        checked.append(SimpleNamespace(Y0=Y0, U0=U0, E=E, g=g, _coeffs=(
+            -2.0 * g * g * E,
+            float(Y0 @ Y0),
+            g * float(Y0 @ U0),
+            g * g * float(U0 @ U0),
+        )))
+    _positive_count("n_samples", n_samples)
+    times = np.linspace(0.0, tau_end, n_samples + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        block = _states(_columns(flows), times[None])
+        block = _states(_columns(checked), times[None])
     if not np.isfinite(block).all():
         finite = np.isfinite(block).all(axis=0)
         n = int(np.argmin(finite.all(axis=1)))
         raise HorizonError(
             f"the closed-form flow overflows by tau = "
             f"{times[np.argmin(finite[n])]:.6g}; tau_end = "
-            f"{flows[n].tau_end:.6g} is too long for this orbit")
-    for i, flow in enumerate(flows):
-        object.__setattr__(flow, "times", times)
-        object.__setattr__(flow, "states", _component_last(block[:, i]))
-    return block
+            f"{tau_end:.6g} is too long for this orbit")
+    return [OscillatorFlow(c.Y0, c.U0, c.E, c.g, tau_end, k, n_samples,
+                           times, _component_last(block[:, i]), c._coeffs)
+            for i, c in enumerate(checked)], block
 
 
 def _invert_clocks(flows, t):
@@ -182,15 +195,16 @@ class OscillatorFlow:
     S = 2 tau^3 c3(4z), A = |Y0|^2, B = g Y0.U0 and C = g^2 |U0|^2.
 
     `times` and `states` (Y, U, t) sample the flow at n_samples + 1 uniform
-    nodes over [0, tau_end].  The samples are stored component-major: a
-    flow built alone owns a C-contiguous (9, n_samples + 1) block, and the
-    flows of a gauge sweep's batch are the rows of one (9, G,
-    n_samples + 1) block (`_sample`).  `states` is the (n_samples + 1, 9)
-    view of the flow's rows, so each of its columns is contiguous either
-    way; `eval` returns the same kind of view.  `monitors`, computed on
-    first read, holds the oscillator invariant (== k), the gauge momentum h
-    and the chart energy at force constant k there.  A span on which the
-    closed form overflows raises HorizonError.
+    nodes over [0, tau_end].  Every flow is made by `_sample`, which checks
+    its start and stores the samples component-major: the flows of a
+    gauge sweep's batch are the rows of one (9, G, n_samples + 1) block,
+    and a flow made alone (G = 1) owns a C-contiguous (9, n_samples + 1)
+    one.  `states` is the (n_samples + 1, 9) view of the flow's rows, so
+    each of its columns is contiguous either way; `eval` returns the same
+    kind of view.  `monitors`, computed on first read, holds the oscillator
+    invariant (== k), the gauge momentum h and the chart energy at force
+    constant k there.  A span on which the closed form overflows makes no
+    flow: `_sample` raises HorizonError.
     """
 
     Y0: np.ndarray
@@ -198,42 +212,12 @@ class OscillatorFlow:
     E: float
     g: float
     tau_end: float
-    k: float = 1.0
-    n_samples: int = 512
-    times: np.ndarray = dataclasses.field(init=False)
-    states: np.ndarray = dataclasses.field(init=False)
+    k: float
+    n_samples: int
+    times: np.ndarray
+    states: np.ndarray
     # (alpha, A, B, C) of the closed form, fixed by the start
-    _coeffs: tuple = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._start()
-        _sample([self])
-
-    @classmethod
-    def _unsampled(cls, *args):
-        """The flow of the constructor's positional arguments with its start
-        checked and no samples yet, for `_sample` to sample in a batch."""
-        flow = cls.__new__(cls)
-        # `__match_args__` names the fields `__init__` takes, in its order
-        for name, value in zip(cls.__match_args__, args):
-            object.__setattr__(flow, name, value)
-        flow._start()
-        return flow
-
-    def _start(self):
-        """Check the start, the span and n_samples, and fix `_coeffs`."""
-        start = np.concatenate([self.Y0, self.U0, [self.E, self.g]])
-        if not (np.all(np.isfinite(start)) and 0.0 < self.tau_end < np.inf):
-            raise ValueError(f"the unfold needs finite (Y0, U0, E, g) and "
-                             f"0 < tau_end < inf, got {start}, {self.tau_end}")
-        g = self.g
-        object.__setattr__(self, "_coeffs", (
-            -2.0 * g * g * self.E,
-            float(self.Y0 @ self.Y0),
-            g * float(self.Y0 @ self.U0),
-            g * g * float(self.U0 @ self.U0),
-        ))
-        _positive_count("n_samples", self.n_samples)
+    _coeffs: tuple = dataclasses.field(repr=False)
 
     @functools.cached_property
     def monitors(self) -> dict:

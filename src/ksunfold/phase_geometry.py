@@ -155,13 +155,16 @@ def ks_lift(x, v, lam=0.0):
     One state, x and v of shape (3,), takes `_scalar_lift` unless it
     declines; batches, and the states it declines, take the array path,
     which is its test oracle.  A state whose lift is not finite (|x| = 0,
-    or a value too large or not finite) raises LiftError naming it.
+    or a value too large or not finite) raises LiftError naming it, and a
+    gauge angle that is not finite ValueError.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     lift = _scalar_lift(x, v) if x.shape == v.shape == (3,) else None
     y, u = _array_lift(x, v) if lift is None else lift
     if np.any(np.asarray(lam) != 0.0):
+        if not np.isfinite(lam).all():
+            raise ValueError(f"the gauge angle must be finite, got {lam!r}")
         y, u = fiber_act(y, u, lam)
     return y, u
 

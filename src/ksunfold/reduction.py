@@ -275,18 +275,17 @@ def _split_state(p0):
 
 def _flow(x0, v0, tau_end, gauges, scaling, k, n_samples):
     """The closed-form flows of the Kepler state (x0, v0) lifted at each of
-    `gauges`, sampled in one block (`flow._sample`): each lift's chart
-    state, its energy E at force constant k and g = scaling(E).  Returns
-    the gauges as floats, their flows and that block; the first gauge that
-    fails, in its lift or in the sampling, raises."""
-    angles, flows = [], []
+    `gauges`, made from one block of samples (`flow._sample`): each lift's
+    chart state, its energy E at force constant k and g = scaling(E).
+    Returns the gauges as floats, their flows and that block; the first
+    gauge that fails, in its lift or in the sampling, raises."""
+    angles, starts = [], []
     for gauge in gauges:
         Y0, U0 = to_oscillator_chart(*ks_lift(x0, v0, gauge))
         E = float((0.5 * np.dot(U0, U0) - k) / np.dot(Y0, Y0))
-        flows.append(OscillatorFlow._unsampled(
-            Y0, U0, E, float(scaling(E)), float(tau_end), k, n_samples))
+        starts.append((Y0, U0, E, float(scaling(E))))
         angles.append(float(gauge))
-    return angles, flows, _sample(flows)
+    return (angles, *_sample(starts, float(tau_end), k, n_samples))
 
 
 def unfold_kepler(

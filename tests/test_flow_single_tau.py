@@ -16,7 +16,6 @@ from ksunfold import (
     to_oscillator_chart,
     unfold_kepler,
 )
-from ksunfold.flow import OscillatorFlow
 from ksunfold.integrate import find_return_time
 from ksunfold.sampling import rng_from_seed
 from ksunfold.systems import scaling_preset
@@ -52,7 +51,7 @@ def _flow(orbit):
     if orbit == "parabolic":  # E = 0 exactly: every z is 0
         Y0, U0 = to_oscillator_chart(*ks_lift(np.array([1.0, 0, 0]),
                                               np.array([0, 1.3, 0.2])))
-        return OscillatorFlow(Y0, U0, 0.0, 1.0, 3.0)
+        return closed_form._sample([(Y0, U0, 0.0, 1.0)], 3.0, 1.0, 512)[0][0]
     p0, tau_end, scaling = _ORBITS[orbit]
     return unfold_kepler(np.array(p0), tau_end, compare=False,
                          scaling=scaling_preset(scaling)).upstairs

@@ -1,5 +1,7 @@
 """Tests for the spinor chart: projection, tangent lift, fiber action, lifts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,15 @@ def test_lift_roundtrip_random_cloud():
 def test_lift_rejects_origin():
     with pytest.raises(LiftError):
         ks_lift(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_lift_rejects_a_gauge_angle_that_is_not_finite(lam):
+    # before the fiber action, whose cos(inf) would warn and give NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gauge angle must be finite"):
+            ks_lift(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), lam)
 
 
 def test_oscillator_chart_roundtrip():

@@ -95,6 +95,9 @@ def test_gallery_sidecars_are_json_dump_and_a_newline_over_stale_files(
     ("period_family.py", "--a", "1e-300"),
     ("run_unfold_gallery.py", "--samples", "0"),
     ("run_unfold_gallery.py", "--samples", "-3"),
+    # positive, but too many to allocate: NumPy refuses at once
+    ("verify_all.py", "--samples", "100000000000000000"),
+    ("run_unfold_gallery.py", "--samples", "1000000000000000000"),
 ])
 def test_scripts_reject_a_bad_flag(tmp_path, script, flag, value):
     # `--flag=value`: argparse would read a leading minus as a flag

@@ -77,8 +77,8 @@ def test_gradients_come_from_one_mechanism():
 # batch), the shared-value scope of the observables from the
 # structure-constant check, the only caller that evaluates many observables
 # at one batch, the unfold's closed-form flow from the uncompared unfold and
-# the sweep, and the sweep from the compared unfold (one gauge) and the
-# command
+# the sweep, the sweep from the compared unfold (one gauge) and the
+# command, and every `OscillatorFlow` from the sampling of its batch
 _SINGLE_PATHS = {
     "_contract": {("_table_brackets",)},
     "_safeguarded_newton": {("_up_crossings",), ("_invert_clocks",)},
@@ -86,6 +86,7 @@ _SINGLE_PATHS = {
     "_shared_values": {("verify_structure_constants",)},
     "_flow": {("unfold_kepler",), ("unfold_sweep",)},
     "unfold_sweep": {("unfold_kepler",), ("cmd_unfold",)},
+    "OscillatorFlow": {("_sample",)},
 }
 
 
@@ -318,6 +319,21 @@ def test_the_closed_form_has_its_own_module():
                           if name in _defined(ast.parse(path.read_text())))
              for name in _CLOSED_FORM}
     assert homes == {name: ["flow.py"] for name in _CLOSED_FORM}
+
+
+def test_a_flow_is_made_whole_by_its_init():
+    # `_sample` checks and samples the starts, then makes each flow through
+    # the dataclass `__init__`, which sets every field: no flow is made past
+    # it or written after it is made
+    tree = ast.parse((_SRC[0].parent / "flow.py").read_text())
+    found = [f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in {"__setattr__", "__new__", "__match_args__"}]
+    found += [f"init=False:{line}" for _, line in _calls(
+        tree, lambda call, name: any(
+            kw.arg == "init" and getattr(kw.value, "value", True) is False
+            for kw in call.keywords))]
+    assert found == []
 
 
 def _outside_loops(node, inside=False):

@@ -20,7 +20,6 @@ import ksunfold.reduction as reduction
 from ksunfold import unfold_kepler, unfold_sweep
 from ksunfold.cli import main
 from ksunfold.errors import HorizonError
-from ksunfold.flow import OscillatorFlow
 from ksunfold.integrate import (
     _ROOT_MAX_ITER,
     _ROOT_TOL,
@@ -105,8 +104,8 @@ def test_batched_samples_and_projection_equal_each_gauge_alone(case):
             == (_bits(lone.Y0).tolist(), _bits(lone.U0).tolist(), lone.E,
                 lone.g)
         # every sample and every (x, v) of a flow built alone
-        alone = OscillatorFlow(up.Y0, up.U0, up.E, up.g, up.tau_end, up.k,
-                               up.n_samples)
+        (alone,), _ = closed_form._sample([(up.Y0, up.U0, up.E, up.g)],
+                                          up.tau_end, up.k, up.n_samples)
         assert np.array_equal(up.times, alone.times)
         assert np.array_equal(_bits(up.states), _bits(alone.states))
         for got, want in zip((res.xs, res.vs),
@@ -119,12 +118,10 @@ def test_a_batch_is_checked_gauge_by_gauge():
     # raises the error that flow raises alone
     Y0, U0 = np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])
     starts = [(Y0, U0, -0.5, 1.0), (Y0, U0, 1e9, 1.0), (Y0, U0, -0.5, 1.0)]
-    flows = [OscillatorFlow._unsampled(*start, 4.0, 1.0, 64)
-             for start in starts]
     with pytest.raises(HorizonError) as batch_error:
-        closed_form._sample(flows)
+        closed_form._sample(starts, 4.0, 1.0, 64)
     with pytest.raises(HorizonError) as lone_error:
-        OscillatorFlow(*starts[1], 4.0, 1.0, 64)
+        closed_form._sample(starts[1:2], 4.0, 1.0, 64)
     assert str(batch_error.value) == str(lone_error.value)
 
 
@@ -144,9 +141,9 @@ def test_a_sweep_of_eleven_gauges_compares_in_two_batches(monkeypatch):
 
 @pytest.mark.parametrize("bad", [3, 9])
 def test_a_gauge_that_raises_comes_after_the_gauges_before_it(bad):
-    # a NaN gauge lifts to a NaN chart state, which the flow refuses: its
-    # batch is redone one gauge at a time, and each gauge before it has the
-    # samples, comparison and (x, v) it gets in a sweep without it
+    # a NaN gauge is refused by its lift (`ks_lift`): its batch is redone
+    # one gauge at a time, and each gauge before it has the samples,
+    # comparison and (x, v) it gets in a sweep without it
     p0 = np.array([1.0, 0, 0, 0, 0.8, 0])
     gauges = [0.1 * i for i in range(12)]
     clean = list(unfold_sweep(p0, 4 * math.pi, gauges))
@@ -161,6 +158,18 @@ def test_a_gauge_that_raises_comes_after_the_gauges_before_it(bad):
         for got, ref in zip((res.xs, res.vs), (want.xs, want.vs)):
             assert np.array_equal(_bits(got), _bits(ref))
     with pytest.raises(ValueError, match="finite"):
+        next(sweep)
+
+
+def test_a_gauge_angle_that_is_not_finite_fails_its_lift():
+    # an inf gauge is refused by `ks_lift`, naming the gauge, and its batch
+    # is redone one gauge at a time: the gauges before it are yielded first
+    gauges = [0.1 * i for i in range(8)]
+    gauges[3] = math.inf
+    sweep = unfold_sweep(np.array([1.0, 0, 0, 0, 0.8, 0]), 4 * math.pi,
+                         gauges)
+    assert [next(sweep).gauge for _ in range(3)] == gauges[:3]
+    with pytest.raises(ValueError, match="gauge angle must be finite"):
         next(sweep)
 
 
